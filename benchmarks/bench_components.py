@@ -112,15 +112,17 @@ def test_ideal_detector_packed_throughput(benchmark, trace, bench_log):
 
 
 def test_vector_detector_throughput(benchmark, trace, bench_log):
+    packed = trace.packed
+
     def detect():
         return LimitedVectorDetector(
             trace.n_threads, CacheGeometry(32 * 1024)
-        ).run(trace)
+        ).run_packed(packed)
 
     outcome = benchmark(
         bench_log.timed,
         "components",
-        "vector_object_path",
+        "vector_packed_path",
         detect,
         events=_n_events(trace),
     )
@@ -228,7 +230,6 @@ def test_analysis_kernel_timings(trace, bench_log):
 
     from repro.cord.coherence import build_coherence_plan
     from repro.trace.kernels import (
-        build_line_residual,
         build_segment_plan,
         build_word_residual,
         kernel_backend,
@@ -261,8 +262,6 @@ def test_analysis_kernel_timings(trace, bench_log):
     residual = timed("kernel_word_residual",
                      lambda: build_word_residual(packed))
     assert residual is not None and len(residual) <= len(packed)
-    timed("kernel_line_residual",
-          lambda: build_line_residual(packed, line_mask))
     u64 = 0xFFFFFFFFFFFFFFFF
     packed._views.pop(
         ("geom", line_mask & u64, set_shift, set_mask & u64), None

@@ -24,6 +24,7 @@ modeling choice is recorded in DESIGN.md.
 
 from __future__ import annotations
 
+from itertools import islice
 from typing import Dict, Optional
 
 from repro.cachesim.cache import CacheGeometry
@@ -85,246 +86,177 @@ class LimitedVectorDetector(Detector):
         else:
             self._process_data(event)
 
-    def process_batch(self, events) -> None:
-        """The per-event pipeline of :meth:`_process_data`, batched.
-
-        Same structure as ``CordDetector.process_batch``: invariant
-        lookups hoisted out of the loop, the snoop generator and the
-        MetadataCache insert/MRU path inlined, and the vector-clock
-        dominance test open-coded over the component tuples.  Verdicts
-        are identical to the per-event path (the property and campaign
-        suites assert it).
-        """
-        vcs = self.vcs
-        thread_proc = self._thread_proc
-        line_mask = ~(self.geometry.line_size - 1)
-        caches = self._snoop.caches
-        cache_sets = [cache._sets for cache in caches]
-        set_shift = caches[0]._set_shift
-        set_mask = caches[0]._set_mask
-        n_processors = len(caches)
-        entries_per_line = self._entries_per_line
-        record_race = self.outcome.record_race
-        sync_access = self._sync_access
-        for event in events:
-            if event.is_sync:
-                sync_access(event.thread, event.address, event.is_write)
-                continue
-            t = event.thread
-            processor = thread_proc[t]
-            address = event.address
-            line = address & line_mask
-            word = (address - line) >> 2
-            is_write = event.is_write
-            set_index = (line >> set_shift) & set_mask
-            comps = vcs[t].components
-
-            # Snoop remote caches for conflicting cached history.
-            raced_processor = None
-            for remote in range(n_processors):
-                if remote == processor:
-                    continue
-                meta = cache_sets[remote][set_index].get(line)
-                if meta is None:
-                    continue
-                for entry in meta.entries:
-                    mask = entry.write_mask
-                    if is_write:
-                        mask |= entry.read_mask
-                    if (mask >> word) & 1:
-                        other = entry.ts.components
-                        for a, b in zip(comps, other):
-                            if a < b:
-                                raced_processor = remote
-                                break
-                        if raced_processor is not None:
-                            break
-                if raced_processor is not None:
-                    break
-            if raced_processor is not None:
-                record_race(
-                    DataRace(
-                        access=(t, event.icount),
-                        address=address,
-                        other_thread=None,
-                        detail="vector-unordered vs P%d" % raced_processor,
-                    )
-                )
-
-            # Local metadata insert/MRU-touch; displaced history is lost.
-            local_set = cache_sets[processor][set_index]
-            meta = local_set.get(line)
-            if meta is None:
-                cache = caches[processor]
-                meta = LineMeta(entries_per_line)
-                local_set[line] = meta
-                cache.insertions += 1
-                if len(local_set) > cache._capacity:
-                    local_set.pop(next(iter(local_set)))
-                    cache.evictions += 1
-            else:
-                local_set[line] = local_set.pop(line)
-            meta.data_valid = True
-            if is_write:
-                for remote in range(n_processors):
-                    if remote == processor:
-                        continue
-                    rmeta = cache_sets[remote][set_index].get(line)
-                    if rmeta is not None:
-                        rmeta.data_valid = False
-            # record_access inline: merge into the entry stamped with
-            # this exact vector, else allocate at the front.
-            vc = vcs[t]
-            merged = False
-            for entry in meta.entries:
-                if entry.ts.components == comps:
-                    if is_write:
-                        entry.write_mask |= 1 << word
-                    else:
-                        entry.read_mask |= 1 << word
-                    merged = True
-                    break
-            if not merged:
-                entry = TimestampEntry(vc)
-                if is_write:
-                    entry.write_mask = 1 << word
-                else:
-                    entry.read_mask = 1 << word
-                entries = meta.entries
-                entries.insert(0, entry)
-                if len(entries) > entries_per_line:
-                    entries.pop()
-
     def process_packed(self, packed) -> None:
-        """The :meth:`process_batch` pipeline over raw trace columns.
+        """One pass over the trace's segment plan; no event objects.
 
-        No event objects: sync and data accesses come straight out of
-        the packed trace's ``thread``/``address``/``flags``/``icount``
-        arrays.  Verdicts are identical to the object paths (asserted
-        by the packed-equivalence suite).
+        The plan (:meth:`PackedTrace.segment_plan`, shared with CORD's
+        kernel for the same line size) cuts the stream into sync
+        singletons and same-thread/same-line data *runs*.  Within a run
+        no other processor acts and the thread's clock is constant, so
+        the remote history the run can conflict with is fixed: the run
+        head ORs, per remote sharer in ascending processor order, the
+        read and write masks of the entries the clock does not dominate.
+        A run whose own masks miss them cannot race and costs two mask
+        ORs into its local entry; only a run that hits walks its events,
+        so race records keep their order and detail.  A ``line ->
+        processor bitmask`` residency map stands in for per-processor
+        snoop probes.
 
-        With an **infinite** geometry and a cold detector, the pass
-        interprets only the trace's line residual
-        (:meth:`PackedTrace.line_residual`): a line no other thread
-        touches never appears in a remote cache, so its accesses can
-        neither report nor influence a verdict.  Finite geometries must
-        take the full stream -- a private line still competes for
-        capacity, and the evictions it causes are observable.
+        Clocks are raw component tuples here, joined with
+        ``tuple(map(max, ...))`` as in :meth:`IdealDetector.process_packed`;
+        cached entries keep them, and ``vcs`` and the sync tables are
+        rewrapped as :class:`VectorClock` at the end.  Without a plan
+        (no kernels, or lines too wide for 64-bit word masks) the pass
+        is the reference :meth:`process` loop over event objects.
+        Verdicts and counters are identical either way (pinned by the
+        packed-equivalence suite).
         """
-        vcs = self.vcs
-        thread_proc = self._thread_proc
         line_mask = ~(self.geometry.line_size - 1)
+        plan = packed.segment_plan(line_mask)
+        if plan is None:
+            super().process_packed(packed)
+            return
+        offset_mask = self.geometry.line_size - 1
         caches = self._snoop.caches
         cache_sets = [cache._sets for cache in caches]
         set_shift = caches[0]._set_shift
         set_mask = caches[0]._set_mask
-        n_processors = len(caches)
+        capacity = caches[0]._capacity
+        finite = not self.geometry.is_infinite
         entries_per_line = self._entries_per_line
         record_race = self.outcome.record_race
-        sync_access = self._sync_access
-        cols = None
-        if (
-            self.geometry.is_infinite
-            and not self._sync_write_vc
-            and not self._sync_read_vc
-            and not any(cache.insertions for cache in caches)
+        thread_proc = self._thread_proc
+        comps_by_thread = [vc.components for vc in self.vcs]
+        swv = {a: vc.components for a, vc in self._sync_write_vc.items()}
+        srv = {a: vc.components for a, vc in self._sync_read_vc.items()}
+
+        # line -> bitmask of the processors caching it, kept on insert
+        # and evict.  Rebuilt from the caches (empty on a cold detector),
+        # whose stamps become tuples like the ones this pass stores.
+        resident: Dict[int, int] = {}
+        for processor, sets in enumerate(cache_sets):
+            bit = 1 << processor
+            for cache_set in sets:
+                for line, meta in cache_set.items():
+                    resident[line] = resident.get(line, 0) | bit
+                    for entry in meta.entries:
+                        entry.ts = getattr(entry.ts, "components", entry.ts)
+
+        threads, addresses, flag_col, icounts = packed.hot_columns()
+        starts = plan.starts
+        for start, end, is_sync, run_reads, run_writes in zip(
+            starts, islice(starts, 1, None), plan.sync,
+            plan.read_masks, plan.write_masks,
         ):
-            residual = packed.line_residual(line_mask)
-            if residual is not None:
-                cols = (
-                    residual.threads,
-                    residual.addresses,
-                    residual.flags,
-                    residual.icounts,
-                )
-        if cols is None:
-            cols = packed.hot_columns()
-        for t, address, eflags, icount in zip(*cols):
-            is_write = eflags & 1
-            if eflags & 2:
-                sync_access(t, address, is_write)
-                continue
-            processor = thread_proc[t]
-            line = address & line_mask
-            word = (address - line) >> 2
-            set_index = (line >> set_shift) & set_mask
-            comps = vcs[t].components
-
-            # Snoop remote caches for conflicting cached history.
-            raced_processor = None
-            for remote in range(n_processors):
-                if remote == processor:
-                    continue
-                meta = cache_sets[remote][set_index].get(line)
-                if meta is None:
-                    continue
-                for entry in meta.entries:
-                    mask = entry.write_mask
-                    if is_write:
-                        mask |= entry.read_mask
-                    if (mask >> word) & 1:
-                        other = entry.ts.components
-                        for a, b in zip(comps, other):
-                            if a < b:
-                                raced_processor = remote
-                                break
-                        if raced_processor is not None:
-                            break
-                if raced_processor is not None:
-                    break
-            if raced_processor is not None:
-                record_race(
-                    DataRace(
-                        access=(t, icount),
-                        address=address,
-                        other_thread=None,
-                        detail="vector-unordered vs P%d" % raced_processor,
+            t = threads[start]
+            address = addresses[start]
+            if is_sync:
+                # _sync_access over raw tuples (see IdealDetector).
+                comps = comps_by_thread[t]
+                wh = swv.get(address)
+                if wh is not None:
+                    comps = tuple(map(max, comps, wh))
+                if flag_col[start] & 1:
+                    rh = srv.get(address)
+                    if rh is not None:
+                        comps = tuple(map(max, comps, rh))
+                    swv[address] = comps
+                    ticked = list(comps)
+                    ticked[t] += 1
+                    comps_by_thread[t] = tuple(ticked)
+                else:
+                    rh = srv.get(address)
+                    srv[address] = (
+                        tuple(map(max, rh, comps))
+                        if rh is not None
+                        else comps
                     )
-                )
+                    comps_by_thread[t] = comps
+                continue
+            comps = comps_by_thread[t]
+            processor = thread_proc[t]
+            bit = 1 << processor
+            line = address & line_mask
+            set_index = (line >> set_shift) & set_mask
+            sharers = resident.get(line, 0)
 
-            # Local metadata insert/MRU-touch; displaced history is lost.
+            # Remote history is constant for the run: collect, per
+            # sharer, the undominated masks the run's words can hit.
+            others = sharers & ~bit
+            if others:
+                touched = run_reads | run_writes
+                hits = []
+                while others:
+                    low = others & -others
+                    others ^= low
+                    remote = low.bit_length() - 1
+                    rmask = wmask = 0
+                    for entry in cache_sets[remote][set_index][line].entries:
+                        ew = entry.write_mask & touched
+                        er = entry.read_mask & run_writes
+                        if ew or er:
+                            for a, b in zip(comps, entry.ts):
+                                if a < b:
+                                    wmask |= ew
+                                    rmask |= er
+                                    break
+                    if rmask or wmask:
+                        hits.append((remote, rmask, wmask))
+                if hits:
+                    for i in range(start, end):
+                        address = addresses[i]
+                        wbit = 1 << ((address & offset_mask) >> 2)
+                        is_write = flag_col[i] & 1
+                        for remote, rmask, wmask in hits:
+                            if wmask & wbit or (is_write and rmask & wbit):
+                                record_race(
+                                    DataRace(
+                                        access=(t, icounts[i]),
+                                        address=address,
+                                        other_thread=None,
+                                        detail="vector-unordered vs P%d"
+                                        % remote,
+                                    )
+                                )
+                                break
+
+            # Local insert/MRU-touch; displaced history is lost.
             local_set = cache_sets[processor][set_index]
             meta = local_set.get(line)
             if meta is None:
-                cache = caches[processor]
                 meta = LineMeta(entries_per_line)
                 local_set[line] = meta
+                resident[line] = sharers | bit
+                cache = caches[processor]
                 cache.insertions += 1
-                if len(local_set) > cache._capacity:
-                    local_set.pop(next(iter(local_set)))
+                if len(local_set) > capacity:
+                    victim = next(iter(local_set))
+                    del local_set[victim]
                     cache.evictions += 1
-            else:
-                local_set[line] = local_set.pop(line)
-            meta.data_valid = True
-            if is_write:
-                for remote in range(n_processors):
-                    if remote == processor:
-                        continue
-                    rmeta = cache_sets[remote][set_index].get(line)
-                    if rmeta is not None:
-                        rmeta.data_valid = False
-            # record_access inline: merge into the entry stamped with
-            # this exact vector, else allocate at the front.
-            vc = vcs[t]
-            merged = False
-            for entry in meta.entries:
-                if entry.ts.components == comps:
-                    if is_write:
-                        entry.write_mask |= 1 << word
+                    left = resident[victim] & ~bit
+                    if left:
+                        resident[victim] = left
                     else:
-                        entry.read_mask |= 1 << word
-                    merged = True
+                        del resident[victim]
+            elif finite:
+                local_set[line] = local_set.pop(line)
+            # The whole run lands in the entry stamped with this clock.
+            entries = meta.entries
+            for entry in entries:
+                if entry.ts == comps:
+                    entry.read_mask |= run_reads
+                    entry.write_mask |= run_writes
                     break
-            if not merged:
-                entry = TimestampEntry(vc)
-                if is_write:
-                    entry.write_mask = 1 << word
-                else:
-                    entry.read_mask = 1 << word
-                entries = meta.entries
-                entries.insert(0, entry)
+            else:
+                entries.insert(
+                    0, TimestampEntry(comps, run_reads, run_writes)
+                )
                 if len(entries) > entries_per_line:
                     entries.pop()
+
+        self.vcs = [VectorClock(comps) for comps in comps_by_thread]
+        self._sync_write_vc = {a: VectorClock(c) for a, c in swv.items()}
+        self._sync_read_vc = {a: VectorClock(c) for a, c in srv.items()}
 
     def _process_sync(self, event: MemoryEvent) -> None:
         self._sync_access(event.thread, event.address, event.is_write)
@@ -382,9 +314,6 @@ class LimitedVectorDetector(Detector):
         # is lost (no main-memory timestamps in the vector schemes).
         cache = self._snoop.cache_of(processor)
         meta, _evicted = cache.access(line)
-        meta.data_valid = True
-        if is_write:
-            self._snoop.invalidate_remote(processor, line)
         meta.record_access(vc, word, is_write)
 
     def finish(self, trace):

@@ -265,9 +265,9 @@ def guarded_outcomes(
 def _needed_products(specs, n_threads):
     """What plan products do these specs consume on the kernel tier?
 
-    Throwaway builds introspect each detector's geometry: CORD configs
-    need a :class:`~repro.trace.kernels.SegmentPlan` per line mask, the
-    infinite-capacity vector-clock detector a line residual, and the
+    Throwaway builds introspect each detector's geometry: CORD and the
+    vector-clock comparison configs need a
+    :class:`~repro.trace.kernels.SegmentPlan` per line mask, and the
     happens-before oracles the word residual.  Construction is a few
     dict inserts per detector -- noise next to one analysis pass.
     """
@@ -276,17 +276,16 @@ def _needed_products(specs, n_threads):
     from repro.detectors.ideal import IdealDetector
     from repro.detectors.vector_cord import LimitedVectorDetector
 
-    seg_masks, line_masks, want_word = set(), set(), False
+    seg_masks, want_word = set(), False
     for spec in specs:
         det = spec.build(n_threads)
         if isinstance(det, CordDetector):
             seg_masks.add(det._line_mask)
         elif isinstance(det, LimitedVectorDetector):
-            if det.geometry.is_infinite:
-                line_masks.add(~(det.geometry.line_size - 1))
+            seg_masks.add(~(det.geometry.line_size - 1))
         elif isinstance(det, (IdealDetector, EpochDetector)):
             want_word = True
-    return seg_masks, line_masks, want_word
+    return seg_masks, want_word
 
 
 def _prime_batch(items) -> None:
@@ -310,22 +309,16 @@ def _prime_batch(items) -> None:
             "chaos: injected batch-tier fault (batch_raise)"
         )
     packeds = [packed for _specs, _n, packed in items]
-    seg_masks, line_masks, want_word = set(), set(), False
+    seg_masks, want_word = set(), False
     for specs, n_threads, _packed in items:
-        segs, lines, word = _needed_products(specs, n_threads)
+        segs, word = _needed_products(specs, n_threads)
         seg_masks |= segs
-        line_masks |= lines
         want_word = want_word or word
     for mask in sorted(seg_masks):
         plans = kernels.build_batched_segment_plans(packeds, mask)
         if plans is not None:
             for packed, plan in zip(packeds, plans):
                 packed.seed_segment_plan(mask, plan)
-    for mask in sorted(line_masks):
-        views = kernels.build_batched_line_residuals(packeds, mask)
-        if views is not None:
-            for packed, view in zip(packeds, views):
-                packed.seed_line_residual(mask, view)
     if want_word:
         views = kernels.build_batched_word_residuals(packeds)
         if views is not None:

@@ -13,7 +13,7 @@ recorded trace and shared by every detector configuration of a sweep --
 the record-once/analyze-many pipeline pays the classification cost once
 and the per-configuration passes reap it eight times over.
 
-Three plan products, all cached on the trace:
+Two plan products, both cached on the trace:
 
 :class:`SegmentPlan` (per line mask)
     The stream cut into *runs* -- maximal spans of consecutive events
@@ -22,20 +22,15 @@ Three plan products, all cached on the trace:
     span's read and write word bits precomputed per run.  CORD's packed
     interpreter consumes whole runs at a time: when the line's check
     filter is valid at the thread's current clock, the entire run is a
-    provable fast-path hit and collapses to two mask ORs.
+    provable fast-path hit and collapses to two mask ORs.  The
+    vector-clock comparison detectors walk the same plan: a run that
+    misses every undominated remote mask collapses the same way.
 
 :func:`word_residual` (config-independent)
     Data accesses to words only ever touched by a single thread can never
     race and leave no observable history for the happens-before oracles;
     the residual view keeps synchronization plus shared-word data
     accesses, in original order, and counts what was dropped.
-
-:func:`line_residual` (per line mask)
-    The same classification at cache-line granularity, for the
-    vector-clock comparison detectors: sound only when metadata capacity
-    is unlimited (a finite cache makes even private lines observable
-    through the evictions they cause), so only the ``InfCache``
-    configuration uses it.
 
 Numpy is optional everywhere: every builder returns ``None`` when numpy
 is unavailable -- or when ``REPRO_NO_NUMPY=1`` forces the pure-python
@@ -258,22 +253,6 @@ def build_batched_segment_plans(
     return plans
 
 
-def build_batched_word_residuals(packeds) -> Optional[List[ResidualView]]:
-    """:func:`build_word_residual` over *k* traces in one arena pass."""
-    if not kernels_enabled():
-        return None
-    return _batched_residuals(packeds, None)
-
-
-def build_batched_line_residuals(
-    packeds, line_mask: int,
-) -> Optional[List[ResidualView]]:
-    """:func:`build_line_residual` over *k* traces in one arena pass."""
-    if not kernels_enabled():
-        return None
-    return _batched_residuals(packeds, line_mask)
-
-
 def _shared_flags(keys, thread, data):
     """Boolean per-event array: is the event's ``keys`` value touched in
     data mode by more than one distinct thread?
@@ -307,16 +286,18 @@ def _shared_flags(keys, thread, data):
     return shared
 
 
-def _batched_residuals(packeds, line_mask: Optional[int]):
-    """Shared-word/-line classification over a run batch.
+def build_batched_word_residuals(packeds) -> Optional[List[ResidualView]]:
+    """:func:`build_word_residual` over *k* traces in one arena pass.
 
     Sharing is a *per-run* property -- two runs touching the same word
     from different threads must not contaminate each other -- so the
-    group key is ``(run, word-or-line)``: one lexsort over the
-    concatenated columns with run-major ordering, group breaks wherever
-    the run or the key changes.  Each returned view is byte-identical to
-    the per-run builder's.
+    group key is ``(run, word)``: one lexsort over the concatenated
+    columns with run-major ordering, group breaks wherever the run or
+    the word changes.  Each returned view is byte-identical to the
+    per-run builder's.
     """
+    if not kernels_enabled():
+        return None
     counts = [len(p.thread) for p in packeds]
     total = sum(counts)
     if total == 0:
@@ -326,10 +307,6 @@ def _batched_residuals(packeds, line_mask: Optional[int]):
     address = _np.concatenate([c[1] for c in cols])
     flags = _np.concatenate([c[2] for c in cols])
     run_ids = _np.repeat(_np.arange(len(counts), dtype=_np.int64), counts)
-    if line_mask is None:
-        keys = address
-    else:
-        keys = address & _np.uint64(line_mask & _U64)
     sync = (flags & 2) != 0
     data = ~sync
     is_write = (flags & 1) != 0
@@ -337,7 +314,7 @@ def _batched_residuals(packeds, line_mask: Optional[int]):
     shared = _np.zeros(total, dtype=bool)
     data_idx = _np.flatnonzero(data)
     if len(data_idx):
-        key_d = keys[data_idx]
+        key_d = address[data_idx]
         thread_d = thread[data_idx]
         run_d = run_ids[data_idx]
         order = _np.lexsort((thread_d, key_d, run_d))
@@ -406,27 +383,4 @@ def build_word_residual(packed) -> Optional[ResidualView]:
     data = ~sync
     is_write = (flags & 1) != 0
     keep = sync | _shared_flags(address, thread, data)
-    return _residual_from_mask(packed, keep, data, is_write)
-
-
-def build_line_residual(packed, line_mask: int) -> Optional[ResidualView]:
-    """Sync events plus data accesses to lines shared between threads.
-
-    Line-granular variant for the vector-clock comparison detectors:
-    a line touched by a single thread never appears in a remote cache,
-    so its accesses can neither report nor influence anything -- but
-    only when metadata capacity is unlimited.  With a finite cache the
-    private line still competes for slots (its insertions evict shared
-    lines), so callers must gate this on an infinite geometry.
-    """
-    if not kernels_enabled():
-        return None
-    if len(packed.thread) == 0:
-        return ResidualView([], [], [], [], 0, 0)
-    thread, address, flags = _columns(packed)
-    lines = address & _np.uint64(line_mask & _U64)
-    sync = (flags & 2) != 0
-    data = ~sync
-    is_write = (flags & 1) != 0
-    keep = sync | _shared_flags(lines, thread, data)
     return _residual_from_mask(packed, keep, data, is_write)

@@ -294,7 +294,7 @@ class PackedTrace:
 
     # -- analysis plans (config-independent numpy pre-passes) -----------------
     #
-    # All three products below are pure functions of the recorded
+    # Both products below are pure functions of the recorded
     # columns (plus, where noted, a line mask), so they are computed at
     # most once per trace and shared by every detector configuration of
     # a sweep.  Caches hold only kernel-built (numpy) results: when the
@@ -333,25 +333,6 @@ class PackedTrace:
         self._views[key] = (n, residual)
         return residual
 
-    def line_residual(self, line_mask: int):
-        """The cached line-granularity residual view for ``line_mask``
-        (sync events plus data accesses to lines touched by more than
-        one thread), or ``None`` when the kernels are unavailable.
-
-        Sound only for detectors whose metadata capacity is unlimited;
-        see :func:`repro.trace.kernels.build_line_residual`.
-        """
-        if not _kernels.kernels_enabled():
-            return None
-        key = ("lineres", line_mask & _U64)
-        n = len(self.thread)
-        cached = self._views.get(key)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        residual = _kernels.build_line_residual(self, line_mask)
-        self._views[key] = (n, residual)
-        return residual
-
     # -- batch seeding ---------------------------------------------------------
     #
     # The batched analysis tier (:mod:`repro.resilience.guard`) builds
@@ -381,17 +362,6 @@ class PackedTrace:
         if cached is not None and cached[0] == n:
             return
         self._views[("wordres",)] = (n, residual)
-
-    def seed_line_residual(self, line_mask: int, residual) -> None:
-        """Pre-populate :meth:`line_residual`'s cache for ``line_mask``."""
-        if not _kernels.kernels_enabled():
-            return
-        key = ("lineres", line_mask & _U64)
-        n = len(self.thread)
-        cached = self._views.get(key)
-        if cached is not None and cached[0] == n:
-            return
-        self._views[key] = (n, residual)
 
     def derived(self, key, build):
         """Generic per-trace cache for derived analysis products.

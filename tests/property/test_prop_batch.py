@@ -26,10 +26,8 @@ from repro.resilience.guard import (
 )
 from repro.trace.kernels import (
     NO_NUMPY_ENV,
-    build_batched_line_residuals,
     build_batched_segment_plans,
     build_batched_word_residuals,
-    build_line_residual,
     build_segment_plan,
     build_word_residual,
     kernels_enabled,
@@ -43,7 +41,7 @@ LINE_MASK = ~(64 - 1)
 
 def _specs():
     # All four families: Ideal (word residual), LimitedVector infinite
-    # and finite (line residual / cache sim), CORD (segment plans).
+    # and finite, and CORD (segment plans).
     return standard_suite()
 
 
@@ -185,16 +183,12 @@ def test_batched_builders_equal_per_run_builders(cases):
 
     plans = build_batched_segment_plans(packeds, LINE_MASK)
     words = build_batched_word_residuals(packeds)
-    lines = build_batched_line_residuals(packeds, LINE_MASK)
-    assert plans is not None and words is not None and lines is not None
-    assert len(plans) == len(words) == len(lines) == len(packeds)
+    assert plans is not None and words is not None
+    assert len(plans) == len(words) == len(packeds)
 
-    for packed, plan, word, line in zip(packeds, plans, words, lines):
+    for packed, plan, word in zip(packeds, plans, words):
         _assert_plan_identical(plan, build_segment_plan(packed, LINE_MASK))
         _assert_residual_identical(word, build_word_residual(packed))
-        _assert_residual_identical(
-            line, build_line_residual(packed, LINE_MASK)
-        )
 
 
 @pytest.mark.skipif(not kernels_enabled(), reason="numpy unavailable")

@@ -9,8 +9,13 @@ Three layers of the equivalence the record-once pipeline rests on:
 3. **Analysis** -- every detector's ``process_packed`` path produces
    byte-identical race reports and order logs to its per-event-object
    path, on hypothesis-generated racy programs and on golden workloads.
+   The vector-clock comparison detectors are pinned at every geometry
+   (InfCache, L2Cache, L1Cache and a tiny cache that evicts constantly),
+   oversubscribed processors included, on programs built to produce
+   racy multi-event same-line runs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +27,10 @@ from repro.detectors import IdealDetector
 from repro.detectors.epoch import EpochDetector
 from repro.detectors.vector_cord import LimitedVectorDetector
 from repro.engine import run_program
+from repro.program import AddressSpace, Program
+from repro.program.ops import ComputeOp, ReadOp, WriteOp
+from repro.resilience.guard import _fingerprint
+from repro.sync import Mutex, acquire, release
 from repro.trace import (
     MemoryEvent,
     PackedTrace,
@@ -164,12 +173,25 @@ def test_ideal_and_epoch_packed_paths_equivalent(thread_actions, seed):
         _assert_outcomes_identical(object_outcome, packed_outcome)
 
 
+#: The vector-clock comparison geometries: InfCache, L2Cache, L1Cache,
+#: and a 2-way 512 B cache (8 lines) that evicts constantly.
+VECTOR_GEOMETRIES = (
+    CacheGeometry.infinite(),
+    CacheGeometry(32 * 1024),
+    CacheGeometry(8 * 1024),
+    CacheGeometry(512, associativity=2),
+)
+
+
 def _golden_detectors(n_threads):
     return [
         CordDetector(CordConfig(d=16), n_threads),
         CordDetector(CordConfig(d=4, use_window=True), n_threads),
         DirectoryCordDetector(CordConfig(d=16), n_threads),
-        LimitedVectorDetector(n_threads, CacheGeometry.infinite()),
+        *(
+            LimitedVectorDetector(n_threads, geometry)
+            for geometry in VECTOR_GEOMETRIES
+        ),
         EpochDetector(n_threads),
         IdealDetector(n_threads),
     ]
@@ -189,6 +211,9 @@ def test_golden_workloads_packed_equivalence():
             object_outcome = object_detector.run(trace)
             packed_outcome = packed_detector.run_packed(trace.packed)
             _assert_outcomes_identical(object_outcome, packed_outcome)
+            assert _fingerprint(object_outcome) == _fingerprint(
+                packed_outcome
+            )
             if isinstance(object_detector, CordDetector):
                 assert (
                     object_detector.fast_hits,
@@ -215,3 +240,213 @@ def test_golden_workload_codec_roundtrip_preserves_analysis():
         CordConfig(), program.n_threads
     ).run_packed(restored.packed)
     _assert_outcomes_identical(direct, roundtripped)
+
+
+# -- vector-clock comparison detectors at every geometry ---------------------
+
+#: A pool spanning 12 lines (3 per set of the tiny cache) so bursts
+#: share lines across threads and finite caches evict.
+VEC_LINES = 12
+VEC_WORDS_PER_LINE = 16
+VEC_WORDS = VEC_LINES * VEC_WORDS_PER_LINE
+
+_vector_action = st.one_of(
+    # A burst of consecutive accesses to one line: read, write, or
+    # read-modify-write each word.  Unsynchronized, so bursts of
+    # different threads over the same words race.
+    st.tuples(
+        st.just("burst"),
+        st.integers(min_value=0, max_value=VEC_WORDS - 1),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2),
+    ),
+    st.tuples(
+        st.just("cs"),
+        st.integers(min_value=0, max_value=1),
+        st.integers(min_value=0, max_value=VEC_WORDS - 1),
+        st.just(0),
+    ),
+    st.tuples(
+        st.just("compute"),
+        st.integers(min_value=1, max_value=5),
+        st.just(0),
+        st.just(0),
+    ),
+)
+
+
+def _vector_programs(min_threads, max_threads):
+    return st.lists(
+        st.lists(_vector_action, min_size=1, max_size=20),
+        min_size=min_threads,
+        max_size=max_threads,
+    )
+
+
+def build_burst_program(thread_actions):
+    space = AddressSpace()
+    words = space.alloc_array("pool", VEC_WORDS)
+    mutexes = [Mutex.allocate(space, "m%d" % i) for i in range(2)]
+
+    def make_body(actions):
+        def body(tid):
+            for kind, a, b, c in actions:
+                if kind == "burst":
+                    line = a // VEC_WORDS_PER_LINE
+                    line_end = (line + 1) * VEC_WORDS_PER_LINE
+                    for word in range(a, min(a + b, line_end)):
+                        if c != 1:
+                            yield ReadOp(words[word])
+                        if c != 0:
+                            yield WriteOp(words[word], tid)
+                elif kind == "cs":
+                    yield from acquire(mutexes[a])
+                    value = yield ReadOp(words[b])
+                    yield WriteOp(words[b], (value or 0) + 1)
+                    yield from release(mutexes[a])
+                else:
+                    yield ComputeOp(a)
+
+        return body
+
+    return Program(
+        [make_body(actions) for actions in thread_actions],
+        space,
+        name="bursts",
+    )
+
+
+def _assert_vector_paths_identical(thread_actions, seed):
+    program = build_burst_program(thread_actions)
+    trace = run_program(program, seed=seed)
+    for geometry in VECTOR_GEOMETRIES:
+        object_outcome = LimitedVectorDetector(
+            program.n_threads, geometry
+        ).run(trace)
+        packed_outcome = LimitedVectorDetector(
+            program.n_threads, geometry
+        ).run_packed(trace.packed)
+        # Flagged set, race order and detail, and the eviction counter.
+        assert _fingerprint(packed_outcome) == _fingerprint(object_outcome)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_vector_programs(2, 4), seeds)
+def test_vector_packed_path_equivalent_every_geometry(thread_actions, seed):
+    _assert_vector_paths_identical(thread_actions, seed)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_vector_programs(5, 7), seeds)
+def test_vector_packed_path_equivalent_oversubscribed(thread_actions, seed):
+    # More threads than the 4 processors: threads sharing a processor
+    # share its cache and never snoop each other.
+    _assert_vector_paths_identical(thread_actions, seed)
+
+
+#: Hand-built streams: the interleavings the engine's scheduler rarely
+#: produces (a thread re-stamping one line at three clocks, retiring the
+#: oldest entry, then a remote access to the retired word).
+_STREAM_DATA_BASE = 0x10000
+_STREAM_SYNC_BASE = 0x80000
+
+
+@st.composite
+def event_streams(draw):
+    n_threads = draw(st.sampled_from((2, 4, 7)))
+    thread = st.integers(min_value=0, max_value=n_threads - 1)
+    chunk = st.one_of(
+        st.tuples(
+            st.just("data"),
+            thread,
+            # Lines 0, 4 and 8 share a set of the tiny 2-way cache.
+            st.sampled_from((0, 4, 8, 1)),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=7),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=5,
+            ),
+        ),
+        st.tuples(
+            st.just("sync"),
+            thread,
+            # Many sync words: sparse ordering keeps races reachable.
+            st.integers(min_value=0, max_value=7),
+            st.booleans(),
+        ),
+    )
+    chunks = draw(st.lists(chunk, min_size=12, max_size=40))
+    events = []
+    icounts = [0] * n_threads
+    for kind, t, where, what in chunks:
+        if kind == "sync":
+            accesses = [(_STREAM_SYNC_BASE + 4 * where, what, True)]
+        else:
+            accesses = [
+                (_STREAM_DATA_BASE + 64 * where + 4 * word, write, False)
+                for word, write in what
+            ]
+        for address, write, sync in accesses:
+            icounts[t] += 1
+            events.append(
+                MemoryEvent(
+                    len(events),
+                    t,
+                    address,
+                    AccessMode.WRITE if write else AccessMode.READ,
+                    AccessClass.SYNC if sync else AccessClass.DATA,
+                    icounts[t],
+                    0,
+                )
+            )
+    return Trace(events, icounts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(event_streams())
+def test_vector_packed_path_equivalent_on_event_streams(trace):
+    packed = PackedTrace.from_trace(trace)
+    for geometry in VECTOR_GEOMETRIES:
+        object_outcome = LimitedVectorDetector(
+            trace.n_threads, geometry
+        ).run(trace)
+        packed_outcome = LimitedVectorDetector(
+            trace.n_threads, geometry
+        ).run_packed(packed)
+        assert _fingerprint(packed_outcome) == _fingerprint(object_outcome)
+
+
+def test_burst_programs_exercise_racy_runs_and_evictions():
+    # The generator is only useful if it reaches the kernel's hard
+    # cases: a flagged access inside a multi-event same-line run, and
+    # evictions in the tiny cache.
+    bursts = [
+        [("burst", 16 * line, 6, 2) for line in (0, 4, 8, 0)],
+        [("burst", 16 * line + 2, 6, 1) for line in (0, 4, 8)],
+        [("burst", 16 * line + 4, 4, 0) for line in (8, 0)],
+        [("compute", 3, 0, 0), ("burst", 5, 3, 2)],
+        [("burst", 16 * line, 4, 2) for line in (1, 5, 9, 1)],
+    ]
+    program = build_burst_program(bursts)
+    trace = run_program(program, seed=3)
+    plan = trace.packed.segment_plan(~63)
+    if plan is None:
+        pytest.skip("numpy unavailable: no segment plan")
+    run_of = {}
+    for start, end, sync in zip(plan.starts, plan.starts[1:], plan.sync):
+        for i in range(start, end):
+            run_of[i] = end - start if not sync else 0
+    index_of = {
+        (t, icount): i
+        for i, (t, icount) in enumerate(
+            zip(trace.packed.thread, trace.packed.icount)
+        )
+    }
+    tiny = LimitedVectorDetector(program.n_threads, VECTOR_GEOMETRIES[-1])
+    outcome = tiny.run_packed(trace.packed)
+    assert outcome.counters["evictions"] > 0
+    assert any(run_of[index_of[access]] > 1 for access in outcome.flagged)
+    _assert_vector_paths_identical(bursts, 3)

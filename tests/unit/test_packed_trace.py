@@ -225,7 +225,6 @@ class TestDerivedViews:
         packed = self._packed()
         assert packed.segment_plan(~0x3F) is None
         assert packed.word_residual() is None
-        assert packed.line_residual(~0x3F) is None
 
     @pytest.mark.skipif(
         _kernels._np is None,

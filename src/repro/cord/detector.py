@@ -43,7 +43,7 @@ from typing import List, Optional
 
 from repro.cachesim.snoop import SnoopDomain
 from repro.clocks.window import SlidingWindowComparator
-from repro.common.errors import ConfigError
+from repro.common.errors import ConfigError, SimulationError
 from repro.cord.coherence import build_coherence_plan
 from repro.cord.config import CordConfig
 from repro.cord.log import OrderLog
@@ -60,6 +60,30 @@ from repro.meta.memts import MainMemoryTimestamps
 from repro.meta.walker import CacheWalker
 from repro.trace.events import MemoryEvent
 from repro.trace.stream import Trace
+
+
+def _event_row(event, line_mask, set_shift, set_mask):
+    """One :meth:`CordDetector._interpret` row from an event object."""
+    address = event.address
+    line = address & line_mask
+    word = (address - line) >> 2
+    return (
+        event.thread,
+        address,
+        event.is_write | event.is_sync << 1,
+        event.icount,
+        line,
+        word,
+        1 << word,
+        (line >> set_shift) & set_mask,
+    )
+
+
+_SPENT = (
+    "detector already ran a plan-driven pass (kernel or fused), which "
+    "leaves no live cache model to continue from; build a fresh "
+    "detector for further events"
+)
 
 
 @dataclass
@@ -121,7 +145,6 @@ class CordDetector(Detector):
         self._cache_sets = [cache._sets for cache in self.snoop.caches]
         self._set_shift = self.snoop.caches[0]._set_shift
         self._set_mask = self.snoop.caches[0]._set_mask
-        self._frag_start = self.recorder._fragment_start
         # Residency hint: line address -> bitmask of processors whose
         # cache *may* hold the line.  Bits are set on fill and cleared on
         # the inline eviction path; drops the cache walker performs are
@@ -142,10 +165,10 @@ class CordDetector(Detector):
         self.fast_hits = 0
         self.memts_orderings = 0
         self.clock_changes = 0
-        # The plan-driven packed kernel runs from a cold cache model and
-        # leaves metadata in pass-local arrays; once spent, later calls
-        # fall back to the scalar loop (nothing reuses a detector across
-        # traces, but fail safe rather than replay from a wrong state).
+        # The plan-driven packed kernel (and the fused pass) runs from a
+        # cold cache model and leaves metadata in pass-local arrays; once
+        # spent, the detector refuses further events instead of
+        # continuing from an empty cache model.
         self._kernel_spent = False
         # Sweep drivers that know this config's geometry is unique in
         # the sweep clear this; the kernel path then requires an
@@ -176,40 +199,81 @@ class CordDetector(Detector):
         The thread's clock advances by ``D`` so its own stale timestamps on
         the old processor cannot be mistaken for a conflicting thread's.
         """
+        if not 0 <= thread < self.n_threads:
+            raise ValueError("no thread %d" % thread)
         if not 0 <= processor < self.config.n_processors:
             raise ValueError("no processor %d" % processor)
         self.thread_proc[thread] = processor
         if not self.config.migration_fix:
             return  # ablation: reproduce the self-race problem
-        new_clock = self.clocks[thread] + self.config.d
-        self.recorder.clock_changed_before(thread, new_clock, icount)
-        self.clocks[thread] = new_clock
-        self.clock_changes += 1
+        self._change_clock_before(
+            thread, self.clocks[thread] + self.config.d, icount
+        )
 
     # -- the access pipeline ---------------------------------------------------
 
     def process(self, event: MemoryEvent) -> None:
         """Process one event: a batch of one (see :meth:`process_batch`).
 
-        Dispatches to this class's batch loop explicitly: subclasses that
-        override ``process_batch`` to wrap ``process`` (the directory
-        detector) must not recurse through it.
+        Calls this class's loop directly: subclasses that override
+        ``process_batch`` to wrap ``process`` (the directory detector)
+        must not recurse through it.
         """
-        CordDetector.process_batch(self, (event,))
+        # _event_row inlined: the timing models call this once per
+        # event, and the helper call alone costs a few percent there.
+        address = event.address
+        line = address & self._line_mask
+        word = (address - line) >> 2
+        CordDetector._interpret(self, ((
+            event.thread,
+            address,
+            event.is_write | event.is_sync << 1,
+            event.icount,
+            line,
+            word,
+            1 << word,
+            (line >> self._set_shift) & self._set_mask,
+        ),))
 
     def process_batch(self, events) -> None:
-        # The hottest loop in the repository: a campaign pushes millions
-        # of events through here.  All per-line state lives in the flat
-        # ScalarLineStore columns; everything invariant across events --
-        # the store's columns, the cache set dicts, geometry constants --
-        # is bound to locals once, outside the per-event loop.
+        """Process event objects: the reference feeder.
+
+        The ladder's scalar tier and the ``REPRO_CROSS_CHECK`` baseline:
+        each event's geometry is computed here, independently of the
+        trace's cached columns.
+        """
+        line_mask = self._line_mask
+        set_shift = self._set_shift
+        set_mask = self._set_mask
+        self._interpret(
+            _event_row(event, line_mask, set_shift, set_mask)
+            for event in events
+        )
+
+    def _interpret(self, rows) -> None:
+        """The per-access CORD pipeline: the one scalar loop.
+
+        ``rows`` yields ``(thread, address, flags, icount, line, word,
+        word_bit, set_index)`` tuples -- ``flags`` in the packed-trace
+        encoding (bit 0 write, bit 1 sync), the last four the access's
+        cache geometry.  :meth:`process` and :meth:`process_batch` build
+        them from event objects, :meth:`process_packed` zips them from
+        the trace's columns; the plan-driven kernel and the fused pass
+        are checked against this loop (kernel- and packed-equivalence
+        suites, golden fixtures, ``REPRO_CROSS_CHECK``).
+
+        The hottest loop in the repository: everything invariant across
+        events -- the store's columns, the cache set dicts, geometry
+        constants -- is bound to locals once, outside the loop.  Keep
+        per-call setup out of here too: :meth:`process` calls it once
+        per event (the timing models drive it that way).
+        """
+        if self._kernel_spent:
+            raise SimulationError(_SPENT)
         d = self._d
         use_mem = self._use_mem
         store = self.store
         entries_per_line = self._entries_per_line
-        line_mask = self._line_mask
-        set_shift = self._set_shift
-        set_mask = self._set_mask
         tsa = store.ts
         rma = store.rmask
         wma = store.wmask
@@ -221,7 +285,7 @@ class CordDetector(Detector):
         remote_masks = self._remote_masks
         clocks = self.clocks
         thread_proc = self.thread_proc
-        frag_start = self._frag_start
+        frag_start = self.recorder._fragment_start
         frag_clock = self.recorder._fragment_clock
         log_append = self.recorder.log.entries.append
         memts = self.memory_ts
@@ -232,25 +296,23 @@ class CordDetector(Detector):
         memts_orderings = 0
         clock_changes = 0
 
-        for event in events:
-            thread = event.thread
+        for thread, address, eflags, icount, line, word, wbit, \
+                set_index in rows:
             processor = thread_proc[thread]
-            is_write = event.is_write
-            is_sync = event.is_sync
             clk0 = clocks[thread]
-            address = event.address
-            line = address & line_mask
-            word = (address - line) >> 2
-            wbit = 1 << word
-            set_index = (line >> set_shift) & set_mask
             local_set = cache_sets[processor][set_index]
 
-            # Instruction-count overflow guard (Section 2.7.1).
-            if event.icount - frag_start[thread] >= 0xFFFFFFFF:
-                self._change_clock_before(thread, clk0 + 1, event.icount)
+            # Instruction-count overflow guard (Section 2.7.1).  Fragment
+            # starts are non-negative, so the cheap first test settles
+            # the common case.
+            if icount >= 0xFFFFFFFF \
+                    and icount - frag_start[thread] >= 0xFFFFFFFF:
+                self._change_clock_before(thread, clk0 + 1, icount)
                 clk0 = clocks[thread]
 
             local = local_set.get(line)
+            is_write = eflags & 1
+            is_sync = eflags & 2
             # Fast path (Section 2.7.2), cheapest test first: one flags
             # byte answers data-valid, write-permission, and the filter
             # bits before any timestamp is touched.
@@ -291,19 +353,25 @@ class CordDetector(Detector):
                                     fast = bool((mask >> word) & 1)
                                     break
 
-            new_clock = clk0
             if fast:
+                # No clock change is possible, and the flags byte
+                # provably keeps its value (data-valid -- and write
+                # permission for writes -- were preconditions; filters
+                # are only granted on clean race checks): only the MRU
+                # touch and the word bit at clk0 remain.
                 fast_hits += 1
-                clean_line = False
+                slot = local
+                clock = clk0
+                local_set[line] = local_set.pop(line)  # move to MRU
             else:
+                # Race check (the slow path).
+                new_clock = clk0
                 race_checks += 1
                 clean_line = True
                 reported = False
                 # Ascending-bit iteration over caches that may hold the
                 # line (same visit order as scanning all processors).
-                sharers = (
-                    residency.get(line, 0) & remote_masks[processor]
-                )
+                sharers = residency.get(line, 0) & remote_masks[processor]
                 while sharers:
                     low = sharers & -sharers
                     sharers ^= low
@@ -367,14 +435,13 @@ class CordDetector(Detector):
                     for ts in candidates:
                         if is_sync:
                             # Any sync access: at least D past the
-                            # conflicting sync timestamp (Section
-                            # 2.6's rule).  Writes take the same +D
-                            # jump as reads: the ground-truth HB
-                            # relation orders same-variable sync
-                            # write pairs, and the scalar clock must
-                            # over-order every edge it honors or a
-                            # later data comparison inside the D
-                            # window misreports a race.
+                            # conflicting sync timestamp (Section 2.6's
+                            # rule).  Writes take the same +D jump as
+                            # reads: the ground-truth HB relation orders
+                            # same-variable sync write pairs, and the
+                            # scalar clock must over-order every edge it
+                            # honors or a later data comparison inside
+                            # the D window misreports a race.
                             if ts + d > new_clock:
                                 new_clock = ts + d
                         else:
@@ -384,15 +451,13 @@ class CordDetector(Detector):
                                 reported = True
                                 record_race(
                                     DataRace(
-                                        access=(thread, event.icount),
+                                        access=(thread, icount),
                                         address=address,
                                         other_thread=None,
                                         detail="clk=%d ts=%d P%d"
                                         % (clk0, ts, remote),
                                     )
                                 )
-                # Main-memory timestamp comparison (never reported as a
-                # race).  Sync accesses take the full +D window so that
                 # Main-memory timestamp comparison (never reported as a
                 # race).  Sync reads take the full +D window so that
                 # synchronization whose release write was displaced to
@@ -419,78 +484,78 @@ class CordDetector(Detector):
                             new_clock = mem_ts + 1
                             memts_orderings += 1
 
-            if new_clock != clk0:
-                # _change_clock_before inlined: flush the completed
-                # fragment (pre-instruction boundary -- the triggering
-                # access runs at the new clock, so the fragment excludes
-                # it).  OrderLog.append's range checks are vacuous here:
-                # boundaries are monotone and the overflow guard above
-                # ticks the clock before a count can reach 2^32.
-                icount = event.icount
-                log_append(
-                    _LogEntry(
-                        frag_clock[thread],
-                        thread,
-                        icount - frag_start[thread],
+                if new_clock != clk0:
+                    # _change_clock_before inlined: flush the completed
+                    # fragment (pre-instruction boundary -- the
+                    # triggering access runs at the new clock, so the
+                    # fragment excludes it).  OrderLog.append's range
+                    # checks are vacuous here: boundaries are monotone
+                    # and the overflow guard above ticks the clock
+                    # before a count can reach 2^32.
+                    log_append(
+                        _LogEntry(
+                            frag_clock[thread],
+                            thread,
+                            icount - frag_start[thread],
+                        )
                     )
-                )
-                frag_clock[thread] = new_clock
-                frag_start[thread] = icount
-                clocks[thread] = new_clock
-                clock_changes += 1
+                    frag_clock[thread] = new_clock
+                    frag_start[thread] = icount
+                    clocks[thread] = new_clock
+                    clock_changes += 1
 
-            # Record the access in local metadata (inlined MetadataCache
-            # insert/MRU-touch; dict order doubles as LRU order).
-            if local is None:
-                cache = self.snoop.caches[processor]
-                slot = store.alloc()
-                local_set[line] = slot
-                cache.insertions += 1
-                pbit = 1 << processor
-                residency[line] = residency.get(line, 0) | pbit
-                self._on_line_filled(processor, line)
-                if len(local_set) > cache._capacity:
-                    victim_line = next(iter(local_set))
-                    victim_slot = local_set.pop(victim_line)
-                    cache.evictions += 1
-                    remaining = residency.get(victim_line, 0) & ~pbit
-                    if remaining:
-                        residency[victim_line] = remaining
-                    else:
-                        residency.pop(victim_line, None)
-                    if use_mem:
-                        vbase = victim_slot * entries_per_line
-                        for e in range(vbase, vbase + cnt[victim_slot]):
-                            memts.fold_raw(
-                                tsa[e], rma[e] != 0, wma[e] != 0
-                            )
-                    self._on_line_evicted(processor, victim_line)
-                    store.free(victim_slot)
-            else:
-                slot = local
-                local_set[line] = local_set.pop(line)  # move to MRU
-            clock = clocks[thread]
-            fl = flg[slot] | 4  # data valid
-            if is_write and not fast:
-                # Remote copies were invalidated (and their metadata
-                # retired) during the snoop above; the local copy is now
-                # exclusive.
-                fl |= 8
-            if not fast and clean_line:
-                # Check filter granted at the (possibly updated) clock;
-                # any later clock change invalidates it.
-                fl |= 3 if is_write else 1
-                fclock[slot] = clock
-            flg[slot] = fl
-            # Common case inline: the word joins an entry already at
-            # this clock value.  Allocation of a new entry (and the
-            # possible retirement it causes) stays in
-            # ScalarLineStore.record_access.
+                # Allocate or MRU-touch the local line (inlined
+                # MetadataCache insert; dict order doubles as LRU order).
+                if local is None:
+                    cache = self.snoop.caches[processor]
+                    slot = store.alloc()
+                    local_set[line] = slot
+                    cache.insertions += 1
+                    pbit = 1 << processor
+                    residency[line] = residency.get(line, 0) | pbit
+                    self._on_line_filled(processor, line)
+                    if len(local_set) > cache._capacity:
+                        victim_line = next(iter(local_set))
+                        victim_slot = local_set.pop(victim_line)
+                        cache.evictions += 1
+                        remaining = residency.get(victim_line, 0) & ~pbit
+                        if remaining:
+                            residency[victim_line] = remaining
+                        else:
+                            residency.pop(victim_line, None)
+                        if use_mem:
+                            vbase = victim_slot * entries_per_line
+                            for e in range(
+                                vbase, vbase + cnt[victim_slot]
+                            ):
+                                memts.fold_raw(
+                                    tsa[e], rma[e] != 0, wma[e] != 0
+                                )
+                        self._on_line_evicted(processor, victim_line)
+                        store.free(victim_slot)
+                else:
+                    slot = local
+                    local_set[line] = local_set.pop(line)  # move to MRU
+                clock = new_clock
+                fl = flg[slot] | 4  # data valid
+                if is_write:
+                    # Remote copies were invalidated (and their metadata
+                    # retired) during the snoop above; the local copy is
+                    # now exclusive.
+                    fl |= 8
+                if clean_line:
+                    # Check filter granted at the (possibly updated)
+                    # clock; any later clock change invalidates it.
+                    fl |= 3 if is_write else 1
+                    fclock[slot] = clock
+                flg[slot] = fl
+
+            # Record the access: the word joins an entry already at this
+            # clock value, newest entry first (accesses cluster within
+            # an epoch, so the front entry matches nearly always).
             base = slot * entries_per_line
             n = cnt[slot]
             if n and tsa[base] == clock:
-                # Newest entry first: accesses cluster within an epoch,
-                # so the front entry matches nearly always.
                 if is_write:
                     wma[base] |= wbit
                 else:
@@ -534,10 +599,10 @@ class CordDetector(Detector):
                         wma[base] = 0
 
             # Post-retirement increment after synchronization writes
-            # (_change_clock_after inlined; post-instruction boundary,
-            # so the completed fragment includes the write).
-            if is_sync and is_write:
-                boundary = event.icount + 1
+            # (recorder.clock_changed_after inlined; post-instruction
+            # boundary, so the completed fragment includes the write).
+            if eflags & 3 == 3:
+                boundary = icount + 1
                 log_append(
                     _LogEntry(
                         frag_clock[thread],
@@ -560,16 +625,18 @@ class CordDetector(Detector):
         self.clock_changes += clock_changes
 
     def process_packed(self, packed) -> None:
-        """The :meth:`process_batch` pipeline over raw trace columns.
+        """The access pipeline over raw trace columns.
 
         Dispatches to the plan-driven kernel when the trace's analysis
         plans are available (numpy present, plain-geometry line masks,
-        no cache walker) and this detector starts cold (no metadata from
-        earlier events -- the coherence plan replays the trace from an
-        empty cache model), else to the scalar columnar loop.  Both
-        paths produce byte-identical outcomes -- reports, order log, and
-        counters -- to :meth:`process_batch` on the object view (locked
-        in by the packed- and kernel-equivalence suites).
+        no cache walker, no instruction count near the overflow guard)
+        and this detector starts cold (no metadata from earlier events
+        -- the coherence plan replays the trace from an empty cache
+        model); otherwise :meth:`_interpret` reads the trace's hot and
+        geometry columns.  Both paths produce byte-identical outcomes --
+        reports, order log, and counters -- to :meth:`process_batch` on
+        the object view (locked in by the packed- and
+        kernel-equivalence suites).
         """
         if self.__class__.process_batch is not CordDetector.process_batch:
             # Subclasses that wrap process() per event (the directory
@@ -577,14 +644,15 @@ class CordDetector(Detector):
             # feed them lazily materialized events instead.
             self.process_batch(packed.iter_events())
             return
-        plan = None
+        if self._kernel_spent:
+            raise SimulationError(_SPENT)
+        coh = None
         if (
             self._walkers is None
             # The walker ticks once per interpreted event; collapsing a
             # run would starve it, so window mode stays on the scalar
             # per-event loop.
             and not self.store.count
-            and not self._kernel_spent
             # The kernel keeps per-slot metadata in pass-local arrays
             # (finish() only reads counters, clocks, and the recorder),
             # so it requires -- and does not leave behind -- a live
@@ -595,36 +663,40 @@ class CordDetector(Detector):
             is CordDetector._on_line_evicted
         ):
             plan = packed.segment_plan(self._line_mask)
-        if plan is None or self._kernel_unsafe(packed):
-            self._process_packed_scalar(packed)
-            return
-        coh_key = self._coherence_key()
-        coh = packed.derived_cached(coh_key)
-        if coh is None and not self._plan_amortized:
-            # Building a coherence plan nobody else will reuse costs
-            # about as much as the scalar pass it would accelerate; a
-            # sweep driver that knows this geometry appears once (see
-            # injection.campaign) clears the hint and we stay scalar.
-            self._process_packed_scalar(packed)
-            return
+            if plan is not None and not self._kernel_unsafe(packed):
+                coh_key = self._coherence_key()
+                coh = packed.derived_cached(coh_key)
+                # Building a coherence plan nobody else will reuse costs
+                # about as much as the scalar pass it would accelerate;
+                # a sweep driver that knows this geometry appears once
+                # (see injection.campaign) clears the hint and we stay
+                # scalar.
+                if coh is None and self._plan_amortized:
+                    line_mask = self._line_mask
+                    set_shift = self._set_shift
+                    set_mask = self._set_mask
+                    capacity = self.snoop.caches[0]._capacity
+                    coh = packed.derived(
+                        coh_key,
+                        lambda: build_coherence_plan(
+                            packed,
+                            plan,
+                            line_mask,
+                            set_shift,
+                            set_mask,
+                            capacity,
+                            self.config.n_processors,
+                            self.thread_proc,
+                        ),
+                    )
         if coh is None:
-            line_mask = self._line_mask
-            set_shift = self._set_shift
-            set_mask = self._set_mask
-            capacity = self.snoop.caches[0]._capacity
-            coh = packed.derived(
-                coh_key,
-                lambda: build_coherence_plan(
-                    packed,
-                    plan,
-                    line_mask,
-                    set_shift,
-                    set_mask,
-                    capacity,
-                    self.config.n_processors,
-                    self.thread_proc,
+            self._interpret(zip(
+                *packed.hot_columns(),
+                *packed.geometry_columns(
+                    self._line_mask, self._set_shift, self._set_mask
                 ),
-            )
+            ))
+            return
         self._process_packed_kernel(packed, plan, coh)
         self._kernel_spent = True
 
@@ -651,388 +723,12 @@ class CordDetector(Detector):
         """Traces the segment kernel must not collapse.
 
         The instruction-count overflow guard (Section 2.7.1) has to be
-        evaluated before every event; such traces (counts at 2^32 and
-        beyond) take the scalar loop, which carries the guard inline.
+        evaluated before every event; such traces (counts at 2^32 - 1
+        and beyond) take :meth:`_interpret`, which carries the guard
+        inline.
         """
         icounts = packed.hot_columns()[3]
         return bool(icounts) and max(icounts) >= 0xFFFFFFFF
-
-    def _process_packed_scalar(self, packed) -> None:
-        """The scalar columnar loop (the kernel path's reference).
-
-        Iterates pre-boxed column lists plus the trace's cached derived
-        geometry columns -- no :class:`MemoryEvent` objects exist on
-        this path.  The pipeline is :meth:`process_batch`'s, with the
-        filter/word-bit hit case split into a dedicated tail that skips
-        the provably dead work (no clock change, no flag transition);
-        outcomes are byte-identical (locked in by the packed-equivalence
-        property and golden-workload tests, counters included).
-        """
-        d = self._d
-        use_mem = self._use_mem
-        store = self.store
-        entries_per_line = self._entries_per_line
-        line_mask = self._line_mask
-        set_shift = self._set_shift
-        set_mask = self._set_mask
-        tsa = store.ts
-        rma = store.rmask
-        wma = store.wmask
-        cnt = store.count
-        flg = store.flags
-        fclock = store.fclock
-        cache_sets = self._cache_sets
-        residency = self._residency
-        remote_masks = self._remote_masks
-        clocks = self.clocks
-        thread_proc = self.thread_proc
-        frag_start = self._frag_start
-        frag_clock = self.recorder._fragment_clock
-        log_append = self.recorder.log.entries.append
-        memts = self.memory_ts
-        record_race = self.outcome.record_race
-        walkers = self._walkers
-        race_checks = 0
-        memts_orderings = 0
-        clock_changes = 0
-        sets_by_thread = [cache_sets[p] for p in thread_proc]
-
-        threads, addresses, flag_col, icounts = packed.hot_columns()
-        lines, words, wbits, set_indexes = packed.geometry_columns(
-            line_mask, set_shift, set_mask
-        )
-        # The overflow guard can only ever fire when some instruction
-        # count reaches 2^32 - 1 (fragment starts are non-negative);
-        # hoist the test out of the loop for the common case.
-        may_overflow = bool(icounts) and max(icounts) >= 0xFFFFFFFF
-
-        for thread, address, eflags, icount, line, word, wbit, \
-                set_index in zip(
-            threads, addresses, flag_col, icounts,
-            lines, words, wbits, set_indexes,
-        ):
-            clk0 = clocks[thread]
-            local_set = sets_by_thread[thread][set_index]
-
-            # Instruction-count overflow guard (Section 2.7.1).
-            if may_overflow and icount - frag_start[thread] >= 0xFFFFFFFF:
-                self._change_clock_before(thread, clk0 + 1, icount)
-                clk0 = clocks[thread]
-
-            local = local_set.get(line)
-            is_write = eflags & 1
-            # Fast path (Section 2.7.2), cheapest test first: one flags
-            # byte answers data-valid, write-permission, and the filter
-            # bits before any timestamp is touched.
-            if local is not None:
-                fast = False
-                fl = flg[local]
-                if is_write:
-                    eligible = fl & 12 == 12  # valid + write permission
-                    fbit = 2
-                else:
-                    eligible = fl & 4 and not eflags & 2
-                    fbit = 1
-                if eligible:
-                    if fl & fbit and fclock[local] == clk0:
-                        fast = True
-                    else:
-                        # Word access bit already set at this clock?
-                        # Newest entry first -- it matches nearly always.
-                        base = local * entries_per_line
-                        n = cnt[local]
-                        if n and tsa[base] == clk0:
-                            mask = wma[base] if is_write else rma[base]
-                            fast = bool((mask >> word) & 1)
-                        elif n > 1:
-                            for e in range(base + 1, base + n):
-                                if tsa[e] == clk0:
-                                    mask = (
-                                        wma[e] if is_write else rma[e]
-                                    )
-                                    fast = bool((mask >> word) & 1)
-                                    break
-                if fast:
-                    # Dedicated fast-path tail.  No clock change is
-                    # possible here, and the flags byte provably keeps
-                    # its value (data-valid -- and write permission for
-                    # writes -- were preconditions; filters are only
-                    # granted on clean race checks), so all that
-                    # remains of the shared tail is the MRU touch, the
-                    # word bit at clk0, and the sync-write increment.
-                    local_set[line] = local_set.pop(line)  # move to MRU
-                    base = local * entries_per_line
-                    n = cnt[local]
-                    if n and tsa[base] == clk0:
-                        if is_write:
-                            wma[base] |= wbit
-                        else:
-                            rma[base] |= wbit
-                    else:
-                        merged = False
-                        if n > 1:
-                            for e in range(base + 1, base + n):
-                                if tsa[e] == clk0:
-                                    if is_write:
-                                        wma[e] |= wbit
-                                    else:
-                                        rma[e] |= wbit
-                                    merged = True
-                                    break
-                        if not merged:
-                            if n == entries_per_line:
-                                last = base + n - 1
-                                if use_mem:
-                                    memts.fold_raw(
-                                        tsa[last],
-                                        rma[last] != 0,
-                                        wma[last] != 0,
-                                    )
-                                shift_from = base + n - 1
-                            else:
-                                cnt[local] = n + 1
-                                shift_from = base + n
-                            for e in range(shift_from, base, -1):
-                                tsa[e] = tsa[e - 1]
-                                rma[e] = rma[e - 1]
-                                wma[e] = wma[e - 1]
-                            tsa[base] = clk0
-                            if is_write:
-                                rma[base] = 0
-                                wma[base] = wbit
-                            else:
-                                rma[base] = wbit
-                                wma[base] = 0
-                    # Post-retirement increment after sync writes.
-                    if eflags & 3 == 3:
-                        boundary = icount + 1
-                        log_append(
-                            _LogEntry(
-                                frag_clock[thread],
-                                thread,
-                                boundary - frag_start[thread],
-                            )
-                        )
-                        new_clock = clk0 + 1
-                        frag_clock[thread] = new_clock
-                        frag_start[thread] = boundary
-                        clocks[thread] = new_clock
-                        clock_changes += 1
-                    if walkers is not None:
-                        self._run_walker(thread_proc[thread])
-                    continue
-
-            # Race check (the slow path).
-            processor = thread_proc[thread]
-            is_sync = eflags & 2
-            new_clock = clk0
-            race_checks += 1
-            clean_line = True
-            reported = False
-            # Ascending-bit iteration over caches that may hold the
-            # line (same visit order as scanning all processors).
-            sharers = residency.get(line, 0) & remote_masks[processor]
-            while sharers:
-                low = sharers & -sharers
-                sharers ^= low
-                remote = low.bit_length() - 1
-                rslot = cache_sets[remote][set_index].get(line)
-                if rslot is None:
-                    continue  # stale hint (walker drop)
-                n_resident = cnt[rslot]
-                if not n_resident:
-                    continue
-                base = rslot * entries_per_line
-                # One pass gathers both the line-level conflict
-                # verdict (check-filter establishment) and the
-                # per-word candidate timestamps, newest first.
-                candidates = None
-                if is_write:
-                    for e in range(base, base + n_resident):
-                        rm = rma[e]
-                        wm = wma[e]
-                        if rm or wm:
-                            clean_line = False
-                            if (rm | wm) & wbit:
-                                if candidates is None:
-                                    candidates = [tsa[e]]
-                                else:
-                                    candidates.append(tsa[e])
-                else:
-                    for e in range(base, base + n_resident):
-                        wm = wma[e]
-                        if wm:
-                            clean_line = False
-                            if wm & wbit:
-                                if candidates is None:
-                                    candidates = [tsa[e]]
-                                else:
-                                    candidates.append(tsa[e])
-                if is_write:
-                    if use_mem:
-                        for e in range(base, base + n_resident):
-                            memts.fold_raw(
-                                tsa[e], rma[e] != 0, wma[e] != 0
-                            )
-                    cnt[rslot] = 0
-                    flg[rslot] &= 0xF0
-                else:
-                    flg[rslot] &= 0xF5
-                if candidates is None:
-                    continue
-                for ts in candidates:
-                    if is_sync:
-                        # Sync read or write: at least D past the
-                        # conflicting sync timestamp (see the object
-                        # path for the write rationale).
-                        if ts + d > new_clock:
-                            new_clock = ts + d
-                    else:
-                        if clk0 <= ts and ts + 1 > new_clock:
-                            new_clock = ts + 1
-                        if clk0 < ts + d and not reported:
-                            reported = True
-                            record_race(
-                                DataRace(
-                                    access=(thread, icount),
-                                    address=address,
-                                    other_thread=None,
-                                    detail="clk=%d ts=%d P%d"
-                                    % (clk0, ts, remote),
-                                )
-                            )
-            if use_mem:
-                if is_write:
-                    mem_ts = memts.read_ts
-                    if memts.write_ts > mem_ts:
-                        mem_ts = memts.write_ts
-                else:
-                    mem_ts = memts.write_ts
-                if is_sync and not is_write:
-                    if mem_ts + d > new_clock:
-                        new_clock = mem_ts + d
-                        memts_orderings += 1
-                elif clk0 <= mem_ts:
-                    if mem_ts + 1 > new_clock:
-                        new_clock = mem_ts + 1
-                        memts_orderings += 1
-
-            if new_clock != clk0:
-                log_append(
-                    _LogEntry(
-                        frag_clock[thread],
-                        thread,
-                        icount - frag_start[thread],
-                    )
-                )
-                frag_clock[thread] = new_clock
-                frag_start[thread] = icount
-                clocks[thread] = new_clock
-                clock_changes += 1
-
-            # Record the access in local metadata (inlined MetadataCache
-            # insert/MRU-touch; dict order doubles as LRU order).
-            if local is None:
-                cache = self.snoop.caches[processor]
-                slot = store.alloc()
-                local_set[line] = slot
-                cache.insertions += 1
-                pbit = 1 << processor
-                residency[line] = residency.get(line, 0) | pbit
-                self._on_line_filled(processor, line)
-                if len(local_set) > cache._capacity:
-                    victim_line = next(iter(local_set))
-                    victim_slot = local_set.pop(victim_line)
-                    cache.evictions += 1
-                    remaining = residency.get(victim_line, 0) & ~pbit
-                    if remaining:
-                        residency[victim_line] = remaining
-                    else:
-                        residency.pop(victim_line, None)
-                    if use_mem:
-                        vbase = victim_slot * entries_per_line
-                        for e in range(vbase, vbase + cnt[victim_slot]):
-                            memts.fold_raw(
-                                tsa[e], rma[e] != 0, wma[e] != 0
-                            )
-                    self._on_line_evicted(processor, victim_line)
-                    store.free(victim_slot)
-            else:
-                slot = local
-                local_set[line] = local_set.pop(line)  # move to MRU
-            clock = new_clock  # == clocks[thread] on both update branches
-            fl = flg[slot] | 4  # data valid
-            if is_write:
-                fl |= 8  # write permission
-            if clean_line:
-                fl |= 3 if is_write else 1
-                fclock[slot] = clock
-            flg[slot] = fl
-            base = slot * entries_per_line
-            n = cnt[slot]
-            if n and tsa[base] == clock:
-                if is_write:
-                    wma[base] |= wbit
-                else:
-                    rma[base] |= wbit
-            else:
-                merged = False
-                if n > 1:
-                    for e in range(base + 1, base + n):
-                        if tsa[e] == clock:
-                            if is_write:
-                                wma[e] |= wbit
-                            else:
-                                rma[e] |= wbit
-                            merged = True
-                            break
-                if not merged:
-                    if n == entries_per_line:
-                        last = base + n - 1
-                        if use_mem:
-                            memts.fold_raw(
-                                tsa[last], rma[last] != 0, wma[last] != 0
-                            )
-                        shift_from = base + n - 1
-                    else:
-                        cnt[slot] = n + 1
-                        shift_from = base + n
-                    for e in range(shift_from, base, -1):
-                        tsa[e] = tsa[e - 1]
-                        rma[e] = rma[e - 1]
-                        wma[e] = wma[e - 1]
-                    tsa[base] = clock
-                    if is_write:
-                        rma[base] = 0
-                        wma[base] = wbit
-                    else:
-                        rma[base] = wbit
-                        wma[base] = 0
-
-            # Post-retirement increment after synchronization writes.
-            if is_sync and is_write:
-                boundary = icount + 1
-                log_append(
-                    _LogEntry(
-                        frag_clock[thread],
-                        thread,
-                        boundary - frag_start[thread],
-                    )
-                )
-                new_clock = clock + 1
-                frag_clock[thread] = new_clock
-                frag_start[thread] = boundary
-                clocks[thread] = new_clock
-                clock_changes += 1
-
-            if walkers is not None:
-                self._run_walker(processor)
-
-        # Every event is either a filter/word-bit hit or a race check.
-        self.fast_hits += len(threads) - race_checks
-        self.race_checks += race_checks
-        self.memts_orderings += memts_orderings
-        self.clock_changes += clock_changes
 
     def _process_packed_kernel(self, packed, plan, coh) -> None:
         """Plan-driven interpretation: coherence precomputed, only the
@@ -1058,14 +754,14 @@ class CordDetector(Detector):
         in locals and written back at the end.  Runs whose events are
         all eligible collapse to two mask ORs when a filter or a
         recorded entry at the current clock covers their masks -- the
-        net effect of the scalar fast-path tail replayed ``len(run)``
-        times; a run that fails interprets events until a clean race
-        check grants the filter, then retries the remainder.
+        net effect of :meth:`_interpret`'s fast-path tail replayed
+        ``len(run)`` times; a run that fails interprets events until a
+        clean race check grants the filter, then retries the remainder.
 
         Never entered in window mode (the walker must tick per event),
         near instruction-count overflow (:meth:`_kernel_unsafe`), or on
         a warm detector (the coherence plan assumes a cold cache
-        model); outputs are byte-identical to the scalar paths,
+        model); outputs are byte-identical to :meth:`_interpret`,
         counters included (kernel-equivalence suite).
 
         Exceptions raised here (the ``kernel_raise`` chaos fault, or a
@@ -1083,7 +779,7 @@ class CordDetector(Detector):
         use_mem = self._use_mem
         entries_per_line = self._entries_per_line
         clocks = self.clocks
-        frag_start = self._frag_start
+        frag_start = self.recorder._fragment_start
         frag_clock = self.recorder._fragment_clock
         log_append = self.recorder.log.entries.append
         memts = self.memory_ts
@@ -1119,7 +815,7 @@ class CordDetector(Detector):
         fclockp = [0] * coh.n_slots
 
         # The memory-timestamp pair in locals (fold_raw inlined; folds
-        # and update_broadcasts must match the scalar loop exactly).
+        # and update_broadcasts must match _interpret exactly).
         mem_read = memts.read_ts
         mem_write = memts.write_ts
         mem_folds = memts.folds
@@ -1386,8 +1082,7 @@ class CordDetector(Detector):
                             if is_sync:
                                 # Sync read or write: at least D past
                                 # the conflicting sync timestamp (see
-                                # the object path for the write
-                                # rationale).
+                                # _interpret for the write rationale).
                                 if ts + d > new_clock:
                                     new_clock = ts + d
                             else:
@@ -1565,12 +1260,6 @@ class CordDetector(Detector):
     def _change_clock_before(self, thread: int, new_clock: int,
                              icount: int) -> None:
         self.recorder.clock_changed_before(thread, new_clock, icount)
-        self.clocks[thread] = new_clock
-        self.clock_changes += 1
-
-    def _change_clock_after(self, thread: int, new_clock: int,
-                            icount: int) -> None:
-        self.recorder.clock_changed_after(thread, new_clock, icount)
         self.clocks[thread] = new_clock
         self.clock_changes += 1
 

@@ -726,7 +726,7 @@ def _fused_pass(
                             if is_sync:
                                 # Sync read or write: at least D past
                                 # the conflicting sync timestamp (see
-                                # the scalar object path for the write
+                                # CordDetector._interpret for the write
                                 # rationale).
                                 t = tl + d_l > new_l
                                 if t != (th + d_h > new_h):

@@ -2,11 +2,14 @@
 
 import pytest
 
+from repro.common.errors import SimulationError
 from repro.common.types import AccessClass, AccessMode
 from repro.cord import CordConfig, CordDetector
+from repro.cord.fused import fuse_cord_detectors
 from repro.detectors import IdealDetector
 from repro.engine import run_program
 from repro.trace import MemoryEvent, Trace
+from repro.trace.kernels import kernels_enabled
 
 from tests.conftest import build_counter_program
 
@@ -162,6 +165,17 @@ class TestMigration:
         with pytest.raises(ValueError):
             detector.migrate_thread(0, 99, icount=0)
 
+    @pytest.mark.parametrize("thread", [-1, 2, 99])
+    def test_migration_of_unknown_thread_rejected(self, thread):
+        # -1 would otherwise re-pin the last thread through negative
+        # indexing; the detector must be left untouched.
+        detector = CordDetector(CordConfig(d=16), 2)
+        with pytest.raises(ValueError):
+            detector.migrate_thread(thread, 1, icount=0)
+        assert detector.thread_proc == [0, 1]
+        assert detector.clocks == [CordConfig().initial_clock] * 2
+        assert detector.recorder.log.entries == []
+
 
 class TestSoundnessOnRandomPrograms:
     @pytest.mark.parametrize("seed", range(6))
@@ -198,3 +212,50 @@ class TestWindowMode:
                        walker_stale_lag=4096), 4,
         ).run(trace)
         assert plain.flagged == windowed.flagged
+
+
+@pytest.mark.skipif(
+    not kernels_enabled(),
+    reason="numpy kernels unavailable: no plan-driven pass to spend",
+)
+class TestSpentDetector:
+    """A plan-driven pass leaves no live cache model behind, so a
+    detector that ran one refuses further events instead of continuing
+    from an empty cache model (which silently under-counts checks)."""
+
+    @staticmethod
+    def _trace():
+        program = build_counter_program(rounds=3)
+        return run_program(program, seed=11)
+
+    @staticmethod
+    def _assert_refuses_more(detector, trace):
+        event = trace.events[-1]
+        with pytest.raises(SimulationError, match="fresh detector"):
+            detector.process(event)
+        with pytest.raises(SimulationError, match="fresh detector"):
+            detector.process_batch(trace.events[-5:])
+        with pytest.raises(SimulationError, match="fresh detector"):
+            detector.process_packed(trace.packed)
+
+    def test_kernel_pass_spends_detector(self):
+        trace = self._trace()
+        detector = CordDetector(CordConfig(d=16), 4)
+        detector.process_packed(trace.packed)
+        assert detector._kernel_spent  # the kernel ran
+        counters = (detector.race_checks, detector.fast_hits)
+        self._assert_refuses_more(detector, trace)
+        assert (detector.race_checks, detector.fast_hits) == counters
+        # The pass itself still finishes to the reference outcome.
+        reference = CordDetector(CordConfig(d=16), 4).run(trace)
+        assert detector.finish(trace).flagged == reference.flagged
+
+    def test_fused_pass_spends_detectors(self):
+        trace = self._trace()
+        detectors = [
+            CordDetector(CordConfig(d=d), 4) for d in (4, 16, 64)
+        ]
+        fused = fuse_cord_detectors(detectors, trace.packed)
+        assert fused == {id(det) for det in detectors}
+        for detector in detectors:
+            self._assert_refuses_more(detector, trace)

@@ -149,17 +149,154 @@ def _assert_outcomes_identical(object_outcome, packed_outcome):
         ]
 
 
+#: CORD configurations every interpretation arm is pinned at: the
+#: default, window mode with a walker that drops lines often (stale
+#: residency hints), and a tiny cache that evicts constantly.
+CORD_ARM_CONFIGS = (
+    CordConfig(d=16),
+    CordConfig(d=4, use_window=True, walker_period=8, walker_stale_lag=4),
+    CordConfig(d=16, cache_size=512, associativity=2),
+)
+
+
+def _cord_arms(trace, config):
+    """``run()``, ``run_packed()`` and per-event ``process()`` outcomes.
+
+    All three must be byte-identical -- reports, order log, counters --
+    (asserted here); returns the packed arm's detector and outcome.
+    """
+    packed = trace.packed
+    if packed is None:  # a hand-built trace has no columns yet
+        packed = PackedTrace.from_trace(trace)
+    object_outcome = CordDetector(config, trace.n_threads).run(trace)
+    packed_detector = CordDetector(config, trace.n_threads)
+    packed_outcome = packed_detector.run_packed(packed)
+    per_event = CordDetector(config, trace.n_threads)
+    for event in trace.events:
+        per_event.process(event)
+    per_event_outcome = per_event.finish(trace)
+    for outcome in (packed_outcome, per_event_outcome):
+        assert _fingerprint(outcome) == _fingerprint(object_outcome)
+    return packed_detector, packed_outcome
+
+
+def _run_batched_with_migrations(detector, trace, schedule):
+    """``run_with_migrations`` through ``process_batch`` chunks: each
+    migration lands before the event at its index, at the thread's next
+    instruction count; migrations past the trace's end never apply."""
+    events = trace.events
+    next_icount = [0] * trace.n_threads
+    start = 0
+    for index, thread, processor in sorted(schedule):
+        if index >= len(events):
+            break
+        chunk = events[start:index]
+        detector.process_batch(chunk)
+        for event in chunk:
+            next_icount[event.thread] = event.icount + 1
+        detector.migrate_thread(thread, processor, next_icount[thread])
+        start = index
+    detector.process_batch(events[start:])
+    return detector.finish(trace)
+
+
+migration_schedules = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=80),
+        st.integers(min_value=0, max_value=1),  # programs have >= 2
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=4,
+)
+
+
 @settings(max_examples=30, deadline=None)
-@given(programs, seeds)
-def test_cord_packed_path_equivalent(thread_actions, seed):
+@given(programs, seeds, migration_schedules)
+def test_cord_packed_path_equivalent(thread_actions, seed, schedule):
     program = build_program(thread_actions)
     trace = run_program(program, seed=seed)
-    object_outcome = CordDetector(
-        CordConfig(d=16), program.n_threads
-    ).run(trace)
-    packed_detector = CordDetector(CordConfig(d=16), program.n_threads)
-    packed_outcome = packed_detector.run_packed(trace.packed)
-    _assert_outcomes_identical(object_outcome, packed_outcome)
+    for config in CORD_ARM_CONFIGS:
+        _cord_arms(trace, config)
+        # Migrations: the per-event feeder (run_with_migrations) and
+        # the batch feeder must agree on the migrated interleaving.
+        migrated = CordDetector(config, program.n_threads)
+        per_event_outcome = migrated.run_with_migrations(trace, schedule)
+        batched_outcome = _run_batched_with_migrations(
+            CordDetector(config, program.n_threads), trace, schedule
+        )
+        assert _fingerprint(per_event_outcome) == _fingerprint(
+            batched_outcome
+        )
+
+
+def _overflow_trace():
+    """Two threads whose instruction counts cross 2^32 - 1.
+
+    Thread 0's last fragment before its jump starts after the sync
+    write at icount 2 (fragment start 3), so its access at 3 + 2^32 - 1
+    hits the overflow guard (Section 2.7.1) with exactly 2^32 - 1
+    instructions in the fragment; thread 1's fragment starts at 0 and
+    hits it at icount 2^32 - 1.  Around the jumps the threads race on
+    one line, and thread 0 runs same-line data bursts the segment
+    kernel would otherwise collapse.
+    """
+    limit = 0xFFFFFFFF
+    data = _STREAM_DATA_BASE
+    sync = _STREAM_SYNC_BASE
+    jump0 = 3 + limit
+    rows = [
+        # (thread, address, write, sync, icount)
+        (0, data, True, False, 0),
+        (1, data, False, False, 0),
+        (0, data + 4, True, False, 1),
+        (0, sync, True, True, 2),
+        (0, data, False, False, jump0),
+        (0, data + 4, True, False, jump0 + 1),
+        (0, data + 8, True, False, jump0 + 2),
+        (1, data + 8, True, False, limit),
+        (1, sync, False, True, limit + 1),
+        (0, data, True, False, jump0 + 3),
+        (0, data + 4, False, False, jump0 + 4),
+        (1, data + 4, False, False, limit + 2),
+    ]
+    events = [
+        MemoryEvent(
+            index,
+            thread,
+            address,
+            AccessMode.WRITE if write else AccessMode.READ,
+            AccessClass.SYNC if is_sync else AccessClass.DATA,
+            icount,
+        )
+        for index, (thread, address, write, is_sync, icount)
+        in enumerate(rows)
+    ]
+    return Trace(events, [jump0 + 5, limit + 3])
+
+
+def test_overflow_guard_paths_agree():
+    from repro.cord.fused import fuse_cord_detectors
+
+    trace = _overflow_trace()
+    packed = PackedTrace.from_trace(trace)
+    for config in CORD_ARM_CONFIGS:
+        detector, outcome = _cord_arms(trace, config)
+        # The guard's clock ticks close exactly-full fragments.
+        guard_entries = [
+            (entry.thread, entry.count)
+            for entry in outcome.log
+            if entry.count == 0xFFFFFFFF
+        ]
+        assert guard_entries == [(0, 0xFFFFFFFF), (1, 0xFFFFFFFF)]
+        # The kernel and the fused pass must decline this trace: the
+        # guard is evaluated per event, which run collapsing skips.
+        assert detector._kernel_unsafe(packed)
+        assert not detector._kernel_spent
+    sweep = [
+        CordDetector(CordConfig(d=d), trace.n_threads) for d in (4, 16, 64)
+    ]
+    assert fuse_cord_detectors(sweep, packed) == frozenset()
+    assert not any(det._kernel_spent for det in sweep)
 
 
 @settings(max_examples=30, deadline=None)

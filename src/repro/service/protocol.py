@@ -30,8 +30,10 @@ heartbeats, not sockets):
 
 ``worker_register``    name?, pid?, host?       ->  worker id + knobs
 ``worker_heartbeat``   worker                   ->  server state
-``worker_lease``       worker                   ->  a stage task lease,
+``worker_lease``       worker, timeout_s?       ->  a stage task lease,
                                                     or ``idle: true``
+                                                    (held open while idle,
+                                                    see below)
 ``worker_complete``    worker, lease, epoch,
                        value (framed blob)      ->  accepted/duplicate
 ``worker_fail``        worker, lease, epoch,
@@ -41,6 +43,12 @@ heartbeats, not sockets):
                        components               ->  sha256-framed entry
 ``repl_push``          kind, namespace,
                        components, data, sha256 ->  stored/duplicate
+
+An idle ``worker_lease`` is *held*: the server answers it as soon as a
+task becomes leasable, or with ``idle: true`` once the hold runs out --
+``min(timeout_s, heartbeat_s / 2)``, no hold without ``timeout_s`` -- or
+with ``idle: true, draining: true`` when the server drains.  Workers
+therefore re-request at once instead of sleeping between requests.
 
 See ``docs/service.md`` for the full tables.
 """
@@ -54,7 +62,11 @@ from repro.workloads.registry import workload_names
 
 #: Protocol schema version, reported by ``health``.  Version 2 added the
 #: worker-pool and store-replication ops (all version-1 ops unchanged).
-PROTOCOL_VERSION = 2
+#: Version 3 holds idle ``worker_lease`` requests open (bounded by the
+#: request's ``timeout_s``) and drops the ``poll_s`` hint from the
+#: ``worker_register`` reply: a version-3 worker re-requests without
+#: sleeping, which against a version-2 server would spin.
+PROTOCOL_VERSION = 3
 
 #: Every operation the server understands.
 OPS = (

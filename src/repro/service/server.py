@@ -32,6 +32,7 @@ Robustness contract (proven by the service chaos matrix):
 from __future__ import annotations
 
 import asyncio
+import functools
 import logging
 import os
 import signal
@@ -167,6 +168,10 @@ class CampaignServer:
         # Created inside serve(): on 3.9 asyncio primitives bind the
         # loop that is current at construction time.
         self._stopped: Optional[asyncio.Event] = None
+        #: Set (from any thread, via the pool's wake listener) whenever
+        #: a stage task may have become leasable; held ``worker_lease``
+        #: requests wait on it.
+        self._lease_wake: Optional[asyncio.Event] = None
         self._tasks: Set[asyncio.Task] = set()
         self._pool = ThreadPoolExecutor(
             max_workers=self.concurrency,
@@ -183,11 +188,15 @@ class CampaignServer:
 
     async def serve(self) -> int:
         """Start, serve until drained/stopped, tear down; exit code."""
+        loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
+        self._lease_wake = asyncio.Event()
+        self.workers.on_wake = functools.partial(
+            loop.call_soon_threadsafe, self._lease_wake.set
+        )
         self._resume_from_wal()
         self.registry.begin()
         await self._listen()
-        loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
             try:
                 loop.add_signal_handler(signum, self.begin_drain)
@@ -200,9 +209,13 @@ class CampaignServer:
         await self._stopped.wait()
         return await self._shutdown()
 
+    def _scan_interval(self) -> float:
+        """Seconds between worker scans; also the longest lease hold."""
+        return max(0.05, self.workers.limits.heartbeat_s / 2.0)
+
     async def _scan_workers(self) -> None:
         """Advance worker liveness / lease deadlines on a timer."""
-        interval = max(0.05, self.workers.limits.heartbeat_s / 2.0)
+        interval = self._scan_interval()
         while True:
             await asyncio.sleep(interval)
             self.workers.scan()
@@ -496,7 +509,7 @@ class CampaignServer:
                     ))
                     await writer.drain()
                     continue
-                await self._dispatch(message, writer)
+                await self._dispatch(message, reader, writer)
                 await writer.drain()
         except (ConnectionError, asyncio.LimitOverrunError,
                 asyncio.CancelledError):
@@ -511,7 +524,7 @@ class CampaignServer:
     def _send(writer, message: Dict) -> None:
         writer.write(protocol.encode_message(message))
 
-    async def _dispatch(self, message: Dict, writer) -> None:
+    async def _dispatch(self, message: Dict, reader, writer) -> None:
         op = message.get("op")
         request_id = message.get("id")
         if op == "submit":
@@ -533,7 +546,10 @@ class CampaignServer:
         elif op == "worker_heartbeat":
             self._send(writer, self._op_worker_heartbeat(message, request_id))
         elif op == "worker_lease":
-            self._send(writer, self._op_worker_lease(message, request_id))
+            self._send(
+                writer,
+                await self._op_worker_lease(message, request_id, reader),
+            )
         elif op == "worker_complete":
             self._send(writer, self._op_worker_complete(message, request_id))
         elif op == "worker_fail":
@@ -735,16 +751,52 @@ class CampaignServer:
             return self._unknown_worker(exc, request_id)
         return protocol.ok_response("worker_heartbeat", request_id, **fields)
 
-    def _op_worker_lease(self, message: Dict, request_id) -> Dict:
-        try:
-            grant = self.workers.lease(str(message.get("worker", "")))
-        except UnknownWorker as exc:
-            return self._unknown_worker(exc, request_id)
-        if grant is None:
-            return protocol.ok_response(
-                "worker_lease", request_id, idle=True,
-                draining=self.draining or self.workers.draining,
-            )
+    def _lease_hold_s(self, message: Dict) -> float:
+        """How long an idle ``worker_lease`` may be held open.
+
+        The request's ``timeout_s`` (the worker's bound, kept below its
+        socket timeout) clamped to the scan interval, so a held request
+        never outlives a liveness scan; no bound means no hold.
+        """
+        bound = message.get("timeout_s")
+        if isinstance(bound, bool) or not isinstance(bound, (int, float)):
+            return 0.0
+        return max(0.0, min(self._scan_interval(), float(bound)))
+
+    async def _op_worker_lease(self, message: Dict, request_id,
+                               reader) -> Dict:
+        """Grant a lease, holding the request while nothing is pending.
+
+        The held request answers as soon as the pool's wake listener
+        fires and a task is leasable, with ``idle`` when the hold runs
+        out or the worker hung up, and with ``idle`` plus ``draining``
+        once the pool drains.
+        """
+        worker = str(message.get("worker", ""))
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + self._lease_hold_s(message)
+        while True:
+            # Clear, then try, with no await between: a task parked
+            # after the clear sets the event again, so none is missed.
+            self._lease_wake.clear()
+            try:
+                grant = self.workers.lease(worker)
+            except UnknownWorker as exc:
+                return self._unknown_worker(exc, request_id)
+            if grant is not None:
+                break
+            draining = self.draining or self.workers.draining
+            remaining = deadline - loop.time()
+            if draining or remaining <= 0 or reader.at_eof():
+                self.workers.note_idle()
+                return protocol.ok_response(
+                    "worker_lease", request_id, idle=True,
+                    draining=draining,
+                )
+            try:
+                await asyncio.wait_for(self._lease_wake.wait(), remaining)
+            except asyncio.TimeoutError:
+                pass
         payload = grant.pop("payload")
         return protocol.ok_response(
             "worker_lease", request_id,

@@ -28,6 +28,13 @@ twice produces identical bytes.  The *first* completion of a task wins
 still open (counted ``stale_completions``) and deduped if it is not
 (counted ``duplicate_completions``); nothing is ever double-committed.
 
+*Idle workers are woken, not polled.*  Every point where a task can
+become leasable -- a job parks or submits tasks, a lease is requeued
+(failure, deregistration, deadline, lost worker), or the pool drains --
+goes through one wake path: it notifies the condition variable and
+calls the ``on_wake`` listener, which the server uses to answer the
+``worker_lease`` requests it is holding open.
+
 *Zero workers means local execution.*  :meth:`run_tasks` runs pending
 tasks on the calling executor thread whenever no live worker is
 attached -- at job start (the server degrades to exactly the single-host
@@ -48,7 +55,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 HEARTBEAT_ENV = "REPRO_SVC_HEARTBEAT_S"
 MISS_ENV = "REPRO_SVC_HEARTBEAT_MISSES"
 LEASE_ENV = "REPRO_SVC_LEASE_S"
-POLL_ENV = "REPRO_SVC_WORKER_POLL_S"
 
 _SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
 
@@ -101,12 +107,10 @@ class PoolLimits:
         heartbeat_s: float = 2.0,
         miss_threshold: int = 5,
         lease_s: float = 120.0,
-        poll_s: float = 0.25,
     ):
         self.heartbeat_s = heartbeat_s
         self.miss_threshold = miss_threshold
         self.lease_s = lease_s
-        self.poll_s = poll_s
 
     @classmethod
     def from_env(cls) -> "PoolLimits":
@@ -114,7 +118,6 @@ class PoolLimits:
             heartbeat_s=_env_float(HEARTBEAT_ENV, 2.0, 0.01),
             miss_threshold=_env_int(MISS_ENV, 5, 2),
             lease_s=_env_float(LEASE_ENV, 120.0, 0.05),
-            poll_s=_env_float(POLL_ENV, 0.25, 0.01),
         )
 
     def as_fields(self) -> Dict[str, Any]:
@@ -122,7 +125,6 @@ class PoolLimits:
             "heartbeat_s": self.heartbeat_s,
             "miss_threshold": self.miss_threshold,
             "lease_s": self.lease_s,
-            "poll_s": self.poll_s,
         }
 
 
@@ -188,6 +190,9 @@ class WorkerPool:
     ``lease_log`` (optional) is called with one JSON-safe dict per lease
     event -- the server wires it to the job WAL so lease epochs are
     replayable; ``clock`` is injectable for deterministic tests.
+    ``on_wake`` (optional, also settable later) is called under the pool
+    lock whenever a task may have become leasable or the pool drained;
+    it must be cheap and must not call back into the pool.
     """
 
     def __init__(
@@ -195,8 +200,10 @@ class WorkerPool:
         limits: Optional[PoolLimits] = None,
         lease_log: Optional[Callable[[Dict[str, Any]], None]] = None,
         clock: Callable[[], float] = time.monotonic,
+        on_wake: Optional[Callable[[], None]] = None,
     ):
         self.limits = limits or PoolLimits.from_env()
+        self.on_wake = on_wake
         self._lease_log = lease_log
         self._clock = clock
         self._cond = threading.Condition(threading.RLock())
@@ -260,7 +267,7 @@ class WorkerPool:
                 for key, value in stats.items():
                     if isinstance(value, int) and not isinstance(value, bool):
                         self.stats["agent_" + str(key)] += value
-            self._cond.notify_all()
+            self._wake()
             return released
 
     def _live(self, worker_id: str) -> _Worker:
@@ -275,7 +282,7 @@ class WorkerPool:
         """Grant the next pending stage task, or ``None`` when idle.
 
         Round-robins across executing jobs so no campaign starves while
-        another fans out.  A lease poll also refreshes liveness.
+        another fans out.  A lease request also refreshes liveness.
         """
         with self._cond:
             worker = self._live(worker_id)
@@ -390,8 +397,18 @@ class WorkerPool:
                 self._cond.notify_all()
                 return {"requeued": False}
             self._requeue(lease, "fail")
-            self._cond.notify_all()
+            self._wake()
             return {"requeued": True}
+
+    def _wake(self) -> None:
+        """A task may have become leasable (or the pool drained).
+
+        Lock held.  Wakes executor threads waiting on the condition and
+        the ``on_wake`` listener (the server's held lease requests).
+        """
+        self._cond.notify_all()
+        if self.on_wake is not None:
+            self.on_wake()
 
     def _requeue(self, lease: _Lease, why: str) -> None:
         run = self._runs.get(lease.job_id)
@@ -451,7 +468,7 @@ class WorkerPool:
                     self._requeue(lease, "deadline")
                     changed = True
             if changed:
-                self._cond.notify_all()
+                self._wake()
 
     def live_worker_count(self) -> int:
         """Workers currently able to take leases (live or suspect)."""
@@ -488,14 +505,14 @@ class WorkerPool:
 
         def submit(name: str, payload: Any) -> None:
             run.add(name, payload)
-            self._cond.notify_all()
+            self._wake()
 
         self._cond.acquire()
         try:
             self._runs[job_id] = run
             for name, payload in tasks:
                 run.add(name, payload)
-            self._cond.notify_all()
+            self._wake()
             while True:
                 if should_stop():
                     run.cancelled = True
@@ -577,7 +594,12 @@ class WorkerPool:
         """Stop granting leases (outstanding ones may still complete)."""
         with self._cond:
             self.draining = True
-            self._cond.notify_all()
+            self._wake()
+
+    def note_idle(self) -> None:
+        """Count one ``worker_lease`` reply that carried no grant."""
+        with self._cond:
+            self.stats["lease_idle"] += 1
 
     def health(self) -> Dict[str, Any]:
         """The worker-pool section of the server's ``health`` response."""

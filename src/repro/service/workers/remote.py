@@ -67,7 +67,6 @@ class WorkerAgent:
         host: Optional[str] = None,
         port: Optional[int] = None,
         name: str = "",
-        poll_s: Optional[float] = None,
         connect_timeout: float = 10.0,
         timeout: float = 120.0,
     ):
@@ -82,8 +81,6 @@ class WorkerAgent:
         self.stats: Counter = Counter()
         self.worker_id: Optional[str] = None
         self.heartbeat_s = 2.0
-        self.poll_s = poll_s if poll_s is not None else 0.25
-        self._poll_fixed = poll_s is not None
         self._draining = threading.Event()
         self._server_draining = threading.Event()
         self._reregister = threading.Event()
@@ -147,8 +144,6 @@ class WorkerAgent:
                 self.heartbeat_s = float(
                     reply.get("heartbeat_s", self.heartbeat_s)
                 )
-                if not self._poll_fixed:
-                    self.poll_s = float(reply.get("poll_s", self.poll_s))
                 self.stats["registrations"] += 1
                 return True
             if reply.get("error") == protocol.ERR_DRAINING:
@@ -204,8 +199,11 @@ class WorkerAgent:
                     if not self._register():
                         break
                 try:
+                    # An idle request is held server-side until a task is
+                    # leasable; half the socket timeout bounds the hold.
                     reply = self._call({
                         "op": "worker_lease", "worker": self.worker_id,
+                        "timeout_s": self.client.timeout / 2.0,
                     })
                 except ServiceUnavailable:
                     now = time.monotonic()
@@ -218,22 +216,22 @@ class WorkerAgent:
                     self._backoff_sleep(attempt)
                     attempt += 1
                     continue
-                attempt = 0
                 lost_since = None
                 if not reply.get("ok"):
                     if reply.get("error") == protocol.ERR_UNKNOWN_WORKER:
                         self._reregister.set()
                     else:
-                        time.sleep(self.poll_s)
+                        self._backoff_sleep(attempt)
+                        attempt += 1
                     continue
+                attempt = 0
                 if reply.get("draining"):
                     self._server_draining.set()
                 if reply.get("idle", False) or "lease" not in reply:
+                    # The server already held the request: ask again at
+                    # once (the loop condition catches a local drain).
                     if self._server_draining.is_set():
                         break
-                    if self._draining.is_set():
-                        break
-                    time.sleep(self.poll_s)
                     continue
                 self._handle_lease(reply)
                 if self._server_draining.is_set():
@@ -465,10 +463,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--name", default="", help="worker display name")
     parser.add_argument(
-        "--poll", type=float, default=None,
-        help="idle lease-poll interval (default: the server's hint)",
-    )
-    parser.add_argument(
         "--connect-timeout", type=float, default=10.0,
         help="per-request connect retry budget in seconds (default 10)",
     )
@@ -485,7 +479,6 @@ def main(argv=None) -> int:
         host=args.host,
         port=args.port,
         name=args.name,
-        poll_s=args.poll,
         connect_timeout=args.connect_timeout,
         timeout=args.timeout,
     )

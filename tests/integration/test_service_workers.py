@@ -20,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -40,11 +41,10 @@ from .test_service_recovery import (  # noqa: F401  (warm fixture reuse)
 
 #: Fast-failover pool knobs every server in this suite runs with:
 #: suspect after ~0.5s of silence, dead after 1.25s, leases expire
-#: after 3s, workers poll hard.
+#: after 3s.
 POOL_ENV = {
     "REPRO_SVC_HEARTBEAT_S": "0.25",
     "REPRO_SVC_LEASE_S": "3",
-    "REPRO_SVC_WORKER_POLL_S": "0.05",
 }
 
 
@@ -167,6 +167,71 @@ def test_zero_workers_degrades_to_local_transparently(tmp_path, warm):
         assert "remote" not in final["stats"]
 
         client.drain()
+        assert server.wait(timeout=30) == 0
+    finally:
+        _reap(server)
+
+
+# -- held leases --------------------------------------------------------------
+
+
+def _held_lease(root, worker_id):
+    """Send ``worker_lease`` on a thread; returns (thread, outcome)."""
+    out = {}
+
+    def body():
+        client = ServiceClient(socket_path=Path(root) / "service.sock",
+                               timeout=60.0)
+        out["reply"] = client.call({
+            "op": "worker_lease", "worker": worker_id, "timeout_s": 30.0,
+        })
+        out["at"] = time.monotonic()
+
+    thread = threading.Thread(target=body, daemon=True)
+    thread.start()
+    # Still unanswered well after a round trip: the server holds it.
+    thread.join(timeout=0.5)
+    assert thread.is_alive(), out
+    return thread, out
+
+
+def test_held_lease_wakes_on_task_and_on_drain(tmp_path):
+    """An idle ``worker_lease`` is held open (heartbeat 10s: a 5s hold)
+    and answers as soon as a job parks a task, or as soon as the server
+    drains -- both well inside the hold."""
+    root = tmp_path / "server"
+    server = _start_server(root, REPRO_SVC_HEARTBEAT_S="10")
+    try:
+        client = _client(root)
+        client.wait_ready()
+        worker = client.call({"op": "worker_register",
+                              "name": "probe"})["worker"]
+        thread, out = _held_lease(root, worker)
+        response = client.submit(
+            SPEC.workload, runs=SPEC.runs, seed=SPEC.seed, scale=SPEC.scale,
+        )
+        assert response.get("ok"), response
+        submitted = time.monotonic()
+        thread.join(timeout=10)
+        assert "lease" in out["reply"], out["reply"]
+        assert out["at"] - submitted < 2.5
+
+        # Hand the task back: with no live worker the job finishes
+        # in-process, so the drain below leaves nothing to resume.
+        released = client.call({"op": "worker_deregister",
+                                "worker": worker})
+        assert released["released"] == 1
+        assert client.result(response["job"], timeout_s=120)["ok"] is True
+
+        worker = client.call({"op": "worker_register",
+                              "name": "probe"})["worker"]
+        thread, out = _held_lease(root, worker)
+        client.drain()
+        drained = time.monotonic()
+        thread.join(timeout=10)
+        assert out["reply"]["idle"] is True
+        assert out["reply"]["draining"] is True
+        assert out["at"] - drained < 2.5
         assert server.wait(timeout=30) == 0
     finally:
         _reap(server)

@@ -54,12 +54,11 @@ class Clock:
         self.t += dt
 
 
-def _pool(clock, log=None, **limits):
-    defaults = dict(heartbeat_s=10.0, miss_threshold=3, lease_s=60.0,
-                    poll_s=0.01)
+def _pool(clock, log=None, on_wake=None, **limits):
+    defaults = dict(heartbeat_s=10.0, miss_threshold=3, lease_s=60.0)
     defaults.update(limits)
     return WorkerPool(limits=PoolLimits(**defaults), lease_log=log,
-                      clock=clock)
+                      clock=clock, on_wake=on_wake)
 
 
 def _run_tasks_bg(pool, job_id, tasks, run_local=None, **kwargs):
@@ -201,10 +200,9 @@ def test_pool_limits_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_SVC_HEARTBEAT_S", "0.5")
     monkeypatch.setenv("REPRO_SVC_HEARTBEAT_MISSES", "7")
     monkeypatch.setenv("REPRO_SVC_LEASE_S", "9")
-    monkeypatch.setenv("REPRO_SVC_WORKER_POLL_S", "0.05")
     limits = PoolLimits.from_env()
     assert (limits.heartbeat_s, limits.miss_threshold,
-            limits.lease_s, limits.poll_s) == (0.5, 7, 9.0, 0.05)
+            limits.lease_s) == (0.5, 7, 9.0)
     # Floors hold against nonsense.
     monkeypatch.setenv("REPRO_SVC_HEARTBEAT_MISSES", "0")
     assert PoolLimits.from_env().miss_threshold == 2
@@ -488,6 +486,96 @@ def test_lease_events_land_in_the_log():
     assert ("duplicate", 1) in kinds
     assert all(event["type"] == "lease" and event["job"] == "job-1"
                for event in events)
+
+
+# -- the wake path ------------------------------------------------------------
+
+
+def _timeline_pool(clock, timeline, **limits):
+    """A pool whose lease log and wake listener share one timeline."""
+    return _pool(
+        clock,
+        log=lambda event: timeline.append(
+            (event["event"], event["task"], event.get("why"))
+        ),
+        on_wake=lambda: timeline.append("wake"),
+        **limits,
+    )
+
+
+def test_wake_fires_on_enqueue_and_submit():
+    timeline = []
+    pool = _timeline_pool(Clock(), timeline)
+
+    def on_result(name, value, submit):
+        if name == "t0":
+            submit("t1", value + 1)
+
+    # Zero workers: everything runs on this thread, so the order of
+    # wakes against grants is exact.
+    pool.run_tasks("job-1", [("t0", 1)], lambda payload: payload,
+                   on_result=on_result)
+    assert timeline == [
+        "wake",  # the initial enqueue
+        ("grant", "t0", None), ("done", "t0", None),
+        "wake",  # on_result's submit
+        ("grant", "t1", None), ("done", "t1", None),
+    ]
+
+
+def test_wake_fires_on_every_requeue_path_and_drain():
+    clock = Clock()
+    timeline = []
+    pool = _timeline_pool(clock, timeline, heartbeat_s=1.0,
+                          miss_threshold=3, lease_s=10.0)
+    leaver = pool.register(name="leaver")["worker"]
+    doomed = pool.register(name="doomed")["worker"]
+    survivor = pool.register(name="survivor")["worker"]
+
+    def tick(seconds, *alive):
+        # One second at a time, so run_tasks' own scans never see a
+        # heartbeating worker more than a second stale.
+        for _ in range(seconds):
+            clock.advance(1.0)
+            for worker in alive:
+                pool.heartbeat(worker)
+
+    thread, out = _run_tasks_bg(pool, "job-1", [("t0", 0)])
+
+    grant = _lease_soon(pool, leaver)
+    pool.fail(leaver, grant["lease"], grant["epoch"], "boom")
+
+    _lease_soon(pool, leaver)
+    assert pool.deregister(leaver) == 1
+
+    _lease_soon(pool, doomed)
+    tick(11, doomed, survivor)  # the lease outlives its deadline
+    pool.scan()
+
+    _lease_soon(pool, doomed)
+    tick(4, survivor)  # the holder falls silent past the miss threshold
+    pool.scan()
+
+    grant = _lease_soon(pool, survivor)
+    pool.complete(survivor, grant["lease"], grant["epoch"], "v")
+    thread.join(timeout=5)
+    assert out["result"][0] == {"t0": "v"}
+
+    requeues = [index for index, entry in enumerate(timeline)
+                if entry != "wake" and entry[0] == "requeue"]
+    assert [timeline[index][2] for index in requeues] == [
+        "fail", "deregister", "deadline", "worker_lost",
+    ]
+    for index in requeues:
+        # Each requeue wakes lease waiters before anything is granted.
+        following = timeline[index + 1:]
+        next_grant = next(n for n, entry in enumerate(following)
+                          if entry != "wake" and entry[0] == "grant")
+        assert "wake" in following[:next_grant]
+
+    before = timeline.count("wake")
+    pool.drain()
+    assert timeline.count("wake") == before + 1
 
 
 # -- replication codec --------------------------------------------------------

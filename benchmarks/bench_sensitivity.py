@@ -322,12 +322,13 @@ def test_pipeline_speedup(bench_log):
     Three cold arms compute the same multi-workload suite on a
     deliberately imbalanced mix (ocean is several times heavier than
     fft or lu, so campaign-level pooling idles every worker behind the
-    ocean campaign while run-level scheduling keeps them fed): serial,
-    campaign-per-task pooling, and the run-level pipelined scheduler,
-    each on a fresh cache directory.  Campaign caches must be
-    byte-identical across all three arms -- the scheduler changes
-    *where* work runs, never what it computes -- and the pipelined
-    wall clock must beat campaign pooling by
+    ocean campaign while run-level scheduling keeps them fed): serial
+    and the run-level pipelined scheduler, each on a fresh cache
+    directory, and campaign-per-task pooling, which only runs without
+    one.  Campaign digests must be equal across all three arms and the
+    serial and pipelined cache trees byte-identical -- the scheduler
+    changes *where* work runs, never what it computes -- and the
+    pipelined wall clock must beat campaign pooling by
     ``CORD_PIPELINE_SPEEDUP_MIN`` (default 1.5).
 
     The gate needs real parallel hardware: below 4 CPUs the pool arms
@@ -352,38 +353,56 @@ def test_pipeline_speedup(bench_log):
     saved_fsync = os.environ.get("REPRO_FSYNC")
     os.environ["REPRO_FSYNC"] = "0"
 
-    def run_arm(arm_jobs, scheduler):
+    def run_arm(arm_jobs, cached):
+        # The cache directory picks the pooled scheduler: with one,
+        # jobs > 1 runs the pipeline; without, the campaign pool.
         root = Path(tempfile.mkdtemp(prefix="cord-bench-pipeline-"))
         try:
             suite = Suite(
-                config, jobs=arm_jobs, cache_dir=str(root),
-                scheduler=scheduler,
+                config, jobs=arm_jobs,
+                cache_dir=str(root) if cached else None,
             )
             start = time.perf_counter()
-            suite.campaigns()
+            campaigns = suite.campaigns()
             wall = time.perf_counter() - start
+            digest = [
+                (name, campaign.sync_instances, [
+                    (run.run_index, run.seed, run.target_index,
+                     sorted(run.flagged.items()),
+                     sorted(run.problem.items()))
+                    for run in campaign.runs
+                ])
+                for name, campaign in campaigns.items()
+            ]
             caches = {
                 p.name: p.read_bytes()
                 for p in root.iterdir()
                 if p.is_file()
             }
-            return wall, caches
+            return wall, digest, caches
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
+    saved_cache_dir = os.environ.pop("REPRO_CACHE_DIR", None)
     try:
-        serial_s, serial_caches = run_arm(1, "campaigns")
-        pooled_s, pooled_caches = run_arm(jobs, "campaigns")
-        pipelined_s, pipelined_caches = run_arm(jobs, "runs")
+        serial_s, serial_digest, serial_caches = run_arm(1, True)
+        pooled_s, pooled_digest, _ = run_arm(jobs, False)
+        pipelined_s, pipelined_digest, pipelined_caches = run_arm(
+            jobs, True
+        )
     finally:
         if saved_fsync is None:
             os.environ.pop("REPRO_FSYNC", None)
         else:
             os.environ["REPRO_FSYNC"] = saved_fsync
+        if saved_cache_dir is not None:
+            os.environ["REPRO_CACHE_DIR"] = saved_cache_dir
 
-    # The scheduler contract: all three arms leave identical bytes.
+    # The scheduler contract: every arm computes the same campaigns,
+    # and the two cached arms leave identical bytes.
+    assert pooled_digest == serial_digest
+    assert pipelined_digest == serial_digest
     assert serial_caches
-    assert pooled_caches == serial_caches
     assert pipelined_caches == serial_caches
 
     speedup = pooled_s / pipelined_s

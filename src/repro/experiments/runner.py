@@ -7,17 +7,16 @@ per-configuration columns are views over its injection runs.
 
 Campaigns are embarrassingly parallel -- every (workload, config) pair is
 an independent deterministic computation -- so :meth:`Suite.campaigns`
-fans missing campaigns out over a :mod:`multiprocessing` pool
-(``jobs`` argument, or the ``REPRO_JOBS`` environment variable).  Results
-are bit-identical regardless of ``jobs``: each campaign derives its seeds
-from ``(base_seed, workload)`` alone, and the pool only changes *where* a
-campaign runs, never what it computes.  When a trace store already holds
-a campaign's recordings, the parent publishes them once over
-:mod:`multiprocessing.shared_memory` (:mod:`repro.trace.sharedmem`) and
-workers attach zero-copy after verifying each segment's digest, so N
-workers replaying one workload share one physical copy of its traces
-(``REPRO_NO_SHM=1`` disables publication; every fallback is counted in
-:attr:`Suite.warnings`).
+fans missing campaigns out over supervised worker processes (``jobs``
+argument, or the ``REPRO_JOBS`` environment variable).  Results are
+bit-identical regardless of ``jobs``: each campaign derives its seeds
+from ``(base_seed, workload)`` alone, and the fan-out only changes
+*where* a campaign runs, never what it computes.  The scheduler follows
+from what the suite can observe: a cache directory and ``jobs > 1`` run
+the run-level pipeline (:mod:`repro.experiments.pipeline`), whose stage
+tasks meet in the trace store; no cache directory, ``jobs > 1`` and more
+than one pending campaign run one campaign per pool task; everything
+else runs serially.
 
 An optional on-disk cache (``cache_dir`` argument, or ``REPRO_CACHE_DIR``)
 persists finished campaigns keyed by the full parameter tuple, so
@@ -70,7 +69,6 @@ from repro.injection.campaign import (
     CampaignResult,
     campaign_run_keys,
     campaign_sizing_seed,
-    plan_campaign_runs,
     run_campaign,
 )
 from repro.resilience.checkpoint import (
@@ -80,12 +78,6 @@ from repro.resilience.checkpoint import (
 )
 from repro.resilience.journal import RunCheckpoint
 from repro.resilience.supervisor import RunReport, Supervisor, TaskOutcome
-from repro.trace.sharedmem import (
-    SharedTraceMap,
-    publish_trace,
-    sharedmem_available,
-    unpublish_trace,
-)
 from repro.trace.store import (
     PackedTraceStore,
     frame_payload,
@@ -122,24 +114,6 @@ def default_cache_dir() -> Optional[Path]:
     """On-disk campaign cache from ``REPRO_CACHE_DIR`` (default: off)."""
     raw = os.environ.get("REPRO_CACHE_DIR", "").strip()
     return Path(raw) if raw else None
-
-
-#: Valid scheduler modes (the ``scheduler`` argument / ``REPRO_SCHED``).
-#:
-#: ``"auto"``       run-level pipelining when a pool and a cache
-#:                  directory are both available, else the serial
-#:                  checkpointed path;
-#: ``"campaigns"``  the coarse one-task-per-campaign fan-out (PR <= 7
-#:                  behavior; the pipeline bench's comparison arm);
-#: ``"runs"``       force run-level pipelining (requires a cache
-#:                  directory -- the stages meet in the trace store).
-SCHEDULER_MODES = ("auto", "campaigns", "runs")
-
-
-def default_scheduler() -> str:
-    """Scheduler mode from ``REPRO_SCHED`` (default: ``"auto"``)."""
-    raw = os.environ.get("REPRO_SCHED", "").strip()
-    return raw or "auto"
 
 
 @dataclass(frozen=True)
@@ -179,31 +153,20 @@ def trace_namespace(workload: str, params: WorkloadParams) -> str:
 
 
 #: One unit of pool work: everything a worker needs to rebuild the
-#: campaign (must stay picklable for spawn-based platforms).  The
-#: trace-store directory (or None) comes fifth: workers rebuild the
-#: store from the path because the store itself holds no state worth
-#: shipping.  The last element is the shared-trace publication for this
-#: workload -- ``{components: (SharedTraceHandle, extra)}`` or None --
-#: a few hundred bytes of handles standing in for the recordings
-#: themselves, which stay in one shared physical copy.
-_CampaignTask = Tuple[
-    str, int, int, WorkloadParams, Optional[str], Optional[Dict]
-]
+#: campaign (must stay picklable for spawn-based platforms).  Only
+#: uncached suites run campaign tasks, so there is no trace store.
+_CampaignTask = Tuple[str, int, int, WorkloadParams]
 
 
 def _run_campaign_task(task: _CampaignTask) -> Tuple[str, CampaignResult]:
     """Pool worker: run one workload's campaign (module-level, picklable)."""
-    name, n_runs, base_seed, params, store_dir, handles = task
+    name, n_runs, base_seed, params = task
     spec = get_workload(name)
     result = run_campaign(
         spec.program_factory(params),
         name,
         CampaignConfig(n_runs=n_runs, base_seed=base_seed),
-        trace_store=(
-            PackedTraceStore(store_dir) if store_dir is not None else None
-        ),
         trace_namespace=trace_namespace(name, params),
-        shared_traces=SharedTraceMap(handles) if handles else None,
     )
     return name, result
 
@@ -217,10 +180,6 @@ class Suite:
             (default 1 = serial in-process, no pool spawned).
         cache_dir: directory for pickled campaign results; ``None`` reads
             ``REPRO_CACHE_DIR`` (default: no on-disk cache).
-        scheduler: fan-out granularity, one of :data:`SCHEDULER_MODES`;
-            ``None`` reads ``REPRO_SCHED`` (default ``"auto"``: run-level
-            pipelining whenever a pool and a cache directory are both
-            available).
     """
 
     def __init__(
@@ -228,21 +187,12 @@ class Suite:
         config: Optional[SuiteConfig] = None,
         jobs: Optional[int] = None,
         cache_dir: Optional[os.PathLike] = None,
-        scheduler: Optional[str] = None,
     ):
         self.config = config or SuiteConfig()
         self.jobs = default_jobs() if jobs is None else max(1, int(jobs))
         self.cache_dir = (
             Path(cache_dir) if cache_dir is not None else default_cache_dir()
         )
-        self.scheduler = (
-            scheduler if scheduler is not None else default_scheduler()
-        )
-        if self.scheduler not in SCHEDULER_MODES:
-            raise ValueError(
-                "unknown scheduler mode %r (expected one of %s)"
-                % (self.scheduler, ", ".join(SCHEDULER_MODES))
-            )
         self._campaigns: Dict[str, CampaignResult] = {}
         #: Cache-health counters (``corrupt``, ``io_errors``, ``stale``):
         #: every swallowed cache problem is counted here, never silent.
@@ -364,69 +314,13 @@ class Suite:
 
     # -- campaign execution --------------------------------------------------
 
-    def _task(
-        self, workload: str, handles: Optional[Dict] = None
-    ) -> _CampaignTask:
-        store_dir = self.trace_store_dir
+    def _task(self, workload: str) -> _CampaignTask:
         return (
             workload,
             self.config.runs_per_app,
             self.config.base_seed,
             self.config.params,
-            str(store_dir) if store_dir is not None else None,
-            handles or None,
         )
-
-    def _publish_traces(
-        self, pending: List[str]
-    ) -> Tuple[Dict[str, Dict], List]:
-        """Publish every warm recording of the pending workloads.
-
-        One shared-memory segment per recorded run, exported from the
-        trace store (see :mod:`repro.trace.sharedmem`); workers then
-        attach zero-copy instead of each re-reading the store.  Returns
-        the per-workload handle maps plus the live segments the caller
-        must release (:func:`unpublish_trace`) once the fan-out ends.
-        Strictly best-effort: a cold workload, missing recording, or
-        failed publication just leaves the store/record fallback to do
-        its job, counted in :attr:`warnings`.
-        """
-        handles_by_workload: Dict[str, Dict] = {}
-        segments: List = []
-        store = self.trace_store()
-        if store is None or not sharedmem_available():
-            return handles_by_workload, segments
-        config = CampaignConfig(
-            n_runs=self.config.runs_per_app,
-            base_seed=self.config.base_seed,
-        )
-        for name in pending:
-            namespace = trace_namespace(name, self.config.params)
-            plan = plan_campaign_runs(name, config, store, namespace)
-            if plan is None:
-                # Cold workload: no sizing value, so nothing recorded.
-                continue
-            handles: Dict = {}
-            for components in plan:
-                exported = store.export_run(namespace, components)
-                if exported is None:
-                    continue
-                blob, extra = exported
-                try:
-                    handle, shm = publish_trace(blob)
-                except OSError as exc:
-                    self.warnings["shm_publish_failed"] += 1
-                    logger.warning(
-                        "could not publish trace %s%r to shared memory: "
-                        "%s", name, components, exc,
-                    )
-                    continue
-                segments.append(shm)
-                handles[components] = (handle, extra)
-            if handles:
-                handles_by_workload[name] = handles
-                self.warnings["shm_published"] += len(handles)
-        return handles_by_workload, segments
 
     def campaign(self, workload: str) -> CampaignResult:
         """The (cached) campaign for one application.
@@ -539,33 +433,26 @@ class Suite:
     ) -> None:
         """Run the campaigns no cache could serve (checkpointed if any).
 
-        Scheduler selection: without a cache directory the run-level
-        pipeline has nowhere durable for its stages to meet, so the
-        legacy paths apply (campaign pool when several campaigns and a
-        pool are available, else inline).  With one, ``"auto"`` picks
-        run-level pipelining whenever ``jobs > 1``, ``"runs"`` forces
-        it, and ``"campaigns"`` pins the coarse per-campaign fan-out.
+        Scheduler selection, from what the suite can observe: a cache
+        directory and ``jobs > 1`` use the run-level pipeline (its
+        stages meet in the trace store); no cache directory, ``jobs >
+        1`` and more than one pending campaign use the campaign pool;
+        everything else runs serially.
         """
         ckpt = self._open_checkpoint()
         if ckpt is None:
             if len(pending) > 1 and self.jobs > 1:
-                self._run_pool(pending, cache_hits, None, None)
+                self._run_pool(pending)
             else:
                 for name in pending:
                     _name, result = _run_campaign_task(self._task(name))
                     self._campaigns[name] = result
-                    self._cache_store(name, result)
             return
-        pipelined = self.scheduler == "runs" or (
-            self.scheduler == "auto" and self.jobs > 1
-        )
         try:
             with GracefulShutdown() as shutdown:
-                if pipelined:
+                if self.jobs > 1:
                     self._run_pipelined(pending, cache_hits, ckpt,
                                         shutdown)
-                elif len(pending) > 1 and self.jobs > 1:
-                    self._run_pool(pending, cache_hits, ckpt, shutdown)
                 else:
                     self._run_serial_checkpointed(pending, ckpt)
             ckpt.finish()
@@ -575,71 +462,24 @@ class Suite:
         finally:
             ckpt.close()
 
-    def _run_pool(
-        self,
-        pending: List[str],
-        cache_hits: List[str],
-        ckpt: Optional[RunCheckpoint],
-        shutdown: Optional[GracefulShutdown],
-    ) -> None:
-        """Supervised fan-out over the pending campaigns.
-
-        Journaling here is per-workload: pooled workers cannot safely
-        append to the shared journal, so the per-run/per-config
-        granularity lives in the serial paths -- but every trace a
-        worker records is durable in the trace store, so even a drained
-        pool's partial progress speeds the resume.
-        """
-        tasks = {}
-        if ckpt is not None:
-            for name in pending:
-                tasks[name] = ckpt.task(name)
-                tasks[name].scheduled()
+    def _run_pool(self, pending: List[str]) -> None:
+        """Supervised campaign-per-task fan-out (no cache directory)."""
         supervisor = Supervisor(
             jobs=min(self.jobs, len(pending)),
             seed=self.config.base_seed,
         )
-        published, segments = self._publish_traces(pending)
-        try:
-            finished, report = supervisor.run(
-                _run_campaign_task,
-                [
-                    (name, self._task(name, published.get(name)))
-                    for name in pending
-                ],
-                should_stop=(
-                    (lambda: shutdown.requested)
-                    if shutdown is not None else None
-                ),
-            )
-        finally:
-            # The parent owns every published segment; release them the
-            # moment the fan-out ends (workers have exited -- committed
-            # results are plain values, not views into the segments).
-            for shm in segments:
-                unpublish_trace(shm)
-        self.last_report = self._account(report, pending, cache_hits,
-                                         ckpt is not None)
+        finished, report = supervisor.run_stream(
+            _run_campaign_task,
+            [(name, self._task(name)) for name in pending],
+        )
+        self.last_report = report
         if report.degraded:
             logger.warning("campaign fan-out: %s", report.summary())
-        # Deterministic submission order for memoization and cache
-        # writes -- never the order tasks happened to finish in
-        # (retried and serial-fallback results are cached the same
-        # as clean pool results).  On a drain, whatever DID finish is
-        # committed before the interruption surfaces, so the resumed
-        # run starts from it.
+        # Deterministic submission order for memoization -- never the
+        # order tasks happened to finish in (retried and serial-fallback
+        # results memoize the same as clean pool results).
         for name in pending:
-            if name not in finished:
-                continue
-            _task_name, result = finished[name]
-            self._campaigns[name] = result
-            self._cache_store(name, result)
-            if name in tasks:
-                tasks[name].committed()
-        if report.interrupted:
-            raise InterruptedRunError(
-                ckpt.run_id if ckpt is not None else None
-            )
+            self._campaigns[name] = finished[name][1]
 
     def _run_pipelined(
         self,
@@ -664,10 +504,9 @@ class Suite:
         only in the trace store (durable, keyed, atomic), results
         assemble in run-index order, campaign caches are written in
         completion order but with canonicalized content, and the
-        journal keeps the workload-level tasks of the pooled path plus
+        journal keeps one workload-level task per campaign plus
         the per-run ``<workload>/run<N>`` tasks of the serial path.
-        Shared-memory publication is deliberately absent here: each
-        recording has exactly one analyzing consumer, which maps it
+        Each recording has exactly one analyzing consumer, which maps it
         zero-copy off the store's mmap.
         """
         from repro.experiments import pipeline
@@ -851,10 +690,10 @@ class Suite:
     ) -> RunReport:
         """Cache-hit accounting for the task-level (pipelined) report.
 
-        Same contract as :meth:`_account`, but the pool outcomes here
-        are stage tasks, not workloads: cache-served campaigns are
-        prepended as ``path="cache"`` rows (canonical workload order)
-        ahead of the stage rows, so every workload of the call is
+        The pool outcomes here are stage tasks, not workloads:
+        cache-served campaigns are prepended as zero-attempt ``"ok"``
+        rows with ``path="cache"`` (canonical workload order) ahead of
+        the stage rows, so every workload of the call is
         visible in the report whether it was computed or replayed.
         """
         if not cache_hits:
@@ -898,40 +737,6 @@ class Suite:
             self._campaigns[name] = result
             self._cache_store(name, result)
             task.committed()
-
-    def _account(
-        self,
-        report: RunReport,
-        pending: List[str],
-        cache_hits: List[str],
-        checkpointed: bool,
-    ) -> RunReport:
-        """The fan-out report, with cache hits accounted when journaled.
-
-        A checkpointed resume serves committed campaigns from the cache,
-        so its pool runs fewer tasks; folding the hits in (status
-        ``"ok"``, path ``"cache"``, zero attempts) keeps the per-task
-        accounting complete: every workload of the call appears exactly
-        once whether it was computed or replayed, in canonical workload
-        order either way.
-        """
-        if not checkpointed or not cache_hits:
-            return report
-        merged = RunReport(
-            pool_poisoned=report.pool_poisoned,
-            interrupted=report.interrupted,
-        )
-        by_name = {out.name: out for out in report.outcomes}
-        for name in cache_hits:
-            by_name[name] = TaskOutcome(
-                name, status="ok", attempts=0, path="cache"
-            )
-        merged.outcomes = [
-            by_name[name]
-            for name in self.config.workload_names()
-            if name in by_name
-        ]
-        return merged
 
     # -- cross-app aggregates --------------------------------------------------
 

@@ -169,25 +169,6 @@ class RecordedRun:
     packed: PackedTrace
 
 
-def _recorded_from_entry(
-    run_index: int,
-    seed: int,
-    target_index: int,
-    packed: PackedTrace,
-    extra: Dict,
-) -> RecordedRun:
-    return RecordedRun(
-        run_index=run_index,
-        seed=seed,
-        target_index=target_index,
-        injected=extra["injected"],
-        removed=extra["removed"],
-        hung=packed.hung,
-        n_threads=extra["n_threads"],
-        packed=packed,
-    )
-
-
 def record_injected_once(
     factory: ProgramFactory,
     seed: int,
@@ -196,7 +177,6 @@ def record_injected_once(
     switch_probability: float = 0.1,
     store: Optional[PackedTraceStore] = None,
     namespace: str = "run",
-    shared=None,
 ) -> RecordedRun:
     """Record one injected run (or load it from the trace store).
 
@@ -204,29 +184,21 @@ def record_injected_once(
     ``(seed, target_index, switch_probability)`` under the caller's
     ``namespace`` (workload plus parameters); a hit skips the simulation
     entirely and replays the packed trace from disk.
-
-    With a ``shared`` map
-    (:class:`~repro.trace.sharedmem.SharedTraceMap`, keyed by the same
-    components tuple), the recording is served zero-copy out of a
-    shared-memory segment the parent published -- checked *before* the
-    store, since it costs neither I/O nor a decode.  Both layers
-    degrade to the next on any failure (digest mismatch, vanished
-    segment, corrupt entry), ending at re-simulation.
     """
     components = (seed, target_index, switch_probability)
-    if shared is not None:
-        hit = shared.get(components)
-        if hit is not None:
-            packed, extra = hit
-            return _recorded_from_entry(
-                run_index, seed, target_index, packed, extra
-            )
     if store is not None:
         hit = store.load_run(namespace, components)
         if hit is not None:
             packed, extra = hit
-            return _recorded_from_entry(
-                run_index, seed, target_index, packed, extra
+            return RecordedRun(
+                run_index=run_index,
+                seed=seed,
+                target_index=target_index,
+                injected=extra["injected"],
+                removed=extra["removed"],
+                hung=packed.hung,
+                n_threads=extra["n_threads"],
+                packed=packed,
             )
     program = factory(seed)
     interceptor = InjectionInterceptor(target_index)
@@ -287,9 +259,8 @@ def campaign_run_keys(
 
     Exactly the derivation :func:`_run_campaign` performs (same rng
     construction, same draw order within each run fork), exposed so the
-    pooled runner can pre-compute every run's store key -- and publish
-    the warm recordings over shared memory -- without consuming the
-    campaign's own rng.
+    run-level pipeline can pre-compute every run's store key without
+    consuming the campaign's own rng.
     """
     rng = DeterministicRng(config.base_seed, "campaign/%s" % workload_name)
     keys = []
@@ -299,34 +270,6 @@ def campaign_run_keys(
         target = run_rng.randrange(instance_count)
         keys.append((run_index, seed, target))
     return keys
-
-
-def plan_campaign_runs(
-    workload_name: str,
-    config: Optional[CampaignConfig],
-    trace_store: PackedTraceStore,
-    namespace: str,
-) -> Optional[List[Tuple]]:
-    """Store components for every run of a campaign, or ``None``.
-
-    ``None`` means the sizing value is not cached yet: the workload is
-    cold, nothing is recorded, and there is nothing to publish.  The
-    returned tuples are exactly the keys
-    :func:`record_injected_once` looks up.
-    """
-    config = config or CampaignConfig()
-    sizing_seed = campaign_sizing_seed(workload_name, config.base_seed)
-    instance_count = trace_store.load_value(
-        namespace, ("sync_instances", sizing_seed)
-    )
-    if not instance_count:
-        return None
-    return [
-        (seed, target, config.switch_probability)
-        for _run_index, seed, target in campaign_run_keys(
-            workload_name, config, instance_count
-        )
-    ]
 
 
 def detectors_digest(
@@ -743,7 +686,6 @@ def run_campaign(
     trace_store: Optional[PackedTraceStore] = None,
     trace_namespace: Optional[str] = None,
     checkpoint=None,
-    shared_traces=None,
 ) -> CampaignResult:
     """Run a full injection campaign for one workload.
 
@@ -767,11 +709,6 @@ def run_campaign(
             and its outcome persisted, so an interrupted campaign
             resumes to bit-identical results, skipping completed
             configurations.  Requires ``trace_store``.
-        shared_traces: optional
-            :class:`~repro.trace.sharedmem.SharedTraceMap` of recordings
-            the parent process published; served zero-copy before the
-            store is consulted.  Purely an acceleration layer -- results
-            are bit-identical with or without it.
     """
     return _run_campaign(
         factory,
@@ -781,7 +718,6 @@ def run_campaign(
         trace_namespace,
         use_recorded=True,
         checkpoint=checkpoint,
-        shared_traces=shared_traces,
     )
 
 
@@ -812,7 +748,6 @@ def _run_campaign(
     trace_namespace: Optional[str],
     use_recorded: bool,
     checkpoint=None,
-    shared_traces=None,
 ) -> CampaignResult:
     config = config or CampaignConfig()
     detectors = config.detector_suite()
@@ -864,7 +799,6 @@ def _run_campaign(
                 switch_probability=config.switch_probability,
                 store=trace_store,
                 namespace=namespace,
-                shared=shared_traces,
             )
             if task is not None:
                 task.recorded()

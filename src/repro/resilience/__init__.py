@@ -47,7 +47,6 @@ from repro.resilience.supervisor import (
     TaskOutcome,
     default_max_retries,
     default_task_timeout,
-    run_supervised,
 )
 
 __all__ = [
@@ -70,7 +69,6 @@ __all__ = [
     "guarded_outcomes",
     "prune_quarantine",
     "request_shutdown",
-    "run_supervised",
     "verify_ladder_equivalence",
 ]
 

@@ -34,6 +34,7 @@ from __future__ import annotations
 import logging
 import multiprocessing
 import os
+import signal
 import time
 import traceback
 from dataclasses import dataclass, field
@@ -198,6 +199,10 @@ def _child_main(fn, payload, attempt, conn) -> None:
     fault hook runs *before* the body so an injected kill/stall models a
     worker lost mid-task, not a broken computation.
     """
+    # A forked child inherits the parent's GracefulShutdown handler,
+    # which would turn the supervisor's terminate() into a logged drain
+    # request and leave the parent waiting out its join before kill().
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     try:
         faults.worker_entry(attempt)
         result = fn(payload)
@@ -313,206 +318,6 @@ class Supervisor:
 
     # -- the run loop --------------------------------------------------------
 
-    def run(
-        self,
-        fn: Callable[[Any], Any],
-        tasks: Sequence[Tuple[str, Any]],
-        should_stop: Optional[Callable[[], bool]] = None,
-    ) -> Tuple[Dict[str, Any], RunReport]:
-        """Run every task; returns ``(results_by_name, report)``.
-
-        Raises :class:`PipelineError` (carrying the report as
-        ``exc.report``) only when a task failed on the pool *and* in
-        the in-process serial fallback.
-
-        ``should_stop`` is polled every loop iteration (the graceful
-        shutdown hook): when it turns true the run *drains* -- no new
-        attempts spawn, every in-flight worker is reaped immediately,
-        unfinished tasks are marked ``"interrupted"`` (not failed, and
-        they skip the serial rung), ``report.interrupted`` is set, and
-        the finished results are returned so the caller can commit them
-        before exiting resumably.
-        """
-        self._fn = fn
-        order = [name for name, _ in tasks]
-        outcomes = {name: TaskOutcome(name) for name, _ in tasks}
-        report = RunReport(outcomes=[outcomes[name] for name in order])
-        results: Dict[str, Any] = {}
-        #: (name, payload, attempt, not_before_monotonic)
-        queue: List[Tuple[str, Any, int, float]] = [
-            (name, payload, 0, 0.0) for name, payload in tasks
-        ]
-        serial: List[Tuple[str, Any]] = []
-        running: List[_Attempt] = []
-        pool_ok = True
-        deaths = 0
-
-        def fail_attempt(att: _Attempt, detail: str, infra: bool) -> None:
-            nonlocal pool_ok, deaths
-            out = outcomes[att.name]
-            out.errors.append(detail)
-            logger.warning(
-                "task %s attempt %d failed: %s",
-                att.name, att.attempt + 1, detail,
-            )
-            if not infra:
-                # A raising task body is deterministic: don't retry,
-                # don't bother the serial rung -- record the failure.
-                out.status = "failed"
-                return
-            deaths += 1
-            if deaths >= self.poison_limit:
-                pool_ok = False
-                report.pool_poisoned = True
-                logger.error(
-                    "pool poisoned after %d worker failures; "
-                    "remaining tasks run serially", deaths,
-                )
-            if pool_ok and att.attempt < self.max_retries:
-                delay = self._backoff(att.name, att.attempt)
-                queue.append((
-                    att.name, att.payload, att.attempt + 1,
-                    time.monotonic() + delay,
-                ))
-            else:
-                serial.append((att.name, att.payload))
-
-        try:
-            while queue or running:
-                if should_stop is not None and should_stop():
-                    report.interrupted = True
-                    break
-                now = time.monotonic()
-                # Spawn every ready task while worker slots are free.
-                if pool_ok:
-                    ready = [
-                        entry for entry in queue if entry[3] <= now
-                    ]
-                    for entry in ready:
-                        if len(running) >= self.jobs:
-                            break
-                        queue.remove(entry)
-                        name, payload, attempt, _ = entry
-                        outcomes[name].attempts += 1
-                        try:
-                            running.append(
-                                self._spawn(name, payload, attempt)
-                            )
-                        except OSError as exc:
-                            pool_ok = False
-                            report.pool_poisoned = True
-                            logger.error(
-                                "worker spawn failed (%s); falling back "
-                                "to serial execution", exc,
-                            )
-                            outcomes[name].attempts -= 1
-                            serial.append((name, payload))
-                            break
-                else:
-                    serial.extend(
-                        (name, payload) for name, payload, _a, _t in queue
-                    )
-                    queue.clear()
-                progressed = False
-                for att in list(running):
-                    msg = None
-                    dead = False
-                    if att.conn.poll():
-                        try:
-                            msg = att.conn.recv()
-                        except (EOFError, OSError):
-                            dead = True
-                    elif not att.proc.is_alive():
-                        # Drain the race where the child wrote and died
-                        # between our poll and the liveness check.
-                        att.proc.join()
-                        if att.conn.poll():
-                            try:
-                                msg = att.conn.recv()
-                            except (EOFError, OSError):
-                                dead = True
-                        else:
-                            dead = True
-                    elif now > att.deadline:
-                        self._reap(att)
-                        running.remove(att)
-                        progressed = True
-                        fail_attempt(
-                            att,
-                            repr(WorkerTimeoutError(
-                                att.name, att.attempt + 1,
-                                "deadline of %.1fs exceeded"
-                                % self.timeout,
-                            )),
-                            infra=True,
-                        )
-                        continue
-                    if msg is None and not dead:
-                        continue
-                    self._reap(att)
-                    running.remove(att)
-                    progressed = True
-                    if msg is None:
-                        code = att.proc.exitcode
-                        fail_attempt(
-                            att,
-                            "worker died without a result "
-                            "(exit code %r)" % (code,),
-                            infra=True,
-                        )
-                    elif msg[0] == "ok":
-                        out = outcomes[att.name]
-                        out.status = "ok"
-                        out.path = (
-                            "pool" if att.attempt == 0 else "pool-retry"
-                        )
-                        out.timings["task_s"] = now - att.started
-                        results[att.name] = msg[1]
-                    else:
-                        fail_attempt(
-                            att,
-                            "%s\n%s" % (msg[1], msg[2]),
-                            infra=False,
-                        )
-                if not progressed and (running or queue):
-                    time.sleep(0.02)
-        finally:
-            for att in running:
-                self._reap(att)
-
-        if report.interrupted:
-            # Drained: whatever did not finish is interrupted, not
-            # failed -- the journal/cache layer above resumes it.  The
-            # serial rung is skipped on purpose (a drain means "stop
-            # doing work", not "finish it more slowly").
-            for out in outcomes.values():
-                if out.status not in ("ok", "failed"):
-                    out.status = "interrupted"
-            logger.warning("supervised run drained: %s", report.summary())
-            report.raise_if_failed()
-            return results, report
-
-        # The bottom rung: in-process serial execution, original task
-        # order (not failure order) so reruns are deterministic.
-        serial_order = [n for n in order if n in {s[0] for s in serial}]
-        by_name = dict(serial)
-        for name in serial_order:
-            out = outcomes[name]
-            out.attempts += 1
-            out.path = "serial"
-            logger.warning("task %s falling back to serial execution", name)
-            try:
-                results[name] = self._fn(by_name[name])
-                out.status = "ok"
-            except Exception as exc:  # noqa: BLE001
-                out.status = "failed"
-                out.errors.append(
-                    "serial fallback raised %s: %s"
-                    % (type(exc).__name__, exc)
-                )
-        report.raise_if_failed()
-        return results, report
-
     def run_stream(
         self,
         fn: Callable[[Any], Any],
@@ -520,35 +325,36 @@ class Supervisor:
         on_result: Optional[Callable[..., None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Tuple[Dict[str, Any], RunReport]:
-        """Like :meth:`run`, but the task graph may *grow* while it runs.
+        """Run every task; returns ``(results_by_name, report)``.
 
-        ``on_result(outcome, value, submit)`` is called in the parent the
-        moment a task succeeds (whatever path computed it);
-        ``submit(name, payload)`` enqueues a follow-up task into the
-        same work queue, so a pipeline -- record tasks fanning out into
-        analyze tasks as recordings land -- flows through one pool with
-        one load balancer.  The loop ends when the queue and the
-        in-flight set are both empty, follow-ups included.
+        The task graph may *grow* while it runs: ``on_result(outcome,
+        value, submit)`` is called in the parent the moment a task
+        succeeds (whatever path computed it), and ``submit(name,
+        payload)`` enqueues a follow-up task into the same work queue,
+        so a pipeline -- record tasks fanning out into analyze tasks as
+        recordings land -- flows through one pool with one load
+        balancer.  The loop ends when the queue and the in-flight set
+        are both empty, follow-ups included.
 
-        Two deliberate differences from :meth:`run` (which is kept
-        byte-for-byte stable for the per-campaign fan-out):
+        A task that exhausts its pool retries -- or hits a poisoned
+        pool -- runs **inline immediately** in this process, so its
+        follow-ups still stream through the queue while other workers
+        keep computing.  Raises :class:`PipelineError` (carrying the
+        report as ``exc.report``) only when a task failed on the pool
+        *and* in that serial fallback.
 
-        * a task that exhausts its pool retries -- or hits a poisoned
-          pool -- runs **inline immediately** instead of in an
-          end-of-run serial rung, so its follow-ups still stream through
-          the queue while other workers keep computing;
-        * per-task wall time is stamped into
-          :attr:`TaskOutcome.timings` on every path.
-
-        Retry, poison, deadline, drain, and failure semantics are
-        otherwise identical (keep the two loops in sync).  Exceptions
-        raised by ``on_result`` itself propagate after the in-flight
-        children are reaped -- a coordinator bug must surface, not hang
-        the fan-out.
+        ``should_stop`` is polled every loop iteration (the graceful
+        shutdown hook): when it turns true the run *drains* -- no new
+        attempts spawn, every in-flight worker is reaped immediately,
+        unfinished tasks are marked ``"interrupted"`` (not failed),
+        ``report.interrupted`` is set, and the finished results are
+        returned so the caller can commit them before exiting
+        resumably.  Exceptions raised by ``on_result`` itself propagate
+        after the in-flight children are reaped -- a coordinator bug
+        must surface, not hang the fan-out.
         """
         self._fn = fn
         outcomes: Dict[str, TaskOutcome] = {}
-        order: List[str] = []
         report = RunReport()
         results: Dict[str, Any] = {}
         #: (name, payload, attempt, not_before_monotonic)
@@ -563,7 +369,6 @@ class Supervisor:
                     "duplicate streamed task name %r" % (name,)
                 )
             outcomes[name] = TaskOutcome(name)
-            order.append(name)
             report.outcomes.append(outcomes[name])
             queue.append((name, payload, 0, 0.0))
 
@@ -734,17 +539,3 @@ class Supervisor:
         report.raise_if_failed()
         return results, report
 
-
-def run_supervised(
-    fn: Callable[[Any], Any],
-    tasks: Sequence[Tuple[str, Any]],
-    jobs: int,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    seed: int = 0,
-) -> Tuple[Dict[str, Any], RunReport]:
-    """One-call convenience wrapper around :class:`Supervisor`."""
-    sup = Supervisor(
-        jobs, timeout=timeout, max_retries=max_retries, seed=seed
-    )
-    return sup.run(fn, tasks)

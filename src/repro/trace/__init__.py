@@ -26,14 +26,6 @@ from repro.trace.serialize import (
     encode_trace,
     view_packed_trace,
 )
-from repro.trace.sharedmem import (
-    SharedTraceHandle,
-    SharedTraceMap,
-    attach_trace,
-    publish_trace,
-    sharedmem_available,
-    unpublish_trace,
-)
 from repro.trace.store import PackedTraceStore, mmap_enabled
 
 __all__ = [
@@ -43,11 +35,8 @@ __all__ = [
     "PackedTraceStore",
     "ResidualView",
     "SegmentPlan",
-    "SharedTraceHandle",
-    "SharedTraceMap",
     "Trace",
     "TraceStats",
-    "attach_trace",
     "kernel_backend",
     "kernels_enabled",
     "compute_stats",
@@ -57,9 +46,6 @@ __all__ = [
     "encode_packed_trace_v2",
     "encode_trace",
     "mmap_enabled",
-    "publish_trace",
-    "sharedmem_available",
     "summarize_conflicts",
-    "unpublish_trace",
     "view_packed_trace",
 ]

@@ -17,8 +17,7 @@ verification, diagnostics, the per-event detector paths).
 Columns are normally owned ``array.array`` storage, but a trace may also
 be *buffer-backed* (:meth:`PackedTrace.from_buffer`): its columns are
 then read-only typed views over an external buffer -- an mmap-backed
-store entry or a shared-memory segment -- so loading a recording copies
-nothing.  See :func:`repro.trace.serialize.view_packed_trace`.
+store entry -- so loading a recording copies nothing.  See :func:`repro.trace.serialize.view_packed_trace`.
 
 Flag encoding matches the on-disk format: bit 0 = write, bit 1 = sync.
 """
@@ -124,9 +123,9 @@ class PackedTrace:
         """A *buffer-backed* trace: columns are typed views, not arrays.
 
         ``columns`` are the five typed views (``memoryview.cast`` over a
-        mapped or shared buffer) in canonical column order; no bytes are
+        mapped buffer) in canonical column order; no bytes are
         copied.  ``backing`` is whatever owns the underlying buffer (an
-        ``mmap``, a ``SharedMemory`` segment) and is pinned for the
+        ``mmap``) and is pinned for the
         trace's lifetime so the views can never dangle.
 
         Buffer-backed traces are read-only recordings: appending raises
@@ -196,7 +195,7 @@ class PackedTrace:
     @property
     def zero_copy(self) -> bool:
         """True when the columns are views over an external buffer
-        (mmap-backed store entry, shared-memory segment) rather than
+        (mmap-backed store entry) rather than
         owned ``array.array`` storage."""
         return not isinstance(self.thread, array)
 

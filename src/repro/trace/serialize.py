@@ -72,7 +72,7 @@ _LITTLE = sys.byteorder == "little"
 
 #: v3 section alignment: 64 bytes (a cache line) relative to the start
 #: of the blob, so columns stay aligned for typed views no matter which
-#: aligned container (store entry, shared-memory segment) holds them.
+#: aligned container (e.g. an mmap-backed store entry) holds them.
 V3_ALIGN = 64
 _V3_INDEX = struct.Struct("<BB")
 _V3_OFFSETS = struct.Struct("<%dQ" % len(COLUMN_TYPECODES))
@@ -271,10 +271,9 @@ def view_packed_trace(
     Columns are read-only typed views (``memoryview.cast``) constructed
     directly over ``data`` -- no pickle, no ``array`` materialization,
     no per-column copy -- so N consumers of one mapped buffer (an
-    ``mmap``-backed store entry, a ``multiprocessing.shared_memory``
-    segment) share one physical copy of the trace.  ``backing`` is any
-    object that must stay alive as long as the views do (the mmap, the
-    open SharedMemory); the returned trace pins it.
+    ``mmap``-backed store entry) share one physical copy of the trace.
+    ``backing`` is any object that must stay alive as long as the views
+    do (the mmap); the returned trace pins it.
 
     Only the v3 format can be viewed (v1/v2 sections are unaligned and
     interleaved); on big-endian hosts the little-endian sections cannot

@@ -488,22 +488,6 @@ class PackedTraceStore:
         """
         return {key: int(value) for key, value in sorted(self.stats.items())}
 
-    def export_run(
-        self, namespace: str, components: Tuple
-    ) -> Optional[Tuple[bytes, Dict[str, Any]]]:
-        """Raw v3 trace bytes plus ``extra`` for this key, or ``None``.
-
-        The publishing path for shared-memory fan-out: the returned blob
-        is exactly what :func:`~repro.trace.serialize.view_packed_trace`
-        consumes, so workers map it zero-copy out of a shared segment.
-        Legacy entries are transparently re-encoded to v3.
-        """
-        loaded = self.load_run(namespace, components)
-        if loaded is None:
-            return None
-        packed, extra = loaded
-        return encode_packed_trace(packed), extra
-
     # -- bare value entries ------------------------------------------------------
 
     def load_value(self, namespace: str, components: Tuple):

@@ -16,11 +16,7 @@ import os
 import pytest
 
 from repro.common.errors import InterruptedRunError
-from repro.experiments.runner import (
-    SCHEDULER_MODES,
-    Suite,
-    SuiteConfig,
-)
+from repro.experiments.runner import Suite, SuiteConfig
 from repro.injection.campaign import analyze_recorded_batch
 from repro.resilience import faults
 from repro.resilience.guard import GUARD_LOG, guarded_outcomes_batch
@@ -41,8 +37,8 @@ _CONFIG = SuiteConfig(
 
 @pytest.fixture(autouse=True)
 def _fault_hygiene(monkeypatch):
-    for var in ("REPRO_FAULTS", "REPRO_MAX_RETRIES", "REPRO_SCHED",
-                "REPRO_BATCH_RUNS", "REPRO_NO_SHM"):
+    for var in ("REPRO_FAULTS", "REPRO_MAX_RETRIES", "REPRO_BATCH_RUNS",
+                "REPRO_CACHE_DIR"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_FSYNC", "0")
     faults.reset()
@@ -83,34 +79,31 @@ class TestSchedulerEquivalence:
     """Serial, campaign-pooled, and run-level runs are byte-identical."""
 
     def test_all_schedulers_agree(self, tmp_path):
+        # The scheduler follows from jobs and the cache directory.
         arms = {
-            "serial": Suite(_CONFIG, jobs=1, cache_dir=tmp_path / "s",
-                            scheduler="campaigns"),
-            "campaigns": Suite(_CONFIG, jobs=2,
-                               cache_dir=tmp_path / "c",
-                               scheduler="campaigns"),
-            "runs": Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "r",
-                          scheduler="runs"),
+            "serial": Suite(_CONFIG, jobs=1, cache_dir=tmp_path / "s"),
+            "pool": Suite(_CONFIG, jobs=2),
+            "pipeline": Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "p"),
         }
         digests = {name: _digest(suite) for name, suite in arms.items()}
-        assert digests["runs"] == digests["serial"]
-        assert digests["campaigns"] == digests["serial"]
-        caches = {
-            name: _campaign_caches(tmp_path / name[0])
-            for name in arms
-        }
-        assert caches["serial"]
-        assert caches["runs"] == caches["serial"]
-        assert caches["campaigns"] == caches["serial"]
+        assert digests["pipeline"] == digests["serial"]
+        assert digests["pool"] == digests["serial"]
+        pool_paths = {out.path for out in arms["pool"].last_report.outcomes}
+        assert pool_paths == {"pool"}
+        assert any(
+            out.name.startswith("rec:")
+            for out in arms["pipeline"].last_report.outcomes
+        )
+        serial_caches = _campaign_caches(tmp_path / "s")
+        assert serial_caches
+        assert _campaign_caches(tmp_path / "p") == serial_caches
 
     def test_batch_size_does_not_change_bytes(self, tmp_path,
                                               monkeypatch):
-        reference = Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "a",
-                          scheduler="runs")
+        reference = Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "a")
         reference.campaigns()
         monkeypatch.setenv("REPRO_BATCH_RUNS", "1")
-        one_by_one = Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "b",
-                           scheduler="runs")
+        one_by_one = Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "b")
         one_by_one.campaigns()
         assert _campaign_caches(tmp_path / "b") == _campaign_caches(
             tmp_path / "a"
@@ -118,14 +111,12 @@ class TestSchedulerEquivalence:
 
     def test_warm_and_partial_cache_accounting(self, tmp_path):
         cache = tmp_path / "warm"
-        cold = Suite(_CONFIG, jobs=2, cache_dir=cache,
-                     scheduler="runs")
+        cold = Suite(_CONFIG, jobs=2, cache_dir=cache)
         cold.campaigns()
         reference = _campaign_caches(cache)
 
         # Fully warm: served without any fan-out at all.
-        warm = Suite(_CONFIG, jobs=2, cache_dir=cache,
-                     scheduler="runs")
+        warm = Suite(_CONFIG, jobs=2, cache_dir=cache)
         warm.campaigns()
         assert warm.last_report is None
 
@@ -134,8 +125,7 @@ class TestSchedulerEquivalence:
         # its own report row, and the rewritten bytes are identical.
         evicted = cold._cache_path("fft")
         evicted.unlink()
-        partial = Suite(_CONFIG, jobs=2, cache_dir=cache,
-                        scheduler="runs")
+        partial = Suite(_CONFIG, jobs=2, cache_dir=cache)
         partial.campaigns()
         paths = {out.path for out in partial.last_report.outcomes}
         assert "cache" in paths
@@ -145,15 +135,6 @@ class TestSchedulerEquivalence:
         )
         assert _campaign_caches(cache) == reference
 
-    def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError):
-            Suite(_CONFIG, jobs=1, scheduler="bogus")
-        assert "runs" in SCHEDULER_MODES
-
-    def test_env_selects_scheduler(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SCHED", "runs")
-        assert Suite(_CONFIG, jobs=1).scheduler == "runs"
-
 
 class TestPipelineUnderChaos:
     """Killed workers and drain requests against the run-level path."""
@@ -161,14 +142,12 @@ class TestPipelineUnderChaos:
     def test_worker_kill_leaves_identical_state(self, tmp_path,
                                                 monkeypatch):
         clean_dir = tmp_path / "clean"
-        clean = _digest(Suite(_CONFIG, jobs=2, cache_dir=clean_dir,
-                              scheduler="runs"))
+        clean = _digest(Suite(_CONFIG, jobs=2, cache_dir=clean_dir))
 
         monkeypatch.setenv("REPRO_FAULTS", "worker_kill:1")
         faults.arm()
         faulted_dir = tmp_path / "faulted"
-        suite = Suite(_CONFIG, jobs=2, cache_dir=faulted_dir,
-                      scheduler="runs")
+        suite = Suite(_CONFIG, jobs=2, cache_dir=faulted_dir)
         assert _digest(suite) == clean
         assert suite.last_report.degraded
         assert _campaign_caches(faulted_dir) == _campaign_caches(
@@ -178,16 +157,14 @@ class TestPipelineUnderChaos:
     def test_drain_is_resumable_and_bit_identical(self, tmp_path,
                                                   monkeypatch):
         clean_dir = tmp_path / "clean"
-        baseline = _digest(Suite(_CONFIG, jobs=2, cache_dir=clean_dir,
-                                 scheduler="runs"))
+        baseline = _digest(Suite(_CONFIG, jobs=2, cache_dir=clean_dir))
 
         # Land the drain request mid-campaign: after the workload rows
         # and the first few per-run rows have hit the journal.
         cache = tmp_path / "interrupted"
         monkeypatch.setenv("REPRO_FAULTS", "sigterm_drain:6")
         faults.arm()
-        suite = Suite(_CONFIG, jobs=2, cache_dir=cache,
-                      scheduler="runs")
+        suite = Suite(_CONFIG, jobs=2, cache_dir=cache)
         with pytest.raises(InterruptedRunError) as excinfo:
             suite.campaigns()
         run_id = excinfo.value.run_id
@@ -209,8 +186,7 @@ class TestPipelineUnderChaos:
 
         # Resume over the same cache completes bit-identically.
         faults.arm("")
-        resumed = Suite(_CONFIG, jobs=2, cache_dir=cache,
-                        scheduler="runs")
+        resumed = Suite(_CONFIG, jobs=2, cache_dir=cache)
         assert _digest(resumed) == baseline
         assert resumed.warnings["resumed"] == 1
         assert _campaign_caches(cache) == _campaign_caches(clean_dir)
@@ -220,8 +196,7 @@ class TestPipelineUnderChaos:
         # Sweep the drain tick across the journal's first transitions:
         # wherever SIGTERM lands, the resume completes byte-identically.
         clean_dir = tmp_path / "clean"
-        Suite(_CONFIG, jobs=2, cache_dir=clean_dir,
-              scheduler="runs").campaigns()
+        Suite(_CONFIG, jobs=2, cache_dir=clean_dir).campaigns()
         clean = _campaign_caches(clean_dir)
         for tick in (1, 4, 9):
             cache = tmp_path / ("drain%d" % tick)
@@ -230,12 +205,10 @@ class TestPipelineUnderChaos:
             )
             faults.arm()
             with pytest.raises(InterruptedRunError):
-                Suite(_CONFIG, jobs=2, cache_dir=cache,
-                      scheduler="runs").campaigns()
+                Suite(_CONFIG, jobs=2, cache_dir=cache).campaigns()
             faults.arm("")
             monkeypatch.delenv("REPRO_FAULTS")
-            resumed = Suite(_CONFIG, jobs=2, cache_dir=cache,
-                            scheduler="runs")
+            resumed = Suite(_CONFIG, jobs=2, cache_dir=cache)
             resumed.campaigns()
             assert resumed.warnings["resumed"] == 1
             assert _campaign_caches(cache) == clean
@@ -290,13 +263,11 @@ class TestBatchTierDegradation:
     def test_batch_raise_through_suite_is_transparent(self, tmp_path,
                                                       monkeypatch):
         clean_dir = tmp_path / "clean"
-        Suite(_CONFIG, jobs=1, cache_dir=clean_dir,
-              scheduler="campaigns").campaigns()
+        Suite(_CONFIG, jobs=1, cache_dir=clean_dir).campaigns()
         monkeypatch.setenv("REPRO_FAULTS", "batch_raise:1")
         faults.arm()
         faulted_dir = tmp_path / "faulted"
-        Suite(_CONFIG, jobs=2, cache_dir=faulted_dir,
-              scheduler="runs").campaigns()
+        Suite(_CONFIG, jobs=2, cache_dir=faulted_dir).campaigns()
         assert _campaign_caches(faulted_dir) == _campaign_caches(
             clean_dir
         )

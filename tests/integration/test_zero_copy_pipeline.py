@@ -1,38 +1,11 @@
 """Integration: the zero-copy trace plane end to end.
 
-Three layers:
-
-* ``record_injected_once`` serves recordings from a shared-memory map
-  before the store, falls back layer by layer (corrupt segment ->
-  store -> re-record), and every layer returns identical recordings.
-* The pooled :class:`Suite` publishes warm recordings over shared
-  memory, workers attach zero-copy, and the resulting campaign caches
-  are byte-identical to the serial and cold paths (the acceptance
-  criterion for the v3/mmap/shared-memory stack).
-* A warm store-backed sweep performs zero eager deserializations
-  (every read is an mmap hit).
+A warm store-backed sweep performs zero eager deserializations (every
+read is an mmap hit).
 """
 
-import glob
-import os
-import shutil
-
-import pytest
-
-from repro.experiments.runner import Suite, SuiteConfig, trace_namespace
-from repro.injection.campaign import (
-    CampaignConfig,
-    plan_campaign_runs,
-    record_injected_once,
-)
-from repro.trace import (
-    PackedTraceStore,
-    SharedTraceHandle,
-    SharedTraceMap,
-    publish_trace,
-    sharedmem_available,
-    unpublish_trace,
-)
+from repro.injection.campaign import record_injected_once
+from repro.trace import PackedTraceStore
 from repro.workloads import WorkloadParams, get_workload
 
 PARAMS = WorkloadParams(scale=0.25)
@@ -40,60 +13,6 @@ PARAMS = WorkloadParams(scale=0.25)
 
 def _factory(name="fft"):
     return get_workload(name).program_factory(PARAMS)
-
-
-def test_shared_map_served_before_store(tmp_path):
-    if not sharedmem_available():
-        pytest.skip("shared memory unavailable")
-    store = PackedTraceStore(tmp_path)
-    baseline = record_injected_once(
-        _factory(), seed=11, target_index=2,
-        store=store, namespace="fft/ns",
-    )
-    blob, extra = store.export_run("fft/ns", (11, 2, 0.1))
-    handle, shm = publish_trace(blob)
-    try:
-        shared = SharedTraceMap({(11, 2, 0.1): (handle, extra)})
-        fresh_store = PackedTraceStore(tmp_path)
-        served = record_injected_once(
-            _factory(), seed=11, target_index=2,
-            store=fresh_store, namespace="fft/ns", shared=shared,
-        )
-        assert shared.stats["shm_attach_hits"] == 1
-        # The store was never consulted: shared memory won.
-        assert fresh_store.stats["run_hits"] == 0
-        assert served.packed.zero_copy
-        assert served.packed.columns_equal(baseline.packed)
-        assert served.removed == baseline.removed
-        assert served.injected == baseline.injected
-        assert served.n_threads == baseline.n_threads
-    finally:
-        unpublish_trace(shm)
-
-
-def test_shared_map_corruption_falls_back_to_store(tmp_path):
-    if not sharedmem_available():
-        pytest.skip("shared memory unavailable")
-    store = PackedTraceStore(tmp_path)
-    baseline = record_injected_once(
-        _factory(), seed=11, target_index=2,
-        store=store, namespace="fft/ns",
-    )
-    blob, extra = store.export_run("fft/ns", (11, 2, 0.1))
-    handle, shm = publish_trace(blob)
-    try:
-        tampered = SharedTraceHandle(handle.name, handle.size, "0" * 64)
-        shared = SharedTraceMap({(11, 2, 0.1): (tampered, extra)})
-        fallback_store = PackedTraceStore(tmp_path)
-        served = record_injected_once(
-            _factory(), seed=11, target_index=2,
-            store=fallback_store, namespace="fft/ns", shared=shared,
-        )
-        assert shared.stats["shm_digest_mismatch"] == 1
-        assert fallback_store.stats["run_hits"] == 1
-        assert served.packed.columns_equal(baseline.packed)
-    finally:
-        unpublish_trace(shm)
 
 
 def test_warm_store_reads_are_all_mmap_hits(tmp_path):
@@ -117,72 +36,3 @@ def test_warm_store_reads_are_all_mmap_hits(tmp_path):
     assert warm.stats["mmap_hits"] == len(keys)
     assert warm.stats["eager_decodes"] == 0
     assert warm.stats["run_misses"] == 0
-
-
-def _campaign_caches(cache_dir):
-    return {
-        os.path.basename(path): open(path, "rb").read()
-        for path in glob.glob(os.path.join(cache_dir, "campaign-*.pkl"))
-    }
-
-
-def _reset_campaign_caches(cache_dir):
-    for path in glob.glob(os.path.join(cache_dir, "campaign-*.pkl")):
-        os.remove(path)
-    shutil.rmtree(os.path.join(cache_dir, "journal"), ignore_errors=True)
-
-
-def test_pooled_suite_shared_memory_byte_identical(tmp_path):
-    if not sharedmem_available():
-        pytest.skip("shared memory unavailable")
-    cache_dir = str(tmp_path / "cache")
-    config = SuiteConfig(
-        runs_per_app=3, workloads=["fft", "lu"], params=PARAMS
-    )
-
-    # Cold pooled pass: records every trace, nothing published yet.
-    # (Shared-memory publication belongs to the campaign-level
-    # scheduler; the run-level pipeline maps traces off the store mmap
-    # instead, so pin the scheduler this test is about.)
-    cold = Suite(config, jobs=2, cache_dir=cache_dir,
-                 scheduler="campaigns")
-    cold.campaigns()
-    cold_caches = _campaign_caches(cache_dir)
-    assert cold_caches
-
-    # Warm pooled pass over the recorded store: the parent publishes
-    # every recording and the workers attach zero-copy.
-    _reset_campaign_caches(cache_dir)
-    warm = Suite(config, jobs=2, cache_dir=cache_dir,
-                 scheduler="campaigns")
-    warm.campaigns()
-    assert warm.warnings["shm_published"] == 2 * 3
-    assert _campaign_caches(cache_dir) == cold_caches
-
-    # Warm serial pass (store only, no pool, no shared memory).
-    _reset_campaign_caches(cache_dir)
-    serial = Suite(config, jobs=1, cache_dir=cache_dir)
-    serial.campaigns()
-    assert _campaign_caches(cache_dir) == cold_caches
-
-    # No segments leaked past the fan-out.
-    assert not glob.glob("/dev/shm/psm_*")
-
-
-def test_plan_matches_recorded_keys(tmp_path):
-    # The planner must reproduce exactly the keys the campaign records
-    # under -- otherwise publication would silently miss everything.
-    store = PackedTraceStore(tmp_path / "traces")
-    config = SuiteConfig(runs_per_app=3, workloads=["fft"], params=PARAMS)
-    suite = Suite(config, jobs=1, cache_dir=str(tmp_path))
-    suite.campaigns()
-    namespace = trace_namespace("fft", PARAMS)
-    plan = plan_campaign_runs(
-        "fft",
-        CampaignConfig(n_runs=3, base_seed=config.base_seed),
-        store,
-        namespace,
-    )
-    assert plan is not None and len(plan) == 3
-    for components in plan:
-        assert store.export_run(namespace, components) is not None

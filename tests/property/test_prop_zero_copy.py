@@ -225,26 +225,3 @@ def test_bit_flipped_v3_entry_quarantined(tmp_path):
     assert store.stats["run_misses"] == 1
     assert store.stats["mmap_hits"] == 0
 
-
-def test_shared_segment_digest_mismatch_rejected():
-    from repro.trace import (
-        SharedTraceHandle,
-        attach_trace,
-        publish_trace,
-        sharedmem_available,
-        unpublish_trace,
-    )
-
-    if not sharedmem_available():
-        pytest.skip("shared memory unavailable")
-    packed = PackedTrace.from_events(
-        _build_events([(0, 4, True, False, 1, 2)]), [2**31] * 4
-    )
-    handle, shm = publish_trace(encode_packed_trace(packed))
-    try:
-        assert attach_trace(handle).columns_equal(packed)
-        tampered = SharedTraceHandle(handle.name, handle.size, "0" * 64)
-        with pytest.raises(StoreCorruptError):
-            attach_trace(tampered)
-    finally:
-        unpublish_trace(shm)

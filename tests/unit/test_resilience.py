@@ -5,8 +5,10 @@ faults lives in ``tests/integration/test_chaos_pipeline.py``; these
 tests pin the individual mechanisms.
 """
 
+import logging
 import os
 import pickle
+import time
 
 import pytest
 
@@ -26,7 +28,8 @@ from repro.resilience.guard import (
     compute_outcomes,
     verify_ladder_equivalence,
 )
-from repro.resilience.supervisor import Supervisor, run_supervised
+from repro.resilience.checkpoint import GracefulShutdown
+from repro.resilience.supervisor import Supervisor
 from repro.trace.store import (
     PackedTraceStore,
     frame_payload,
@@ -103,7 +106,7 @@ _TASKS = [("a", 2), ("b", 3), ("c", 4)]
 
 class TestSupervisor:
     def test_happy_path(self):
-        results, report = run_supervised(_square, _TASKS, jobs=2)
+        results, report = Supervisor(2).run_stream(_square, _TASKS)
         assert results == {"a": 4, "b": 9, "c": 16}
         assert report.ok and not report.degraded
         assert [out.name for out in report.outcomes] == ["a", "b", "c"]
@@ -112,7 +115,7 @@ class TestSupervisor:
     def test_worker_kill_is_retried(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "worker_kill:1")
         faults.arm()
-        results, report = run_supervised(_square, _TASKS, jobs=2)
+        results, report = Supervisor(2).run_stream(_square, _TASKS)
         assert results == {"a": 4, "b": 9, "c": 16}
         assert report.ok and report.degraded
         for out in report.outcomes:
@@ -124,8 +127,8 @@ class TestSupervisor:
         monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1")
         monkeypatch.setenv("REPRO_FAULT_STALL_SECONDS", "30")
         faults.arm()
-        results, report = run_supervised(
-            _square, [("a", 2), ("b", 3)], jobs=2, timeout=1.0
+        results, report = Supervisor(2, timeout=1.0).run_stream(
+            _square, [("a", 2), ("b", 3)]
         )
         assert results == {"a": 4, "b": 9}
         assert report.ok and report.degraded
@@ -138,18 +141,19 @@ class TestSupervisor:
         # process, on the serial rung.
         monkeypatch.setenv("REPRO_FAULTS", "worker_kill:99")
         faults.arm()
-        results, report = run_supervised(
-            _square, [("a", 5)], jobs=2, max_retries=1
+        results, report = Supervisor(2, max_retries=1).run_stream(
+            _square, [("a", 5), ("b", 6)]
         )
-        assert results == {"a": 25}
-        out = report.outcomes[0]
-        assert out.ok and out.path == "serial"
-        assert out.attempts == 3  # two pool attempts + serial
-        assert len(out.errors) == 2
+        assert results == {"a": 25, "b": 36}
+        assert [out.name for out in report.outcomes] == ["a", "b"]
+        for out in report.outcomes:
+            assert out.ok and out.path == "serial"
+            assert out.attempts == 3  # two pool attempts + serial
+            assert len(out.errors) == 2
 
     def test_task_exception_is_not_retried(self):
         with pytest.raises(PipelineError) as excinfo:
-            run_supervised(_boom, [("a", 1), ("b", 2)], jobs=2)
+            Supervisor(2).run_stream(_boom, [("a", 1), ("b", 2)])
         report = excinfo.value.report
         assert not report.ok
         assert all(out.status == "failed" for out in report.outcomes)
@@ -158,8 +162,37 @@ class TestSupervisor:
 
     def test_failure_report_lists_tasks(self):
         with pytest.raises(PipelineError) as excinfo:
-            run_supervised(_boom, [("only", 1)], jobs=2)
+            Supervisor(2).run_stream(_boom, [("only", 1)])
         assert "only" in str(excinfo.value)
+
+    def test_hung_workers_reaped_promptly_under_shutdown_handler(
+        self, monkeypatch, capfd
+    ):
+        # Forked children inherit the parent's GracefulShutdown handler;
+        # unless they reset it, terminate() only logs a drain request in
+        # the child and each reap waits out its join before kill().
+        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1")
+        monkeypatch.setenv("REPRO_FAULT_STALL_SECONDS", "30")
+        faults.arm()
+        tasks = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
+        # pytest captures log records in memory, so route the drain
+        # handler's warning to the (fd-captured) stderr a child shares.
+        handler = logging.StreamHandler()
+        drain_logger = logging.getLogger("repro.resilience.checkpoint")
+        drain_logger.addHandler(handler)
+        start = time.monotonic()
+        try:
+            with GracefulShutdown():
+                results, report = Supervisor(2, timeout=0.5).run_stream(
+                    _square, tasks
+                )
+        finally:
+            elapsed = time.monotonic() - start
+            drain_logger.removeHandler(handler)
+        assert results == {"a": 1, "b": 4, "c": 9, "d": 16}
+        assert all(out.path == "pool-retry" for out in report.outcomes)
+        assert elapsed < 2.5
+        assert "received signal" not in capfd.readouterr().err
 
     def test_deterministic_backoff(self):
         a = Supervisor(2, seed=7)._backoff("fft", 1)

@@ -140,7 +140,7 @@ def _group_key(det):
 _THRESHOLDS = (4, 8, 16, 32)
 
 
-def fuse_cord_detectors(detectors, packed, hints=None) -> frozenset:
+def fuse_cord_detectors(detectors, packed) -> frozenset:
     """Fuse D-sweep groups among ``detectors`` over ``packed``.
 
     Returns the ``id()`` set of detectors whose pass was performed here;
@@ -148,15 +148,6 @@ def fuse_cord_detectors(detectors, packed, hints=None) -> frozenset:
     still runs normally).  Detectors that cannot fuse -- wrong type,
     warm, windowed, plans unavailable, or trajectory splits -- are left
     untouched.
-
-    ``hints`` is the run-batch axis' cost memo: a mutable dict mapping a
-    group signature (group key plus its D values) to the threshold that
-    last succeeded for that signature.  Same-suite runs of a campaign
-    almost always partition their trajectories the same way, so starting
-    the ladder at the remembered threshold skips the aborted attempts
-    run 1 already paid for.  Purely a cost policy: every threshold
-    materializes exact results, so a stale hint can never change a
-    report -- if the hinted range aborts, the ladder narrows as usual.
     """
     from repro.cord.coherence import build_coherence_plan
     from repro.cord.detector import CordDetector
@@ -188,7 +179,7 @@ def fuse_cord_detectors(detectors, packed, hints=None) -> frozenset:
             continue
         groups.setdefault(_group_key(det), []).append(det)
 
-    for gkey, group in groups.items():
+    for group in groups.values():
         if len(group) < 2:
             continue
         group.sort(key=lambda det: det._d)
@@ -216,20 +207,8 @@ def fuse_cord_detectors(detectors, packed, hints=None) -> frozenset:
         # {8,16},{32..} tails), so try [4..] and narrow on aborts.  An
         # aborted attempt wastes only its interpreted prefix; success
         # replaces len(suffix) kernel passes with one ~2x pass.
-        sig = (gkey, tuple(det._d for det in group))
-        ladder = _THRESHOLDS
-        if hints is not None:
-            hint = hints.get(sig)
-            if hint is not None:
-                # Start where the last run of this signature succeeded.
-                # A wider range than an aborted one would abort too (its
-                # trajectories contain the split), so only narrower
-                # thresholds remain worth trying after the hinted one.
-                ladder = (hint,) + tuple(
-                    t for t in _THRESHOLDS if t > hint
-                )
         tried = None
-        for threshold in ladder:
+        for threshold in _THRESHOLDS:
             suffix = [det for det in group if det._d >= threshold]
             if len(suffix) < 2 or suffix[0]._d == suffix[-1]._d:
                 break
@@ -243,8 +222,6 @@ def fuse_cord_detectors(detectors, packed, hints=None) -> frozenset:
                 )
             except Inconsistent:
                 continue
-            if hints is not None:
-                hints[sig] = threshold
             for det in suffix:
                 _materialize(det, result)
                 fused.add(id(det))

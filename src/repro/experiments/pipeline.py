@@ -30,10 +30,9 @@ Stages (``payload["stage"]``):
     pickled through the result pipe.
 
 ``"analyze"``
-    Load a batch of recorded runs and analyze them through the ladder's
-    multi-run batch tier
-    (:func:`~repro.injection.campaign.analyze_recorded_batch`); returns
-    the per-run :class:`~repro.injection.campaign.RunResult` rows.
+    Load a batch of recorded runs and analyze each one
+    (:func:`~repro.injection.campaign.analyze_recorded`); returns the
+    per-run :class:`~repro.injection.campaign.RunResult` rows.
 
 Every stage is idempotent and keyed into the store, so supervisor
 retries, serial fallbacks, and resumed runs recompute nothing that is
@@ -46,35 +45,19 @@ are merged into the task's :class:`~repro.resilience.supervisor
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Tuple
 
-from repro.injection.campaign import (
-    analyze_recorded_batch,
-    record_injected_once,
-)
+from repro.injection.campaign import analyze_recorded, record_injected_once
 from repro.injection.injector import count_sync_instances
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
 
-#: Analysis batch size: how many recorded runs one analyze task covers
-#: (``REPRO_BATCH_RUNS``).  Large enough to amortize arena construction
-#: and numpy dispatch, small enough that recording stays ahead of
-#: analysis and a retried analyze task re-covers little work.
-BATCH_RUNS_ENV = "REPRO_BATCH_RUNS"
-_DEFAULT_BATCH_RUNS = 4
-
-
-def default_batch_runs() -> int:
-    raw = os.environ.get(BATCH_RUNS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return _DEFAULT_BATCH_RUNS
+#: Analysis batch size: how many recorded runs one analyze task covers.
+#: Small enough that recording stays ahead of analysis and a retried
+#: analyze task re-covers little work.
+BATCH_RUNS = 4
 
 
 def size_payload(
@@ -188,20 +171,20 @@ def run_stage_task(payload: Dict, store=None, factory=None) -> Dict:
         for run_index, seed, target in payload["runs"]
     ]
     loaded = time.monotonic()
-    results = analyze_recorded_batch(
-        recorded,
-        detectors,
-        check_soundness=payload["check_soundness"],
-        store=store,
-        namespace=namespace,
-        switch_probability=switch_probability,
-    )
+    results = [
+        analyze_recorded(
+            run,
+            detectors,
+            payload["check_soundness"],
+            store=store,
+            namespace=namespace,
+            switch_probability=switch_probability,
+        )
+        for run in recorded
+    ]
     finished = time.monotonic()
     return {
-        "results": [
-            (run.run_index, run)
-            for run in results
-        ],
+        "results": [(run.run_index, run) for run in results],
         "timings": {
             "store_io_s": loaded - started,
             "analyze_s": finished - loaded,

@@ -521,7 +521,7 @@ class Suite:
         detector_names = [
             spec.name for spec in config.detector_suite()
         ]
-        batch_runs = pipeline.default_batch_runs()
+        batch_runs = pipeline.BATCH_RUNS
 
         wl_tasks = {}
         for name in pending:

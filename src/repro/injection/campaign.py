@@ -33,11 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
 from repro.detectors.base import AccessId, DetectionOutcome
-from repro.resilience.guard import (
-    guarded_outcomes,
-    guarded_outcomes_batch,
-    mark_plan_sharing,
-)
+from repro.resilience.guard import guarded_outcomes, mark_plan_sharing
 from repro.resilience.journal import TaskCheckpoint
 from repro.detectors.registry import DetectorSpec, standard_suite
 from repro.engine.executor import run_program
@@ -287,18 +283,6 @@ def detectors_digest(
     return hashlib.sha256(ident.encode()).hexdigest()[:12]
 
 
-def _fresh_run_result(recorded: RecordedRun) -> RunResult:
-    return RunResult(
-        run_index=recorded.run_index,
-        seed=recorded.seed,
-        target_index=recorded.target_index,
-        injected=recorded.injected,
-        removed=recorded.removed,
-        hung=recorded.hung,
-        n_events=len(recorded.packed),
-    )
-
-
 def analyze_recorded(
     recorded: RecordedRun,
     detectors: Sequence[DetectorSpec],
@@ -320,15 +304,16 @@ def analyze_recorded(
     With ``REPRO_CROSS_CHECK=1`` the lower tiers are also run eagerly
     and asserted byte-identical.
 
-    With a ``store`` *and* a journal ``task`` (the checkpointed path),
-    every detector's outcome is additionally persisted as a durable
-    per-config *slice* -- written after the soundness check, journaled
-    as an ``analyzed`` transition -- and any slice already on disk is
-    reused instead of recomputed.  A resumed run therefore re-analyzes
-    only the configurations the interruption cut off, and assembles a
-    bit-identical :class:`RunResult` either way (the ladder guarantees
-    fused/kernel/scalar equivalence, and result dicts are filled in
-    canonical detector order on both paths).
+    With a ``store`` and a ``switch_probability``, every detector's
+    outcome is additionally persisted as a durable per-config *slice*
+    (written after the soundness check) and any slice already on disk
+    is reused instead of recomputed.  A resumed run therefore
+    re-analyzes only the configurations the interruption cut off, and
+    assembles a bit-identical :class:`RunResult` either way (the ladder
+    guarantees fused/kernel/scalar equivalence, and result dicts are
+    filled in canonical detector order on both paths).  With a journal
+    ``task``, each freshly computed configuration is also journaled as
+    an ``analyzed`` transition.
 
     The slices of one run live together in a single *outcome bundle*
     entry (one atomic write per run, not one per config): the analysis
@@ -337,28 +322,23 @@ def analyze_recorded(
     granularity while keeping the journaling overhead within its <= 2%
     budget (see ``benchmarks/bench_sensitivity.py``).
     """
-    result = _fresh_run_result(recorded)
-    checkpointed = (
-        store is not None
-        and task is not None
-        and switch_probability is not None
+    result = RunResult(
+        run_index=recorded.run_index,
+        seed=recorded.seed,
+        target_index=recorded.target_index,
+        injected=recorded.injected,
+        removed=recorded.removed,
+        hung=recorded.hung,
+        n_events=len(recorded.packed),
     )
-    if not checkpointed:
-        outcomes: Dict[str, DetectionOutcome] = guarded_outcomes(
-            detectors, recorded.n_threads, recorded.packed
+    persist = store is not None and switch_probability is not None
+    slices: Dict[str, Dict] = {}
+    if persist:
+        bundle_key = _bundle_key(
+            recorded, switch_probability,
+            detectors_digest(detectors, check_soundness),
         )
-        for spec in detectors:
-            outcome = outcomes[spec.name]
-            result.flagged[spec.name] = outcome.raw_count
-            result.problem[spec.name] = outcome.problem_detected
-            result.counters[spec.name] = dict(outcome.counters)
-        if check_soundness and "Ideal" in outcomes:
-            _check_soundness(outcomes, result)
-        return result
-
-    digest = detectors_digest(detectors, check_soundness)
-    bundle_key = _bundle_key(recorded, switch_probability, digest)
-    slices = _load_bundle_slices(store, namespace, bundle_key, detectors)
+        slices = _load_bundle_slices(store, namespace, bundle_key, detectors)
     missing = [spec for spec in detectors if spec.name not in slices]
     fresh: Dict[str, DetectionOutcome] = (
         guarded_outcomes(missing, recorded.n_threads, recorded.packed)
@@ -371,11 +351,12 @@ def analyze_recorded(
     # uninterrupted run's), then journal each fresh configuration as an
     # ``analyzed`` transition -- the per-config kill points the chaos
     # matrix exercises.  A run with nothing fresh rewrites nothing.
-    if fresh:
+    if persist and fresh:
         store.store_value(
             namespace, bundle_key,
             _merged_bundle(detectors, slices, fresh, result),
         )
+    if task is not None:
         for spec in detectors:
             if spec.name in fresh:
                 task.analyzed(spec.name)
@@ -425,7 +406,7 @@ def _assemble_run(
 
     Canonical-order assembly: durable counters already carry their
     post-soundness ``false_positive_accesses`` entry; fresh ones gain
-    it below, appended last exactly as the plain path does.
+    it below, appended last exactly as :func:`_check_soundness` does.
     """
     for spec in detectors:
         name = spec.name
@@ -481,75 +462,6 @@ def _merged_bundle(
         )
         for spec in detectors
     }
-
-
-def analyze_recorded_batch(
-    recorded_runs: Sequence[RecordedRun],
-    detectors: Sequence[DetectorSpec],
-    check_soundness: bool = True,
-    store: Optional[PackedTraceStore] = None,
-    namespace: Optional[str] = None,
-    switch_probability: Optional[float] = None,
-) -> List[RunResult]:
-    """:func:`analyze_recorded` over a batch of same-workload runs.
-
-    The batch enters the ladder's multi-run tier
-    (:func:`repro.resilience.guard.guarded_outcomes_batch`): one arena
-    pass seeds every run's analysis plans, then each run flows through
-    the ordinary per-run tiers, so the per-run reports -- and, with a
-    ``store`` and ``switch_probability``, the persisted outcome
-    bundles -- are byte-identical to :func:`analyze_recorded`'s (pinned
-    by the batch property suite).  Runs whose bundles are already
-    complete on disk are assembled without re-analysis and rewrite
-    nothing, exactly like the per-run path.
-
-    No journal ``task`` rides along: the run-level scheduler journals
-    recording and commits, and bundle writes are atomic and keyed, so
-    the ``analyzed`` markers' observational granularity is not needed
-    here.
-    """
-    persist = store is not None and switch_probability is not None
-    digest = detectors_digest(detectors, check_soundness)
-    keys: List[Optional[Tuple]] = []
-    slices_per: List[Dict[str, Dict]] = []
-    missing_per: List[List[DetectorSpec]] = []
-    for recorded in recorded_runs:
-        if persist:
-            bundle_key = _bundle_key(recorded, switch_probability, digest)
-            slices = _load_bundle_slices(
-                store, namespace, bundle_key, detectors
-            )
-        else:
-            bundle_key, slices = None, {}
-        keys.append(bundle_key)
-        slices_per.append(slices)
-        missing_per.append(
-            [spec for spec in detectors if spec.name not in slices]
-        )
-
-    items = [
-        (missing, recorded.n_threads, recorded.packed)
-        for recorded, missing in zip(recorded_runs, missing_per)
-        if missing
-    ]
-    fresh_iter = iter(
-        guarded_outcomes_batch(items) if items else []
-    )
-
-    results: List[RunResult] = []
-    for recorded, slices, missing, bundle_key in zip(
-        recorded_runs, slices_per, missing_per, keys
-    ):
-        fresh = next(fresh_iter) if missing else {}
-        result = _fresh_run_result(recorded)
-        _assemble_run(result, detectors, check_soundness, slices, fresh)
-        if persist and fresh:
-            store.store_value(
-                namespace, bundle_key,
-                _merged_bundle(detectors, slices, fresh, result),
-            )
-        results.append(result)
-    return results
 
 
 def format_campaign_report(campaign: CampaignResult) -> str:
@@ -663,7 +575,7 @@ def _soundness_one(
 ) -> None:
     """Soundness check for one detector outcome against the oracle.
 
-    Factored out of :func:`_check_soundness` so the checkpointed path
+    Factored out of :func:`_check_soundness` so :func:`analyze_recorded`
     can check only the freshly computed outcomes while mixing in durable
     slices (which passed this check when they were minted).
     """

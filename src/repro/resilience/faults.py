@@ -31,7 +31,6 @@ Fault points wired into the pipeline:
                    (default 30) before working, tripping the task deadline
 ``store_truncate`` :class:`~repro.trace.store.PackedTraceStore` writes only
                    half of an entry's frame (a torn write)
-``batch_raise``    the multi-run batch-prime arena pass raises at entry
 ``fused_raise``    the interval-fused sweep pass raises at entry
 ``kernel_raise``   ``CordDetector._process_packed_kernel`` raises at entry
 ``driver_kill``    the *driver* process exits hard (``os._exit``) right

@@ -1,27 +1,15 @@
-"""The automatic degradation ladder: batch -> fused -> kernel -> scalar.
+"""The automatic degradation ladder: fused -> kernel -> scalar.
 
-The analysis stack has four tiers, fastest first:
+The analysis stack has three tiers, fastest first:
 
-1. **batch** -- one arena pass builds the analysis plans for *k*
-   same-geometry recorded runs at once (the batched builders in
-   :mod:`repro.trace.kernels`, seeded into each trace's plan cache) and
-   carries fused-threshold hints across the batch; the only multi-run
-   tier;
-2. **fused** -- one interval-fused pass covers a whole D-sweep group
+1. **fused** -- one interval-fused pass covers a whole D-sweep group
    (:func:`repro.cord.fused.fuse_cord_detectors`);
-3. **kernel** -- the per-configuration packed pass
+2. **kernel** -- the per-configuration packed pass
    (``Detector.run_packed``, which internally picks the plan-driven
    kernel or the scalar columnar loop);
-4. **scalar** -- the pure-python per-event-object reference path
+3. **scalar** -- the pure-python per-event-object reference path
    (``Detector.run`` over materialized events), the code every
    accelerated tier is pinned byte-identical to.
-
-The batch tier is pure *preparation*: it seeds per-trace caches with
-values byte-identical to what the per-run builders would derive (pinned
-by the batch property suite), so abandoning it mid-flight just means
-some runs derive their own plans -- one poisoned run degrades alone
-through the per-run tiers while the rest of the batch keeps its seeded
-plans.
 
 All three produce identical reports by construction (and by the
 equivalence test suites), so an accelerated tier is always *safe to
@@ -57,9 +45,8 @@ from repro.trace.stream import Trace
 
 logger = logging.getLogger("repro.resilience.guard")
 
-#: Ladder tiers, fastest first.  "batch" is the only multi-run tier;
-#: the other three are per-configuration within one run.
-LADDER = ("batch", "fused", "kernel", "scalar")
+#: Ladder tiers, fastest first; all are per-configuration within one run.
+LADDER = ("fused", "kernel", "scalar")
 
 
 def cross_check_enabled() -> bool:
@@ -71,8 +58,8 @@ def cross_check_enabled() -> bool:
 class DegradationEvent:
     """One recorded fall down the ladder."""
 
-    tier: str        #: the tier that failed ("batch", "fused" or "kernel")
-    detector: str    #: spec name, or "*" for a whole fused group / batch
+    tier: str        #: the tier that failed ("fused" or "kernel")
+    detector: str    #: spec name, or "*" for a whole fused group
     error: str       #: ``repr()`` of the exception
 
     def __str__(self):
@@ -137,16 +124,13 @@ def compute_outcomes(
     allow_fused: bool = True,
     allow_packed: bool = True,
     guard_log: Optional[GuardLog] = None,
-    fused_hints: Optional[dict] = None,
 ) -> Dict[str, "DetectionOutcome"]:  # noqa: F821 - doc reference
     """Analyze ``packed`` with every spec, degrading tiers on failure.
 
     The entry tier is selected by the flags (``allow_fused=False`` skips
     straight to the kernel tier; ``allow_packed=False`` to scalar) --
     the cross-check uses them to pin a tier; normal analysis leaves both
-    True and only ever *descends*.  ``fused_hints`` is the batch tier's
-    threshold memo, threaded through to
-    :func:`repro.cord.fused.fuse_cord_detectors` (cost policy only).
+    True and only ever *descends*.
     """
     log = GUARD_LOG if guard_log is None else guard_log
     if not allow_packed:
@@ -163,8 +147,7 @@ def compute_outcomes(
 
         try:
             fused_ids = fuse_cord_detectors(
-                [det for _spec, det in built], packed,
-                hints=fused_hints,
+                [det for _spec, det in built], packed
             )
         except Exception as exc:  # noqa: BLE001 - the ladder's contract
             log.record("fused", "*", exc)
@@ -257,116 +240,3 @@ def guarded_outcomes(
     if cross_check_enabled():
         verify_ladder_equivalence(specs, n_threads, packed, outcomes)
     return outcomes
-
-
-# -- the batch tier (multi-run arena) -----------------------------------------
-
-
-def _needed_products(specs, n_threads):
-    """What plan products do these specs consume on the kernel tier?
-
-    Throwaway builds introspect each detector's geometry: CORD and the
-    vector-clock comparison configs need a
-    :class:`~repro.trace.kernels.SegmentPlan` per line mask, and the
-    happens-before oracles the word residual.  Construction is a few
-    dict inserts per detector -- noise next to one analysis pass.
-    """
-    from repro.cord.detector import CordDetector
-    from repro.detectors.epoch import EpochDetector
-    from repro.detectors.ideal import IdealDetector
-    from repro.detectors.vector_cord import LimitedVectorDetector
-
-    seg_masks, want_word = set(), False
-    for spec in specs:
-        det = spec.build(n_threads)
-        if isinstance(det, CordDetector):
-            seg_masks.add(det._line_mask)
-        elif isinstance(det, LimitedVectorDetector):
-            seg_masks.add(~(det.geometry.line_size - 1))
-        elif isinstance(det, (IdealDetector, EpochDetector)):
-            want_word = True
-    return seg_masks, want_word
-
-
-def _prime_batch(items) -> None:
-    """Seed every run's plan caches from one arena pass per product.
-
-    ``items`` is the batch: ``(specs, n_threads, packed)`` triples.  The
-    batched builders are byte-identical to their per-run counterparts
-    and the seeders never clobber, so a partial prime (an exception
-    after some products landed) leaves only correct values behind.
-    """
-    from repro.resilience import faults
-    from repro.trace import kernels
-
-    if not kernels.kernels_enabled():
-        return
-    if faults.active() and faults.fire("batch_raise"):
-        # Chaos harness: an unexpected crash in the batch tier.  The
-        # ladder must abandon the arena and let every run derive its
-        # own plans through the per-run tiers.
-        raise RuntimeError(
-            "chaos: injected batch-tier fault (batch_raise)"
-        )
-    packeds = [packed for _specs, _n, packed in items]
-    seg_masks, want_word = set(), False
-    for specs, n_threads, _packed in items:
-        segs, word = _needed_products(specs, n_threads)
-        seg_masks |= segs
-        want_word = want_word or word
-    for mask in sorted(seg_masks):
-        plans = kernels.build_batched_segment_plans(packeds, mask)
-        if plans is not None:
-            for packed, plan in zip(packeds, plans):
-                packed.seed_segment_plan(mask, plan)
-    if want_word:
-        views = kernels.build_batched_word_residuals(packeds)
-        if views is not None:
-            for packed, view in zip(packeds, views):
-                packed.seed_word_residual(view)
-
-
-def compute_outcomes_batch(
-    items: Sequence,
-    guard_log: Optional[GuardLog] = None,
-) -> List[Dict[str, object]]:
-    """Analyze a batch of recorded runs, one outcome dict per item.
-
-    ``items`` holds ``(specs, n_threads, packed)`` triples of
-    same-geometry runs.  The batch tier primes every run's plan caches
-    in one arena pass and threads a fused-threshold memo across the
-    batch; each run then flows through the ordinary per-run ladder, so
-    a failing batch pass -- or one poisoned run -- degrades exactly
-    like today: the run falls to the next tier alone, its batchmates
-    keep their seeded plans.
-    """
-    log = GUARD_LOG if guard_log is None else guard_log
-    if len(items) > 1:
-        try:
-            _prime_batch(items)
-        except Exception as exc:  # noqa: BLE001 - the ladder's contract
-            log.record("batch", "*", exc)
-    hints: dict = {}
-    return [
-        compute_outcomes(
-            specs, n_threads, packed,
-            guard_log=log, fused_hints=hints,
-        )
-        for specs, n_threads, packed in items
-    ]
-
-
-def guarded_outcomes_batch(
-    items: Sequence,
-    guard_log: Optional[GuardLog] = None,
-) -> List[Dict[str, object]]:
-    """Batch counterpart of :func:`guarded_outcomes`.
-
-    The cross-check runs per item against the *un*-batched lower tiers,
-    so a wrong seeded plan or a wrong hint cannot hide behind itself.
-    """
-    results = compute_outcomes_batch(items, guard_log=guard_log)
-    if cross_check_enabled():
-        for (specs, n_threads, packed), outcomes in zip(items, results):
-            verify_ladder_equivalence(specs, n_threads, packed, outcomes)
-    return results

@@ -232,28 +232,39 @@ def execute_job(
             batch, config.switch_probability, config.check_soundness,
         )
 
-    batch_runs = pipeline.default_batch_runs()
+    batch_runs = pipeline.BATCH_RUNS
     batches = [
         keys[start: start + batch_runs]
         for start in range(0, len(keys), batch_runs)
     ]
 
-    if use_remote:
-        _execute_remote(
-            stop, store, run_local, pool, job_id or spec.digest(),
-            missing, batches, record_task, analyze_task, on_phase,
-            results, emit_ready, namespace, config.switch_probability,
-            remote_stats,
+    def run_remote(tasks, on_result) -> bool:
+        _values, stats, interrupted = pool.run_tasks(
+            job_id or spec.digest(), tasks, run_local,
+            on_result=on_result, should_stop=stop,
         )
-    elif workers <= 1:
-        _execute_inline(
-            stop, store, factory, missing, batches,
-            record_task, analyze_task, on_phase, results, emit_ready,
-            namespace, config.switch_probability,
+        _merge_stats(remote_stats, stats)
+        return interrupted
+
+    def run_pooled(tasks, on_result) -> bool:
+        _values, report = Supervisor(jobs=workers).run_stream(
+            pipeline.run_stage_task, tasks,
+            on_result=lambda outcome, value, submit: on_result(
+                outcome.name, value, submit
+            ),
+            should_stop=stop,
+        )
+        return report.interrupted
+
+    if use_remote or workers > 1:
+        _execute_streamed(
+            run_remote if use_remote else run_pooled,
+            store, missing, batches, record_task, analyze_task, on_phase,
+            results, emit_ready, namespace, config.switch_probability,
         )
     else:
-        _execute_pooled(
-            stop, store, workers, missing, batches,
+        _execute_inline(
+            stop, store, factory, missing, batches,
             record_task, analyze_task, on_phase, results, emit_ready,
             namespace, config.switch_probability,
         )
@@ -345,83 +356,21 @@ def _execute_inline(
         emit_ready()
 
 
-def _execute_pooled(
-    stop, store, workers, missing, batches,
+def _execute_streamed(
+    run_stream, store, missing, batches,
     record_task, analyze_task, on_phase, results, emit_ready,
     namespace, switch_probability,
 ) -> None:
-    """Stream the stage tasks through a supervisor worker pool.
+    """Stream the stage tasks through a worker pool.
 
     Same shape as ``Suite._run_pipelined`` scoped to one campaign: all
     record tasks enter the pool up front, and each analysis batch is
     submitted the moment its last member run is durable, so recording
-    overlaps analysis.  The supervisor's retry / serial-fallback /
-    poisoned-pool ladder rides along unchanged.
-    """
-    on_phase("recording")
-    batch_of: Dict[int, int] = {}
-    pending = []
-    for index, batch in enumerate(batches):
-        for run_index, _seed, _target in batch:
-            batch_of[run_index] = index
-        pending.append(
-            sum(1 for key in batch if key in missing)
-        )
-    analyzing = [False]
-
-    def start_analyzing() -> None:
-        if not analyzing[0]:
-            analyzing[0] = True
-            _chaos_corrupt(store, namespace, batches, switch_probability)
-            on_phase("analyzing")
-
-    tasks = [
-        ("record/%d" % key[0], record_task(key)) for key in missing
-    ]
-    ready_now = [
-        index for index, left in enumerate(pending) if left == 0
-    ]
-
-    def on_result(outcome, value, submit) -> None:
-        if outcome.name.startswith("record/"):
-            index = batch_of[value["run_index"]]
-            pending[index] -= 1
-            if pending[index] == 0:
-                start_analyzing()
-                submit("analyze/%d" % index,
-                       analyze_task(batches[index]))
-            return
-        for run_index, run in value["results"]:
-            results[run_index] = run
-        emit_ready()
-
-    if ready_now and not missing:
-        start_analyzing()
-    for index in ready_now:
-        tasks.append(("analyze/%d" % index, analyze_task(batches[index])))
-
-    supervisor = Supervisor(jobs=workers)
-    _values, report = supervisor.run_stream(
-        pipeline.run_stage_task, tasks,
-        on_result=on_result, should_stop=stop,
-    )
-    if report.interrupted:
-        raise JobInterrupted("job stop requested (pool drained)")
-
-
-def _execute_remote(
-    stop, store, run_local, pool, job_id, missing, batches,
-    record_task, analyze_task, on_phase, results, emit_ready,
-    namespace, switch_probability, remote_stats,
-) -> None:
-    """Shard the stage tasks across the multi-host worker pool.
-
-    The streaming shape mirrors ``_execute_pooled`` -- all record tasks
-    enter up front, each analysis batch follows the moment its last
-    member run completes -- but execution happens on whichever remote
-    worker leases each task (with the pool's reassignment, dedup, and
-    local fallback underneath, so a worker dying mid-shard never fails
-    the job).
+    overlaps analysis.  ``run_stream(tasks, on_result)`` executes the
+    tasks -- on a local :class:`~repro.resilience.supervisor.Supervisor`
+    or on the multi-host worker pool, each with its own retry and
+    fallback ladder underneath -- calling ``on_result(name, value,
+    submit)`` per completion, and returns whether it was interrupted.
     """
     on_phase("recording")
     batch_of: Dict[int, int] = {}
@@ -465,10 +414,5 @@ def _execute_remote(
     for index in ready_now:
         tasks.append(("analyze/%d" % index, analyze_task(batches[index])))
 
-    _values, stats, interrupted = pool.run_tasks(
-        job_id, tasks, run_local,
-        on_result=on_result, should_stop=stop,
-    )
-    _merge_stats(remote_stats, stats)
-    if interrupted:
+    if run_stream(tasks, on_result):
         raise JobInterrupted("job stop requested (pool drained)")

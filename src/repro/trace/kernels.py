@@ -181,78 +181,6 @@ def build_segment_plan(packed, line_mask: int) -> Optional[SegmentPlan]:
     )
 
 
-def build_batched_segment_plans(
-    packeds, line_mask: int,
-) -> Optional[List[SegmentPlan]]:
-    """Segment *k* traces in one arena pass; one plan per trace.
-
-    Same-geometry recorded runs are concatenated column-wise and cut
-    with a single boundary vector and a single ``reduceat``, amortizing
-    numpy dispatch across the batch.  A boundary is forced at every run
-    start, so no segment crosses a run and each returned plan is
-    byte-identical to :func:`build_segment_plan` on that trace alone
-    (pinned by the batch property suite).  Returns ``None`` exactly when
-    the per-run builder would.
-    """
-    if not kernels_enabled():
-        return None
-    line_mask &= _U64
-    offset_mask = ~line_mask & _U64
-    if offset_mask >> 2 >= 64:
-        return None  # word bits would overflow a uint64 mask
-    counts = [len(p.thread) for p in packeds]
-    total = sum(counts)
-    if total == 0:
-        return [SegmentPlan([0], [], [], []) for _ in packeds]
-    cols = [_columns(p) for p in packeds if len(p.thread)]
-    thread = _np.concatenate([c[0] for c in cols])
-    address = _np.concatenate([c[1] for c in cols])
-    flags = _np.concatenate([c[2] for c in cols])
-    offs = [0]
-    for count in counts:
-        offs.append(offs[-1] + count)
-    lines = address & _np.uint64(line_mask)
-    sync = (flags & 2) != 0
-    is_write = (flags & 1) != 0
-    boundary = _np.ones(total, dtype=bool)
-    boundary[1:] = (
-        (thread[1:] != thread[:-1])
-        | (lines[1:] != lines[:-1])
-        | sync[1:]
-        | sync[:-1]
-    )
-    for lo in offs[1:-1]:
-        if lo < total:
-            boundary[lo] = True  # no segment may cross a run boundary
-    seg_starts = _np.flatnonzero(boundary)
-    words = (address & _np.uint64(offset_mask)) >> _np.uint64(2)
-    wbits = _np.uint64(1) << words
-    zero = _np.uint64(0)
-    data = ~sync
-    read_all = _np.bitwise_or.reduceat(
-        _np.where(data & ~is_write, wbits, zero), seg_starts
-    )
-    write_all = _np.bitwise_or.reduceat(
-        _np.where(data & is_write, wbits, zero), seg_starts
-    )
-    sync_all = sync[seg_starts]
-    plans: List[SegmentPlan] = []
-    for k in range(len(packeds)):
-        lo, hi = offs[k], offs[k + 1]
-        if hi == lo:
-            plans.append(SegmentPlan([0], [], [], []))
-            continue
-        i0 = int(_np.searchsorted(seg_starts, lo))
-        i1 = int(_np.searchsorted(seg_starts, hi))
-        plans.append(SegmentPlan(
-            (seg_starts[i0:i1] - lo).tolist() + [hi - lo],
-            sync_all[i0:i1].tolist(),
-            read_all[i0:i1].tolist(),
-            write_all[i0:i1].tolist(),
-        ))
-    return plans
-
-
 def _shared_flags(keys, thread, data):
     """Boolean per-event array: is the event's ``keys`` value touched in
     data mode by more than one distinct thread?
@@ -286,86 +214,6 @@ def _shared_flags(keys, thread, data):
     return shared
 
 
-def build_batched_word_residuals(packeds) -> Optional[List[ResidualView]]:
-    """:func:`build_word_residual` over *k* traces in one arena pass.
-
-    Sharing is a *per-run* property -- two runs touching the same word
-    from different threads must not contaminate each other -- so the
-    group key is ``(run, word)``: one lexsort over the concatenated
-    columns with run-major ordering, group breaks wherever the run or
-    the word changes.  Each returned view is byte-identical to the
-    per-run builder's.
-    """
-    if not kernels_enabled():
-        return None
-    counts = [len(p.thread) for p in packeds]
-    total = sum(counts)
-    if total == 0:
-        return [ResidualView([], [], [], [], 0, 0) for _ in packeds]
-    cols = [_columns(p) for p in packeds if len(p.thread)]
-    thread = _np.concatenate([c[0] for c in cols])
-    address = _np.concatenate([c[1] for c in cols])
-    flags = _np.concatenate([c[2] for c in cols])
-    run_ids = _np.repeat(_np.arange(len(counts), dtype=_np.int64), counts)
-    sync = (flags & 2) != 0
-    data = ~sync
-    is_write = (flags & 1) != 0
-
-    shared = _np.zeros(total, dtype=bool)
-    data_idx = _np.flatnonzero(data)
-    if len(data_idx):
-        key_d = address[data_idx]
-        thread_d = thread[data_idx]
-        run_d = run_ids[data_idx]
-        order = _np.lexsort((thread_d, key_d, run_d))
-        key_s = key_d[order]
-        thread_s = thread_d[order]
-        run_s = run_d[order]
-        group_start = _np.ones(len(key_s), dtype=bool)
-        group_start[1:] = (
-            (key_s[1:] != key_s[:-1]) | (run_s[1:] != run_s[:-1])
-        )
-        starts = _np.flatnonzero(group_start)
-        ends = _np.concatenate([starts[1:], [len(key_s)]]) - 1
-        shared_group = thread_s[starts] != thread_s[ends]
-        shared_sorted = _np.repeat(
-            shared_group,
-            _np.diff(_np.concatenate([starts, [len(key_s)]])),
-        )
-        shared_data = _np.empty(len(key_s), dtype=bool)
-        shared_data[order] = shared_sorted
-        shared[data_idx] = shared_data
-
-    keep = sync | shared
-    views: List[ResidualView] = []
-    lo = 0
-    for k, packed in enumerate(packeds):
-        hi = lo + counts[k]
-        if hi == lo:
-            views.append(ResidualView([], [], [], [], 0, 0))
-        else:
-            views.append(_residual_from_mask(
-                packed, keep[lo:hi], data[lo:hi], is_write[lo:hi],
-            ))
-        lo = hi
-    return views
-
-
-def _residual_from_mask(packed, keep, data, is_write):
-    icount = _np.frombuffer(packed.icount, dtype=_np.uint64)
-    thread, address, flags = _columns(packed)
-    dropped = ~keep
-    skipped_reads = int(_np.count_nonzero(dropped & data & ~is_write))
-    return ResidualView(
-        thread[keep].tolist(),
-        address[keep].tolist(),
-        flags[keep].tolist(),
-        icount[keep].tolist(),
-        int(_np.count_nonzero(dropped)),
-        skipped_reads,
-    )
-
-
 def build_word_residual(packed) -> Optional[ResidualView]:
     """Sync events plus data accesses to words shared between threads.
 
@@ -383,4 +231,14 @@ def build_word_residual(packed) -> Optional[ResidualView]:
     data = ~sync
     is_write = (flags & 1) != 0
     keep = sync | _shared_flags(address, thread, data)
-    return _residual_from_mask(packed, keep, data, is_write)
+    icount = _np.frombuffer(packed.icount, dtype=_np.uint64)
+    dropped = ~keep
+    skipped_reads = int(_np.count_nonzero(dropped & data & ~is_write))
+    return ResidualView(
+        thread[keep].tolist(),
+        address[keep].tolist(),
+        flags[keep].tolist(),
+        icount[keep].tolist(),
+        int(_np.count_nonzero(dropped)),
+        skipped_reads,
+    )

@@ -308,14 +308,10 @@ class PackedTrace:
         the geometry does not fit 64-bit word masks)."""
         if not _kernels.kernels_enabled():
             return None
-        key = ("plan", line_mask & _U64)
-        n = len(self.thread)
-        cached = self._views.get(key)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        plan = _kernels.build_segment_plan(self, line_mask)
-        self._views[key] = (n, plan)
-        return plan
+        return self.derived(
+            ("plan", line_mask & _U64),
+            lambda: _kernels.build_segment_plan(self, line_mask),
+        )
 
     def word_residual(self):
         """The cached word-granularity residual view (sync events plus
@@ -323,44 +319,9 @@ class PackedTrace:
         ``None`` when the kernels are unavailable."""
         if not _kernels.kernels_enabled():
             return None
-        key = ("wordres",)
-        n = len(self.thread)
-        cached = self._views.get(key)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        residual = _kernels.build_word_residual(self)
-        self._views[key] = (n, residual)
-        return residual
-
-    # -- batch seeding ---------------------------------------------------------
-    #
-    # The batched analysis tier (:mod:`repro.resilience.guard`) builds
-    # the plan products for *k* same-geometry traces in one arena pass
-    # and seeds them here, so the per-trace accessors above become cache
-    # hits.  Seeders own the same key formats as their accessors, follow
-    # the same kernels-enabled gate (a seeded plan must never shadow the
-    # fallback path), and never clobber an already-derived product.
-
-    def seed_segment_plan(self, line_mask: int, plan) -> None:
-        """Pre-populate :meth:`segment_plan`'s cache for ``line_mask``."""
-        if not _kernels.kernels_enabled():
-            return
-        key = ("plan", line_mask & _U64)
-        n = len(self.thread)
-        cached = self._views.get(key)
-        if cached is not None and cached[0] == n:
-            return
-        self._views[key] = (n, plan)
-
-    def seed_word_residual(self, residual) -> None:
-        """Pre-populate :meth:`word_residual`'s cache."""
-        if not _kernels.kernels_enabled():
-            return
-        n = len(self.thread)
-        cached = self._views.get(("wordres",))
-        if cached is not None and cached[0] == n:
-            return
-        self._views[("wordres",)] = (n, residual)
+        return self.derived(
+            ("wordres",), lambda: _kernels.build_word_residual(self)
+        )
 
     def derived(self, key, build):
         """Generic per-trace cache for derived analysis products.

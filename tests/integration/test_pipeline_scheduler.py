@@ -5,9 +5,9 @@ The tentpole contract of the run-level scheduler
 record / analyze tasks streamed through one supervisor queue, and
 *everything observable stays byte-identical to the serial path* --
 results, campaign caches, journals -- no matter which scheduler ran,
-which workers died, or where a drain request landed.  The batch
-analysis tier degrades per run: one poisoned batch pass costs only a
-log entry, never a wrong byte.
+which workers died, or where a drain request landed.  A fault in an
+accelerated analysis tier inside a worker costs only a degradation,
+never a wrong byte.
 """
 
 import glob
@@ -16,10 +16,10 @@ import os
 import pytest
 
 from repro.common.errors import InterruptedRunError
+from repro.experiments import pipeline
 from repro.experiments.runner import Suite, SuiteConfig
-from repro.injection.campaign import analyze_recorded_batch
 from repro.resilience import faults
-from repro.resilience.guard import GUARD_LOG, guarded_outcomes_batch
+from repro.resilience.guard import GUARD_LOG
 from repro.resilience.journal import WAL_SUFFIX, replay
 from repro.workloads import WorkloadParams
 
@@ -37,8 +37,7 @@ _CONFIG = SuiteConfig(
 
 @pytest.fixture(autouse=True)
 def _fault_hygiene(monkeypatch):
-    for var in ("REPRO_FAULTS", "REPRO_MAX_RETRIES", "REPRO_BATCH_RUNS",
-                "REPRO_CACHE_DIR"):
+    for var in ("REPRO_FAULTS", "REPRO_MAX_RETRIES", "REPRO_CACHE_DIR"):
         monkeypatch.delenv(var, raising=False)
     monkeypatch.setenv("REPRO_FSYNC", "0")
     faults.reset()
@@ -102,7 +101,7 @@ class TestSchedulerEquivalence:
                                               monkeypatch):
         reference = Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "a")
         reference.campaigns()
-        monkeypatch.setenv("REPRO_BATCH_RUNS", "1")
+        monkeypatch.setattr(pipeline, "BATCH_RUNS", 1)
         one_by_one = Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "b")
         one_by_one.campaigns()
         assert _campaign_caches(tmp_path / "b") == _campaign_caches(
@@ -214,57 +213,13 @@ class TestPipelineUnderChaos:
             assert _campaign_caches(cache) == clean
 
 
-class TestBatchTierDegradation:
-    """A poisoned batch pass degrades one batch, not the suite."""
+class TestFusedFault:
+    """A fused-tier crash inside pipelined workers changes no byte."""
 
-    def _items(self, count=2):
-        from repro.detectors.registry import standard_suite
-        from repro.engine import run_program
-        from repro.workloads.registry import get_workload
-
-        items = []
-        for i in range(count):
-            program = get_workload("fft").build(_PARAMS)
-            trace = run_program(program, seed=31 + i)
-            items.append(
-                (standard_suite(), program.n_threads, trace.packed)
-            )
-        return items
-
-    def test_batch_raise_degrades_alone(self, monkeypatch):
-        items = self._items()
-        baseline = [
-            {
-                name: (out.flagged, out.raw_count,
-                       out.problem_detected, dict(out.counters))
-                for name, out in outcome_map.items()
-            }
-            for outcome_map in guarded_outcomes_batch(items)
-        ]
-        monkeypatch.setenv("REPRO_FAULTS", "batch_raise:1")
-        faults.arm()
-        got = [
-            {
-                name: (out.flagged, out.raw_count,
-                       out.problem_detected, dict(out.counters))
-                for name, out in outcome_map.items()
-            }
-            for outcome_map in guarded_outcomes_batch(self._items())
-        ]
-        assert got == baseline
-        # Without numpy the batch tier gates itself off before the
-        # fault point, so nothing fires and nothing is logged.
-        from repro.trace.kernels import kernels_enabled
-
-        assert GUARD_LOG.count("batch") == (
-            1 if kernels_enabled() else 0
-        )
-
-    def test_batch_raise_through_suite_is_transparent(self, tmp_path,
-                                                      monkeypatch):
+    def test_fused_raise_is_transparent(self, tmp_path, monkeypatch):
         clean_dir = tmp_path / "clean"
         Suite(_CONFIG, jobs=1, cache_dir=clean_dir).campaigns()
-        monkeypatch.setenv("REPRO_FAULTS", "batch_raise:1")
+        monkeypatch.setenv("REPRO_FAULTS", "fused_raise:1")
         faults.arm()
         faulted_dir = tmp_path / "faulted"
         Suite(_CONFIG, jobs=2, cache_dir=faulted_dir).campaigns()

@@ -145,6 +145,24 @@ class TestRecordedRun:
             spec.name for spec in CampaignConfig().detector_suite()
         }
 
+    def test_store_persists_outcomes_without_a_task(self, tmp_path,
+                                                    monkeypatch):
+        # The outcome bundle is written whenever a store and a switch
+        # probability are given; the journal task only adds markers.
+        store = PackedTraceStore(tmp_path)
+        recorded = record_injected_once(_factory(), seed=5, target_index=0)
+        kwargs = dict(
+            store=store, namespace="fft/bundle", switch_probability=0.1,
+        )
+        detectors = CampaignConfig().detector_suite()
+        first = analyze_recorded(recorded, detectors, True, **kwargs)
+
+        def no_analysis(*_args, **_kwargs):
+            raise AssertionError("bundle miss: re-analyzed a stored run")
+
+        monkeypatch.setattr(campaign_mod, "guarded_outcomes", no_analysis)
+        assert analyze_recorded(recorded, detectors, True, **kwargs) == first
+
     def test_stored_recording_replays_identically(self, tmp_path):
         # The full offline loop: record to disk, load, re-derive the
         # order log, replay, and verify against the recorded trace.

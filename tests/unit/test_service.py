@@ -7,6 +7,8 @@ executor's byte-identity / idempotence contract -- everything that does
 not need a live server process (the integration suites cover that).
 """
 
+import dataclasses
+
 import pytest
 
 from repro.experiments.runner import trace_namespace
@@ -430,6 +432,22 @@ def test_execute_job_pooled_matches_inline(tmp_path, monkeypatch):
     outcome = execute_job(SPEC, tmp_path, workers=2)
     assert outcome["report"] == _cli_report(SPEC)
     assert outcome["stats"]["result_hit"] == 0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_execute_job_extend_mixes_durable_and_missing_runs(
+    tmp_path, monkeypatch, workers
+):
+    # The extended job's one analyze batch holds SPEC's two durable runs
+    # and two runs it must record first.
+    monkeypatch.setenv("REPRO_FSYNC", "0")
+    extended = dataclasses.replace(SPEC, runs=SPEC.runs + 2)
+    first = execute_job(SPEC, tmp_path, workers=workers)
+    assert first["report"] == _cli_report(SPEC)
+    outcome = execute_job(extended, tmp_path, workers=workers)
+    assert outcome["report"] == _cli_report(extended)
+    assert outcome["stats"]["simulated"] == 2
+    assert outcome["stats"]["replayed"] == SPEC.runs
 
 
 def test_execute_job_stop_raises_and_commits_nothing(tmp_path,

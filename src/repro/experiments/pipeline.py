@@ -40,7 +40,9 @@ already durable -- and recompute *identically* when they must (the
 deterministic-seeding contract).  Per-stage wall times come back in the
 ``"timings"`` entry (``record_s`` / ``analyze_s`` / ``store_io_s``) and
 are merged into the task's :class:`~repro.resilience.supervisor
-.TaskOutcome` for :meth:`RunReport.profile`.
+.TaskOutcome` for :meth:`RunReport.profile`.  A stage that opened its
+own store also returns that store's counters in a ``"store"`` entry, so
+a caller running stages in other processes can still total them.
 """
 
 from __future__ import annotations
@@ -100,16 +102,23 @@ def analyze_payload(
 def run_stage_task(payload: Dict, store=None, factory=None) -> Dict:
     """Execute one pipeline stage (module-level, picklable).
 
-    Supervisor children call this with just the payload and rebuild the
-    store and program factory from it.  In-process callers (the serial
-    fallback rung, the campaign service's inline executor) may pass
-    their own ``store``/``factory`` so one instance's stats counters
-    aggregate across every stage of a job instead of being discarded
-    with each per-call store.
+    Supervisor and stage-pool children, and the campaign service's
+    in-process runner, call this with just the payload and rebuild the
+    store and program factory from it; the counters of a store opened
+    here come back as the value's ``"store"`` entry.  A remote worker
+    passes its own ``store``/``factory`` so one instance's stats
+    counters aggregate across every lease it runs.
     """
+    if store is not None:
+        return _run_stage(payload, store, factory)
+    own = PackedTraceStore(payload["store_dir"])
+    value = _run_stage(payload, own, factory)
+    value["store"] = own.snapshot()
+    return value
+
+
+def _run_stage(payload: Dict, store, factory) -> Dict:
     stage = payload["stage"]
-    if store is None:
-        store = PackedTraceStore(payload["store_dir"])
     namespace = payload["namespace"]
     if factory is None:
         factory = get_workload(payload["workload"]).program_factory(

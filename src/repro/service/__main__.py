@@ -47,9 +47,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--retry-after", type=float, default=None,
                        help="retry_after hint on rejections (seconds)")
     serve.add_argument("--concurrency", type=int, default=None,
-                       help="jobs executed concurrently")
-    serve.add_argument("--job-workers", type=int, default=None,
-                       help="worker processes per job (1 = inline)")
+                       help="jobs executed concurrently (and stage "
+                            "processes forked)")
     serve.add_argument("--deadline", type=float, default=None,
                        help="default per-job deadline (seconds)")
 
@@ -146,7 +145,6 @@ def _cmd_serve(args) -> int:
         port=args.port,
         limits=limits,
         concurrency=args.concurrency,
-        job_workers=args.job_workers,
         default_deadline_s=args.deadline,
     )
     return asyncio.run(server.serve())

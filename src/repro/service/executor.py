@@ -3,13 +3,19 @@
 The executor is the bridge between a :class:`~repro.service.jobs.Job`
 and the existing record-once / analyze-many machinery: it shards the
 spec into the same run-level stage payloads the pipelined ``Suite``
-scheduler uses (:mod:`repro.experiments.pipeline`), runs them either
-inline (``workers <= 1``, the default -- jobs parallelize across the
-server's thread pool instead) or through a
-:meth:`~repro.resilience.supervisor.Supervisor.run_stream` worker pool,
-assembles the :class:`~repro.injection.campaign.CampaignResult`, and
-persists the finished result document into the store keyed by the
-spec's content digest.
+scheduler uses (:mod:`repro.experiments.pipeline`), hands each one to a
+stage runner, assembles the
+:class:`~repro.injection.campaign.CampaignResult`, and persists the
+finished result document into the store keyed by the spec's content
+digest.
+
+The stage runner is a callable, ``run_stage(payload) -> value``.  Direct
+callers get the in-process runner by default.  The server passes
+:meth:`StagePool.run`: one blocking submit to a pool of forked stage
+processes, one per job slot, so concurrent jobs run their CPU-bound
+stages in parallel instead of sharing the server's GIL.  With live
+remote workers the stage tasks go out over leases instead, and the
+runner only serves the pool's zero-worker fallback.
 
 Everything is store-keyed and idempotent, which is the whole recovery
 story: a job re-executed after a server crash skips every durable
@@ -33,6 +39,16 @@ a service job too.
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
+import multiprocessing.connection
+import os
+import signal
+import threading
+import time
+from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -46,15 +62,21 @@ from repro.injection.campaign import (
     format_campaign_report,
 )
 from repro.resilience import faults
-from repro.resilience.supervisor import Supervisor
 from repro.trace.store import PackedTraceStore
-from repro.workloads.registry import get_workload
 
 #: Store namespace of service-level artifacts (committed result docs).
 SERVICE_NAMESPACE = "service"
 
 #: Result-document layout version.
 RESULT_SCHEMA = 1
+
+#: How often a stage process checks that the server is still its parent.
+PARENT_POLL_S = 0.1
+
+#: How long a stage process waits at start for its siblings to fork.
+STAGE_START_TIMEOUT_S = 60.0
+
+logger = logging.getLogger("repro.service.executor")
 
 
 class JobInterrupted(Exception):
@@ -93,11 +115,145 @@ def _noop(*_args, **_kwargs) -> None:
     return None
 
 
+class StagePool:
+    """Forked processes that run stage tasks for the server's job threads.
+
+    :meth:`start` forks all ``processes`` children before it returns, so
+    call it before opening any socket or starting any thread the
+    children must not inherit.  Each child ignores SIGINT (the server
+    drains on it), takes SIGTERM's default action, and exits on its own
+    once the process that forked it is gone.
+
+    A child that dies breaks the pool for good: the in-flight task and
+    every later one run in-process (``degraded``) until the server
+    restarts.  The pool is never re-forked, because children forked
+    from a serving process would inherit its client connections.
+    """
+
+    def __init__(self, processes: int):
+        self.processes = processes
+        self.degraded = False
+        self._executor: Optional[ProcessPoolExecutor] = None
+        self._children: List[multiprocessing.process.BaseProcess] = []
+        self._lock = threading.Lock()
+        self._stats: Counter = Counter()
+
+    def start(self) -> None:
+        context = multiprocessing.get_context("fork")
+        # Every child must pass the barrier before any task returns, so
+        # each submit finds no idle child and the executor forks one per
+        # task, whether it forks eagerly or on demand (Python < 3.11.1).
+        ready = context.Barrier(self.processes)
+        self._executor = ProcessPoolExecutor(
+            self.processes,
+            mp_context=context,
+            initializer=_stage_child_init,
+            initargs=(os.getpid(), ready),
+        )
+        pids = {
+            future.result()
+            for future in [
+                self._executor.submit(_stage_child_ready)
+                for _ in range(self.processes)
+            ]
+        }
+        self._children = [
+            child for child in multiprocessing.active_children()
+            if child.pid in pids
+        ]
+
+    @property
+    def pids(self) -> List[int]:
+        """Pids of the forked stage processes."""
+        return [child.pid for child in self._children]
+
+    def run(self, payload: Dict) -> Dict:
+        """Run one stage task in a child; in-process once degraded."""
+        if self._usable():
+            try:
+                value = self._executor.submit(
+                    pipeline.run_stage_task, payload
+                ).result()
+            except BrokenProcessPool as exc:
+                self._degrade(exc)
+            else:
+                self._count("pooled")
+                return value
+        self._count("inline")
+        return pipeline.run_stage_task(payload)
+
+    def health(self) -> Dict:
+        self._usable()
+        with self._lock:
+            return {
+                "processes": self.processes,
+                "state": "degraded" if self.degraded else "forked",
+                "pooled": self._stats["pooled"],
+                "inline": self._stats["inline"],
+            }
+
+    def shutdown(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(wait=True, cancel_futures=True)
+            self._executor = None
+            self._children = []
+
+    def _usable(self) -> bool:
+        # A child that died between tasks breaks the pool just as one
+        # dying mid-task does; its sentinel turns ready when it exits.
+        if not self.degraded and multiprocessing.connection.wait(
+            [child.sentinel for child in self._children], timeout=0
+        ):
+            self._degrade("a stage process exited")
+        return not self.degraded
+
+    def _count(self, key: str) -> None:
+        with self._lock:
+            self._stats[key] += 1
+
+    def _degrade(self, reason) -> None:
+        with self._lock:
+            if self.degraded:
+                return
+            self.degraded = True
+        logger.warning(
+            "stage pool broken (%s); running stage tasks in-process "
+            "until the server restarts", reason,
+        )
+
+
+#: The start barrier, inherited by a stage process at fork.
+_READY = None
+
+
+def _stage_child_init(parent: int, ready) -> None:
+    global _READY
+    _READY = ready
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    threading.Thread(
+        target=_exit_with_parent, args=(parent,), daemon=True,
+    ).start()
+
+
+def _stage_child_ready() -> int:
+    _READY.wait(STAGE_START_TIMEOUT_S)
+    return os.getpid()
+
+
+def _exit_with_parent(parent: int) -> None:
+    # A killed server's pipes stay open in its sibling children, so
+    # waiting for EOF is not enough: watch for re-parenting instead.
+    while os.getppid() == parent:
+        time.sleep(PARENT_POLL_S)
+    os._exit(0)
+
+
 def execute_job(
     spec,
     root,
     stop: Optional[Callable[[], bool]] = None,
-    workers: int = 1,
+    run_stage: Callable[[Dict], Dict] = pipeline.run_stage_task,
     on_phase: Callable[..., None] = _noop,
     on_run: Callable[[RunResult], None] = _noop,
     pool=None,
@@ -111,11 +267,16 @@ def execute_job(
     ``on_run(run)`` fires per completed run, in run-index order.  Both
     are invoked on the executing thread; callers own thread safety.
 
+    ``run_stage(payload)`` runs one local stage task and blocks until it
+    is done; the default runs it in-process.  A value's ``"store"``
+    counters (those of the store the stage opened) are added into
+    ``stats["store"]``.
+
     ``pool`` (a :class:`~repro.service.workers.pool.WorkerPool`) routes
     the stage tasks to remote workers when any are live at job start;
-    with zero workers attached the job runs exactly the single-host
-    path, and workers dying mid-job fall back to local execution inside
-    the pool -- either way the result bytes are identical.
+    with zero workers attached every task goes to ``run_stage``, and
+    workers dying mid-job fall back to ``run_stage`` inside the pool --
+    either way the result bytes are identical.
 
     Returns ``{"report", "campaign", "stats"}``.  Raises
     :class:`JobInterrupted` if ``stop`` tripped, or a
@@ -162,15 +323,14 @@ def execute_job(
             },
         }
 
-    factory = get_workload(spec.workload).program_factory(
-        spec.workload_params()
-    )
     store_dir = str(store.root)
     remote_stats: Dict[str, int] = {}
+    stage_store_stats: Dict[str, int] = {}
 
     def run_local(payload: Dict) -> Dict:
-        return pipeline.run_stage_task(payload, store=store,
-                                       factory=factory)
+        value = run_stage(payload)
+        _merge_stats(stage_store_stats, value.get("store", {}))
+        return value
 
     # -- shard: sizing run, then the deterministic run-key schedule ----
     _check_stop(stop)
@@ -246,25 +406,15 @@ def execute_job(
         _merge_stats(remote_stats, stats)
         return interrupted
 
-    def run_pooled(tasks, on_result) -> bool:
-        _values, report = Supervisor(jobs=workers).run_stream(
-            pipeline.run_stage_task, tasks,
-            on_result=lambda outcome, value, submit: on_result(
-                outcome.name, value, submit
-            ),
-            should_stop=stop,
-        )
-        return report.interrupted
-
-    if use_remote or workers > 1:
+    if use_remote:
         _execute_streamed(
-            run_remote if use_remote else run_pooled,
-            store, missing, batches, record_task, analyze_task, on_phase,
-            results, emit_ready, namespace, config.switch_probability,
+            run_remote, store, missing, batches, record_task,
+            analyze_task, on_phase, results, emit_ready, namespace,
+            config.switch_probability,
         )
     else:
         _execute_inline(
-            stop, store, factory, missing, batches,
+            stop, run_local, store, missing, batches,
             record_task, analyze_task, on_phase, results, emit_ready,
             namespace, config.switch_probability,
         )
@@ -280,11 +430,12 @@ def execute_job(
         SERVICE_NAMESPACE, result_key(spec),
         {"schema": RESULT_SCHEMA, "report": report, "campaign": campaign},
     )
+    _merge_stats(stage_store_stats, store.snapshot())
     stats_out = {
         "result_hit": 0,
         "simulated": len(missing),
         "replayed": len(keys) - len(missing),
-        "store": store.snapshot(),
+        "store": dict(sorted(stage_store_stats.items())),
     }
     if use_remote:
         stats_out["remote"] = remote_stats
@@ -334,7 +485,7 @@ def _chaos_corrupt(
 
 
 def _execute_inline(
-    stop, store, factory, missing, batches,
+    stop, run_local, store, missing, batches,
     record_task, analyze_task, on_phase, results, emit_ready,
     namespace, switch_probability,
 ) -> None:
@@ -342,15 +493,13 @@ def _execute_inline(
     on_phase("recording")
     for key in missing:
         _check_stop(stop)
-        pipeline.run_stage_task(record_task(key), store=store,
-                                factory=factory)
+        run_local(record_task(key))
     _check_stop(stop)
     _chaos_corrupt(store, namespace, batches, switch_probability)
     on_phase("analyzing")
     for batch in batches:
         _check_stop(stop)
-        value = pipeline.run_stage_task(analyze_task(batch), store=store,
-                                        factory=factory)
+        value = run_local(analyze_task(batch))
         for run_index, run in value["results"]:
             results[run_index] = run
         emit_ready()
@@ -361,16 +510,15 @@ def _execute_streamed(
     record_task, analyze_task, on_phase, results, emit_ready,
     namespace, switch_probability,
 ) -> None:
-    """Stream the stage tasks through a worker pool.
+    """Stream the stage tasks through the multi-host worker pool.
 
     Same shape as ``Suite._run_pipelined`` scoped to one campaign: all
     record tasks enter the pool up front, and each analysis batch is
     submitted the moment its last member run is durable, so recording
     overlaps analysis.  ``run_stream(tasks, on_result)`` executes the
-    tasks -- on a local :class:`~repro.resilience.supervisor.Supervisor`
-    or on the multi-host worker pool, each with its own retry and
-    fallback ladder underneath -- calling ``on_result(name, value,
-    submit)`` per completion, and returns whether it was interrupted.
+    tasks on the worker pool, with its retry and local-fallback ladder
+    underneath, calling ``on_result(name, value, submit)`` per
+    completion, and returns whether it was interrupted.
     """
     on_phase("recording")
     batch_of: Dict[int, int] = {}

@@ -1,6 +1,6 @@
 """The asyncio campaign server (race detection as a service).
 
-One process, three moving parts:
+One serving process, three moving parts:
 
 * the **socket front end** -- a unix (or TCP) JSON-lines listener
   (:mod:`repro.service.protocol`) handling ``submit`` / ``status`` /
@@ -9,11 +9,15 @@ One process, three moving parts:
   quotas, round-robin fair dispatch
   (:mod:`repro.service.admission`), rejecting with deterministic
   ``retry_after`` hints instead of queueing unboundedly;
-* the **job engine** -- accepted jobs run on a thread pool via
-  :func:`repro.service.executor.execute_job`, which shards each
-  campaign into the run-level pipeline stages and records/analyzes
-  against the shared content-addressed trace store, so identical
-  recordings are made once globally and deduped across tenants.
+* the **job engine** -- each accepted job gets one of ``concurrency``
+  job threads running :func:`repro.service.executor.execute_job`,
+  which shards the campaign into the run-level pipeline stages and
+  records/analyzes against the shared content-addressed trace store,
+  so identical recordings are made once globally and deduped across
+  tenants.  The threads only coordinate: every local stage task is a
+  blocking submit to the :class:`~repro.service.executor.StagePool`,
+  ``concurrency`` processes forked when :meth:`CampaignServer.serve`
+  starts, so concurrent jobs compute on separate cores.
 
 Robustness contract (proven by the service chaos matrix):
 
@@ -54,6 +58,7 @@ from repro.service.admission import (
 )
 from repro.service.executor import (
     JobInterrupted,
+    StagePool,
     execute_job,
     load_result,
     run_summary,
@@ -79,7 +84,6 @@ from repro.trace.store import PackedTraceStore
 logger = logging.getLogger("repro.service.server")
 
 CONCURRENCY_ENV = "REPRO_SVC_CONCURRENCY"
-JOB_WORKERS_ENV = "REPRO_SVC_JOB_WORKERS"
 DEADLINE_ENV = "REPRO_SVC_DEADLINE_S"
 
 _DEFAULT_CONCURRENCY = 2
@@ -123,7 +127,6 @@ class CampaignServer:
         port: int = 0,
         limits: Optional[ServiceLimits] = None,
         concurrency: Optional[int] = None,
-        job_workers: Optional[int] = None,
         default_deadline_s: Optional[float] = None,
     ):
         self.root = Path(root)
@@ -136,9 +139,6 @@ class CampaignServer:
         self.limits = limits or ServiceLimits.from_env()
         self.concurrency = concurrency or _env_positive_int(
             CONCURRENCY_ENV, _DEFAULT_CONCURRENCY
-        )
-        self.job_workers = job_workers or _env_positive_int(
-            JOB_WORKERS_ENV, 1
         )
         self.default_deadline_s = (
             default_deadline_s
@@ -177,6 +177,8 @@ class CampaignServer:
             max_workers=self.concurrency,
             thread_name_prefix="svc-job",
         )
+        #: One stage process per job thread, forked by serve().
+        self.stage_pool = StagePool(self.concurrency)
         #: Cross-tenant dedup ledger: run key -> first-owner tenant,
         #: spec digest -> first-owner tenant.  Guarded (executor threads
         #: report shard plans concurrently).
@@ -188,6 +190,15 @@ class CampaignServer:
 
     async def serve(self) -> int:
         """Start, serve until drained/stopped, tear down; exit code."""
+        # Fork the stage processes first: no client or listening socket,
+        # WAL handle or job thread exists yet for them to inherit.
+        self.stage_pool.start()
+        try:
+            return await self._serve()
+        finally:
+            self.stage_pool.shutdown()
+
+    async def _serve(self) -> int:
         loop = asyncio.get_running_loop()
         self._stopped = asyncio.Event()
         self._lease_wake = asyncio.Event()
@@ -390,7 +401,7 @@ class CampaignServer:
                 lambda: execute_job(
                     job.spec, self.root,
                     stop=job.should_stop,
-                    workers=self.job_workers,
+                    run_stage=self.stage_pool.run,
                     on_phase=on_phase,
                     on_run=on_run,
                     pool=self.workers,
@@ -704,12 +715,12 @@ class CampaignServer:
                     for key, value in sorted(self.repl_stats.items())
                 },
             ),
+            stage_pool=self.stage_pool.health(),
             limits={
                 "queue_max": self.limits.queue_max,
                 "tenant_max": self.limits.tenant_max,
                 "retry_after_s": self.limits.retry_after_s,
                 "concurrency": self.concurrency,
-                "job_workers": self.job_workers,
             },
         )
 

@@ -282,3 +282,108 @@ def test_restart_replays_interleaved_lease_records(tmp_path, warm):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+def _stat(pid):
+    """``(state, ppid)`` of a process, or None once it is gone."""
+    try:
+        with open("/proc/%s/stat" % pid) as fh:
+            # "pid (comm) state ppid ...": comm may hold spaces.
+            state, ppid = fh.read().rpartition(")")[2].split()[:2]
+    except OSError:
+        return None
+    return state, int(ppid)
+
+
+def _alive(pid):
+    stat = _stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+def _children(pid):
+    """Pids of the live processes whose parent is ``pid``."""
+    found = []
+    for entry in os.listdir("/proc"):
+        stat = _stat(entry) if entry.isdigit() else None
+        if stat is not None and stat[0] != "Z" and stat[1] == pid:
+            found.append(int(entry))
+    return found
+
+
+def _submit_and_wait_mid_job(client):
+    job_id = client.submit(
+        SPEC.workload, runs=SPEC.runs, seed=SPEC.seed, scale=SPEC.scale,
+    )["job"]
+    deadline = time.monotonic() + 60
+    while client.status(job_id)["state"] in ("accepted", "sharded"):
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    return job_id
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_stage_processes_die_with_a_killed_server(tmp_path):
+    """SIGKILL the server mid-job: its stage processes exit within 2 s."""
+    root = tmp_path / "root"
+    client = _client(root)
+    proc = _start(root)
+    try:
+        client.wait_ready()
+        children = _children(proc.pid)
+        assert len(children) == 2  # one stage process per job slot
+        _submit_and_wait_mid_job(client)
+        proc.kill()
+        proc.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while any(_alive(pid) for pid in children):
+            assert time.monotonic() < deadline, (
+                "stage processes outlived the server: %s"
+                % [pid for pid in children if _alive(pid)]
+            )
+            time.sleep(0.05)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_killed_stage_process_degrades_to_in_process(tmp_path, warm):
+    """SIGKILL one stage process of an idle server: health reports the
+    degraded pool at once, and jobs still commit the byte-identical
+    report in-process."""
+    root = tmp_path / "root"
+    client = _client(root)
+    proc = _start(root)
+    try:
+        client.wait_ready()
+        os.kill(_children(proc.pid)[0], signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while client.health()["stage_pool"]["state"] != "degraded":
+            assert time.monotonic() < deadline
+            time.sleep(0.05)
+
+        job_id = client.submit(
+            SPEC.workload, runs=SPEC.runs, seed=SPEC.seed, scale=SPEC.scale,
+        )["job"]
+        final = client.result(job_id, timeout_s=120)
+        assert final["ok"] is True
+        assert final["report"] == warm["report"]
+        pool = client.health()["stage_pool"]
+        assert pool["state"] == "degraded"
+        assert pool["pooled"] == 0
+        assert pool["inline"] >= 1
+        assert _children(proc.pid) == []  # never re-forked
+
+        # Later jobs keep working in-process.
+        again = client.submit(
+            SPEC.workload, runs=SPEC.runs + 1, seed=SPEC.seed,
+            scale=SPEC.scale,
+        )
+        assert client.result(again["job"], timeout_s=120)["ok"] is True
+        client.drain()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)

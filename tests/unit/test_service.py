@@ -8,9 +8,15 @@ not need a live server process (the integration suites cover that).
 """
 
 import dataclasses
+import multiprocessing
+import os
+import signal
+import threading
+import time
 
 import pytest
 
+from repro.experiments import pipeline
 from repro.experiments.runner import trace_namespace
 from repro.injection.campaign import (
     CampaignConfig,
@@ -26,6 +32,7 @@ from repro.service.admission import (
 )
 from repro.service.executor import (
     JobInterrupted,
+    StagePool,
     execute_job,
     load_result,
 )
@@ -427,27 +434,116 @@ def test_execute_job_is_byte_identical_to_cli(tmp_path, monkeypatch):
     }
 
 
-def test_execute_job_pooled_matches_inline(tmp_path, monkeypatch):
+@pytest.fixture
+def stage_pool():
+    pool = StagePool(2)
+    pool.start()
+    yield pool
+    pool.shutdown()
+
+
+def _stage_runner(procs, request):
+    """``run_stage`` for a job: in-process (1) or a 2-process pool (2)."""
+    if procs == 1:
+        return pipeline.run_stage_task
+    return request.getfixturevalue("stage_pool").run
+
+
+def test_execute_job_pooled_matches_inline(tmp_path, monkeypatch,
+                                           stage_pool):
     monkeypatch.setenv("REPRO_FSYNC", "0")
-    outcome = execute_job(SPEC, tmp_path, workers=2)
+    outcome = execute_job(SPEC, tmp_path, run_stage=stage_pool.run)
     assert outcome["report"] == _cli_report(SPEC)
     assert outcome["stats"]["result_hit"] == 0
+    assert stage_pool.health()["pooled"] > 0
+    assert not stage_pool.degraded
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("procs", [1, 2])
 def test_execute_job_extend_mixes_durable_and_missing_runs(
-    tmp_path, monkeypatch, workers
+    tmp_path, monkeypatch, request, procs
 ):
     # The extended job's one analyze batch holds SPEC's two durable runs
     # and two runs it must record first.
     monkeypatch.setenv("REPRO_FSYNC", "0")
+    run_stage = _stage_runner(procs, request)
     extended = dataclasses.replace(SPEC, runs=SPEC.runs + 2)
-    first = execute_job(SPEC, tmp_path, workers=workers)
+    first = execute_job(SPEC, tmp_path, run_stage=run_stage)
     assert first["report"] == _cli_report(SPEC)
-    outcome = execute_job(extended, tmp_path, workers=workers)
+    outcome = execute_job(extended, tmp_path, run_stage=run_stage)
     assert outcome["report"] == _cli_report(extended)
     assert outcome["stats"]["simulated"] == 2
     assert outcome["stats"]["replayed"] == SPEC.runs
+
+
+def test_stage_pool_forks_every_child_at_start(stage_pool):
+    pids = stage_pool.pids
+    assert len(set(pids)) == 2
+    live = {child.pid for child in multiprocessing.active_children()}
+    assert set(pids) <= live
+    assert stage_pool.health()["state"] == "forked"
+
+
+def test_stage_pool_child_killed_mid_job_degrades_in_process(
+    tmp_path, monkeypatch, stage_pool
+):
+    # SIGKILL one stage process as the job's first record task goes in:
+    # that task and every later one run in-process.
+    monkeypatch.setenv("REPRO_FSYNC", "0")
+    victim = stage_pool.pids[0]
+    killed = []
+
+    def run_stage(payload):
+        if payload["stage"] == "record" and not killed:
+            killed.append(victim)
+            os.kill(victim, signal.SIGKILL)
+        return stage_pool.run(payload)
+
+    outcome = execute_job(SPEC, tmp_path, run_stage=run_stage)
+    assert outcome["report"] == _cli_report(SPEC)
+    health = stage_pool.health()
+    assert health["state"] == "degraded"
+    assert health["inline"] >= 1
+
+
+def test_stage_pool_reruns_a_task_whose_process_died(tmp_path,
+                                                     monkeypatch):
+    # The one child is stopped, so the submitted task is still pending
+    # when the child is killed: run() must catch the broken pool and
+    # run that very task in-process.
+    monkeypatch.setenv("REPRO_FSYNC", "0")
+    payload = pipeline.size_payload(
+        SPEC.workload, SPEC.workload_params(), str(tmp_path / "traces"),
+        SPEC.trace_namespace(), 7,
+    )
+    pool = StagePool(1)
+    pool.start()
+    try:
+        (victim,) = pool.pids
+        os.kill(victim, signal.SIGSTOP)
+        killer = threading.Timer(0.3, os.kill, (victim, signal.SIGKILL))
+        killer.start()
+        value = pool.run(payload)
+        killer.join()
+    finally:
+        pool.shutdown()
+    assert value["instances"] == pipeline.run_stage_task(payload)[
+        "instances"
+    ]
+    assert pool.health() == {
+        "processes": 1, "state": "degraded", "pooled": 0, "inline": 1,
+    }
+
+
+def test_stage_pool_health_sees_a_child_that_died_between_tasks(
+    stage_pool
+):
+    os.kill(stage_pool.pids[0], signal.SIGKILL)
+    deadline = time.monotonic() + 10
+    while stage_pool.health()["state"] != "degraded":
+        assert time.monotonic() < deadline
+        time.sleep(0.01)
+    assert stage_pool.health()["pooled"] == 0
 
 
 def test_execute_job_stop_raises_and_commits_nothing(tmp_path,

@@ -10,9 +10,9 @@ processes it actually *watches*:
   a child that misses it is killed and the task retried;
 * a child that **dies** without reporting (crash, OOM-kill, chaos
   ``worker_kill``) is detected and the task retried;
-* retries use **exponential backoff with deterministic jitter** (seeded
-  through :mod:`repro.common.rng`, so two identical runs back off
-  identically) up to ``REPRO_MAX_RETRIES`` extra attempts;
+* retries use **exponential backoff with deterministic jitter**
+  (:func:`repro.common.backoff.backoff_delay`, seeded, so two identical
+  runs back off identically) up to ``REPRO_MAX_RETRIES`` extra attempts;
 * a task that exhausts its pool attempts -- or a **poisoned pool**
   (process spawn failing, or workers dying over and over) -- falls back
   to plain **in-process serial execution**, the degraded-but-correct
@@ -40,18 +40,11 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.common.backoff import backoff_delay
 from repro.common.errors import PipelineError, WorkerTimeoutError
-from repro.common.rng import DeterministicRng
 from repro.resilience import faults
 
 logger = logging.getLogger("repro.resilience.supervisor")
-
-#: Backoff shape: ``base * 2**attempt`` seconds, capped, plus up to 50%
-#: deterministic jitter.  Small on purpose -- campaign tasks are seconds
-#: to minutes long, so the backoff only needs to decorrelate respawns.
-_BACKOFF_BASE = 0.05
-_BACKOFF_CAP = 2.0
-
 
 def default_task_timeout() -> float:
     """Per-attempt deadline in seconds (``REPRO_TASK_TIMEOUT``, default 600)."""
@@ -269,16 +262,11 @@ class Supervisor:
             except ValueError:  # platforms without fork
                 context = multiprocessing.get_context()
         self._context = context
-        self._rng = DeterministicRng(seed, "supervisor")
+        self.seed = seed
         #: Worker deaths/timeouts before the pool is declared poisoned.
         self.poison_limit = max(4, 2 * self.jobs * (self.max_retries + 1))
 
     # -- internals -----------------------------------------------------------
-
-    def _backoff(self, name: str, attempt: int) -> float:
-        base = min(_BACKOFF_CAP, _BACKOFF_BASE * (2 ** attempt))
-        jitter = self._rng.fork("%s/%d" % (name, attempt)).random()
-        return base * (1.0 + 0.5 * jitter)
 
     def _spawn(self, name, payload, attempt) -> Optional[_Attempt]:
         recv_end, send_end = self._context.Pipe(duplex=False)
@@ -421,7 +409,7 @@ class Supervisor:
                     "remaining tasks run serially", deaths,
                 )
             if pool_ok and att.attempt < self.max_retries:
-                delay = self._backoff(att.name, att.attempt)
+                delay = backoff_delay(att.name, att.attempt, self.seed)
                 queue.append((
                     att.name, att.payload, att.attempt + 1,
                     time.monotonic() + delay,

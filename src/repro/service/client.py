@@ -18,39 +18,8 @@ import time
 from pathlib import Path
 from typing import Dict, Iterator, Optional
 
-from repro.common.rng import DeterministicRng
+from repro.common.backoff import backoff_delay
 from repro.service import protocol
-
-#: Connect-retry backoff shape: the delay doubles from ``BACKOFF_BASE_S``
-#: per attempt up to ``BACKOFF_CAP_S``, each scaled by a deterministic
-#: jitter factor in [0.5, 1.0) so a fleet of reconnecting workers does
-#: not stampede the listener in lockstep.
-BACKOFF_BASE_S = 0.05
-BACKOFF_CAP_S = 2.0
-
-
-def connect_backoff(
-    key: str,
-    attempt: int,
-    base: float = BACKOFF_BASE_S,
-    cap: float = BACKOFF_CAP_S,
-) -> float:
-    """Capped exponential backoff with deterministic jitter.
-
-    The jitter is a pure function of ``(key, attempt)`` via the named
-    fork machinery in :mod:`repro.common.rng` -- two processes with
-    different keys desynchronize, while any single schedule is exactly
-    reproducible (the chaos tests assert on it).
-    """
-    bounded = min(cap, base * (2 ** min(max(0, attempt), 16)))
-    jitter = (
-        DeterministicRng(0, "connect-backoff")
-        .fork(key)
-        .fork("attempt%d" % attempt)
-        .random()
-    )
-    return bounded * (0.5 + 0.5 * jitter)
-
 
 class ServiceUnavailable(ConnectionError):
     """The server socket could not be reached (down or still starting)."""
@@ -117,7 +86,7 @@ class ServiceClient:
                     raise ServiceUnavailable(
                         "campaign server unreachable: %s" % exc
                     )
-                delay = connect_backoff(self._endpoint(), attempt)
+                delay = backoff_delay(self._endpoint(), attempt)
                 time.sleep(min(delay, max(0.001, deadline - now)))
                 attempt += 1
 

@@ -28,7 +28,9 @@ Worker-pool ops (spoken by ``cord-worker`` processes; same JSON-lines
 framing, one connection per request so liveness is carried by
 heartbeats, not sockets):
 
-``worker_register``    name?, pid?, host?       ->  worker id + knobs
+``worker_register``    name?, pid?, host?       ->  worker id + knobs,
+                                                    ``concurrency`` (the
+                                                    server's job slots)
 ``worker_heartbeat``   worker                   ->  server state
 ``worker_lease``       worker, timeout_s?       ->  a stage task lease,
                                                     or ``idle: true``

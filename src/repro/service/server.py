@@ -15,7 +15,7 @@ One serving process, three moving parts:
   records/analyzes against the shared content-addressed trace store,
   so identical recordings are made once globally and deduped across
   tenants.  The threads only coordinate: every local stage task is a
-  blocking submit to the :class:`~repro.service.executor.StagePool`,
+  blocking submit to the :class:`~repro.service.stagepool.StagePool`,
   ``concurrency`` processes forked when :meth:`CampaignServer.serve`
   starts, so concurrent jobs compute on separate cores.
 
@@ -58,7 +58,6 @@ from repro.service.admission import (
 )
 from repro.service.executor import (
     JobInterrupted,
-    StagePool,
     execute_job,
     load_result,
     run_summary,
@@ -72,6 +71,7 @@ from repro.service.jobs import (
     RESUMABLE,
     job_from_replay,
 )
+from repro.service.stagepool import StagePool
 from repro.service.workers import (
     PoolLimits,
     UnknownLease,
@@ -752,6 +752,9 @@ class CampaignServer:
             pid=int(message.get("pid") or 0),
             host=str(message.get("host", ""))[:128],
         )
+        # A worker forks one stage process per job slot: with every
+        # slot's job leasing out, that is enough to keep them all busy.
+        fields["concurrency"] = self.concurrency
         self.stats["workers_attached"] += 1
         return protocol.ok_response("worker_register", request_id, **fields)
 

@@ -20,10 +20,10 @@ Layout:
 ``remote``
     The ``cord-worker`` agent process: registration with capped
     exponential backoff + deterministic jitter, a heartbeat thread,
-    the lease/execute/replicate/complete loop, SIGTERM drain
-    (finish lease -> deregister -> exit 0), and the worker-side chaos
-    fault points (``worker_vanish``, ``lease_stall``,
-    ``net_partition``).
+    one lease/execute/replicate/complete loop per forked stage
+    process, SIGTERM drain (finish every lease -> deregister -> exit
+    0), and the worker-side chaos fault points (``worker_vanish``,
+    ``lease_stall``, ``net_partition``).
 
 ``replicate``
     The store-replication codec: sha256-framed payloads (reusing the

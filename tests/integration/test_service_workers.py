@@ -34,6 +34,8 @@ from repro.service.client import ServiceClient, ServiceUnavailable
 
 from .test_service_recovery import (  # noqa: F401  (warm fixture reuse)
     SPEC,
+    _alive,
+    _children,
     _env,
     _prewarmed_root,
     warm,
@@ -306,16 +308,24 @@ def test_lease_stall_is_expired_and_deduped(tmp_path, warm):
         final = _submit_and_check(client, warm["report"])
         assert final["stats"].get("simulated", 0) == 0
 
-        stats = client.health()["workers"]["stats"]
-        assert stats.get("leases_expired", 0) >= 1
         # The stalled worker's late completion was adopted (stale) or
         # deduped (duplicate) -- one of the two, never a double commit.
-        assert (
-            stats.get("stale_completions", 0)
-            + stats.get("duplicate_completions", 0)
-            + stats.get("unknown_lease_completions", 0)
-            + stats.get("late_completions", 0)
-        ) >= 1
+        # Another lease loop of the same worker may finish the job while
+        # the stalled one still sleeps, so wait past the stall for it.
+        deadline = time.monotonic() + 30.0
+        while True:
+            stats = client.health()["workers"]["stats"]
+            late = (
+                stats.get("stale_completions", 0)
+                + stats.get("duplicate_completions", 0)
+                + stats.get("unknown_lease_completions", 0)
+                + stats.get("late_completions", 0)
+            )
+            if late >= 1 or time.monotonic() >= deadline:
+                break
+            time.sleep(0.1)
+        assert stats.get("leases_expired", 0) >= 1
+        assert late >= 1
 
         client.drain()
         assert worker.wait(timeout=60) == 0
@@ -363,6 +373,121 @@ def test_worker_killed_mid_lease_reassigned_to_survivor(tmp_path, warm):
         assert server.wait(timeout=30) == 0
     finally:
         _reap(server, *workers.values())
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_stage_processes_die_with_a_killed_worker(tmp_path, warm):
+    """SIGKILL a worker mid-lease: every process it forked exits within
+    2 s, and the job still commits the byte-identical report."""
+    root = _prewarmed_root(tmp_path, warm)
+    server = _start_server(root)
+    worker = _start_worker(root, tmp_path / "wk1", "wk1")
+    try:
+        client = _client(root)
+        _wait_attached(client, 1)
+        response = client.submit(
+            SPEC.workload, runs=SPEC.runs, seed=SPEC.seed, scale=SPEC.scale,
+        )
+        assert response.get("ok"), response
+        deadline = time.monotonic() + 60
+        # The worker forks one stage process per job slot right after
+        # it registers.
+        while len(_children(worker.pid)) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        children = _children(worker.pid)
+        assert len(children) == 2
+        while client.health()["workers"]["outstanding_leases"] == 0:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        worker.kill()
+        worker.wait(timeout=10)
+        deadline = time.monotonic() + 2.0
+        while any(_alive(pid) for pid in children):
+            assert time.monotonic() < deadline, (
+                "stage processes outlived the worker: %s"
+                % [pid for pid in children if _alive(pid)]
+            )
+            time.sleep(0.05)
+
+        final = client.result(response["job"], timeout_s=180)
+        assert final["ok"] is True
+        assert final["report"] == warm["report"]
+        client.drain()
+        assert server.wait(timeout=30) == 0
+    finally:
+        _reap(server, worker)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
+def test_killed_stage_process_degrades_worker_to_in_process(tmp_path,
+                                                            warm):
+    """SIGKILL one stage process of an idle worker: its leases run
+    in-process from then on, the report does not move, and the worker
+    forks no replacement."""
+    root = _prewarmed_root(tmp_path, warm)
+    server = _start_server(root)
+    worker = _start_worker(root, tmp_path / "wk1", "wk1")
+    try:
+        client = _client(root)
+        _wait_attached(client, 1)
+        deadline = time.monotonic() + 60
+        while len(_children(worker.pid)) < 2:
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        children = set(_children(worker.pid))
+        os.kill(min(children), signal.SIGKILL)
+
+        final = _submit_and_check(client, warm["report"])
+        assert final["stats"]["remote"]["remote_completions"] > 0
+        assert set(_children(worker.pid)) <= children
+
+        worker.send_signal(signal.SIGTERM)
+        assert worker.wait(timeout=60) == 0
+        # The deregistered worker's own counters, as the server got them.
+        stats = client.health()["workers"]["stats"]
+        assert stats.get("agent_pooled", 0) == 0
+        assert stats["agent_inline"] == stats["agent_executed"] > 0
+        client.drain()
+        assert server.wait(timeout=30) == 0
+    finally:
+        _reap(server, worker)
+
+
+def test_one_worker_holds_a_lease_per_job_slot(tmp_path, warm):
+    """With two jobs running, one worker holds two leases at once: one
+    per stage process, as many as the server has job slots."""
+    root = tmp_path / "server"
+    server = _start_server(root)
+    worker = _start_worker(root, tmp_path / "wk1", "wk1")
+    try:
+        client = _client(root)
+        _wait_attached(client, 1)
+        jobs = [
+            client.submit(SPEC.workload, runs=SPEC.runs, seed=seed,
+                          scale=SPEC.scale)["job"]
+            for seed in (SPEC.seed, SPEC.seed + 1)
+        ]
+        most = 0
+        deadline = time.monotonic() + 120
+        while most < 2 and time.monotonic() < deadline:
+            health = client.health()["workers"]
+            (entry,) = health["workers"]
+            assert entry["leases"] == health["outstanding_leases"]
+            most = max(most, entry["leases"])
+            if all(client.status(job)["state"] == "committed"
+                   for job in jobs):
+                break
+            time.sleep(0.005)
+        assert most == 2
+        final = client.result(jobs[0], timeout_s=180)
+        assert final["report"] == warm["report"]
+        assert client.result(jobs[1], timeout_s=180)["ok"] is True
+        client.drain()
+        assert worker.wait(timeout=60) == 0
+        assert server.wait(timeout=30) == 0
+    finally:
+        _reap(server, worker)
 
 
 # -- graceful drain -----------------------------------------------------------

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.common.backoff import backoff_delay
 from repro.common.errors import (
     DegradedPathError,
     PipelineError,
@@ -195,9 +196,10 @@ class TestSupervisor:
         assert "received signal" not in capfd.readouterr().err
 
     def test_deterministic_backoff(self):
-        a = Supervisor(2, seed=7)._backoff("fft", 1)
-        b = Supervisor(2, seed=7)._backoff("fft", 1)
-        c = Supervisor(2, seed=8)._backoff("fft", 1)
+        # Supervisor retries key the shared helper by task name and seed.
+        a = backoff_delay("fft", 1, seed=7)
+        b = backoff_delay("fft", 1, seed=7)
+        c = backoff_delay("fft", 1, seed=8)
         assert a == b
         assert a != c
 

@@ -32,7 +32,6 @@ from repro.service.admission import (
 )
 from repro.service.executor import (
     JobInterrupted,
-    StagePool,
     execute_job,
     load_result,
 )
@@ -52,6 +51,7 @@ from repro.service.jobs import (
     TERMINAL,
     job_from_replay,
 )
+from repro.service.stagepool import StagePool
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload

@@ -11,18 +11,16 @@ multi-host integration suite runs the real subprocess topology.
 
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
 
+from repro.common.backoff import BACKOFF_CAP_S, backoff_delay
 from repro.resilience import faults
-from repro.service.client import (
-    BACKOFF_CAP_S,
-    ServiceClient,
-    ServiceUnavailable,
-    connect_backoff,
-)
+from repro.service import protocol
+from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.workers import (
     PoolLimits,
     RemoteTaskError,
@@ -31,6 +29,7 @@ from repro.service.workers import (
     WorkerPool,
     replicate,
 )
+from repro.service.workers.remote import WorkerAgent
 from repro.trace.store import PackedTraceStore, frame_payload
 
 
@@ -95,16 +94,16 @@ def _lease_soon(pool, worker_id, timeout=5.0):
 
 
 def test_connect_backoff_deterministic_capped_and_jittered():
-    delays = [connect_backoff("endpoint-a", n) for n in range(12)]
-    assert delays == [connect_backoff("endpoint-a", n) for n in range(12)]
+    delays = [backoff_delay("endpoint-a", n) for n in range(12)]
+    assert delays == [backoff_delay("endpoint-a", n) for n in range(12)]
     # Jitter scales the bounded delay into [0.5, 1.0) of it.
     for attempt, delay in enumerate(delays):
         bounded = min(BACKOFF_CAP_S, 0.05 * 2 ** attempt)
         assert bounded * 0.5 <= delay < bounded
     # Different keys desynchronize.
-    assert delays != [connect_backoff("endpoint-b", n) for n in range(12)]
+    assert delays != [backoff_delay("endpoint-b", n) for n in range(12)]
     # Huge attempt numbers stay capped (no overflow).
-    assert connect_backoff("endpoint-a", 10_000) < BACKOFF_CAP_S
+    assert backoff_delay("endpoint-a", 10_000) < BACKOFF_CAP_S
 
 
 def test_client_fail_fast_without_connect_timeout(tmp_path):
@@ -461,6 +460,123 @@ def test_deregister_requeues_open_leases_and_merges_stats():
     # With the only worker gone the task finishes locally.
     thread.join(timeout=5)
     assert out["result"][0] == {"t0": ("local", 5)}
+
+
+def test_unknown_worker_seen_by_two_lease_loops_registers_once(tmp_path):
+    # Both lease loops get ``unknown_worker`` for the first id before
+    # either re-registers; only one of them may register again.
+    agent = WorkerAgent(tmp_path / "wk", socket_path=tmp_path / "no.sock",
+                        name="twin")
+    both_saw = threading.Barrier(2, timeout=10)
+    ids = iter(["wk0001-twin", "wk0002-twin", "wk0003-twin"])
+
+    def call(message):
+        if message["op"] == "worker_register":
+            return {"ok": True, "worker": next(ids), "heartbeat_s": 0.25,
+                    "concurrency": 2}
+        assert message["op"] == "worker_lease", message
+        if message["worker"] == "wk0001-twin":
+            both_saw.wait()
+            return {"ok": False, "error": protocol.ERR_UNKNOWN_WORKER}
+        return {"ok": True, "idle": True, "draining": True}
+
+    agent._call = call
+    assert agent._register()
+    assert agent.processes == 2
+    loops = [
+        threading.Thread(target=agent._lease_loop, args=(index,))
+        for index in range(agent.processes)
+    ]
+    for loop in loops:
+        loop.start()
+    for loop in loops:
+        loop.join(timeout=30)
+        assert not loop.is_alive()
+    assert agent.stats["registrations"] == 2
+    assert agent.stats["reregistrations"] == 1
+    assert agent.worker_id == "wk0002-twin"
+
+
+class _CountingStagePool:
+    def run(self, payload):
+        return {"instances": 1, "store": {"value_writes": 1}}
+
+    def health(self):
+        return {"pooled": 0, "inline": 0}
+
+
+def test_lease_loops_lose_no_counter_update(tmp_path):
+    # More lease loops than cores, switching threads as often as the
+    # interpreter allows: every lease must show in every counter.
+    grants = 400
+    agent = WorkerAgent(tmp_path / "wk", socket_path=tmp_path / "no.sock")
+    agent.stage_pool = _CountingStagePool()
+    agent.worker_id = "wk0001"
+    payload = replicate.pickle_blob({
+        "stage": "size", "namespace": "ns", "sizing_seed": 7,
+    })
+    left = [grants]
+    lock = threading.Lock()
+
+    def call(message):
+        if message["op"] == "worker_complete":
+            return {"ok": True}
+        assert message["op"] == "worker_lease", message
+        with lock:
+            if left[0] == 0:
+                return {"ok": True, "idle": True, "draining": True}
+            left[0] -= 1
+            lease = "ls%06d" % left[0]
+        return {"ok": True, "lease": lease, "epoch": 1, "payload": payload}
+
+    agent._call = call
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        loops = [
+            threading.Thread(target=agent._lease_loop, args=(index,))
+            for index in range(8)
+        ]
+        for loop in loops:
+            loop.start()
+        for loop in loops:
+            loop.join(timeout=60)
+            assert not loop.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    stats = agent._agent_stats()
+    for key in ("leases", "executed", "executed_size", "completions",
+                "push_failures", "store_value_writes"):
+        assert stats[key] == grants, key
+
+
+def test_unreachable_server_after_its_drain_is_gone(tmp_path):
+    # A lease loop finishing a late lease after the server drained and
+    # exited gives up at the first unreachable request.
+    agent = WorkerAgent(tmp_path / "wk", socket_path=tmp_path / "no.sock")
+    calls = []
+
+    def unreachable(message):
+        calls.append(message["op"])
+        raise ServiceUnavailable("connection refused")
+
+    agent.client.call = unreachable
+    agent.worker_id = "wk0001"
+    agent._server_drains()
+    started = time.monotonic()
+    agent._send_complete("ls000001", 1, {"instances": 1}, "wk/0")
+    agent._deregister()
+    assert time.monotonic() - started < 5.0
+    assert calls == ["worker_complete"]
+    assert agent.stats["completions_abandoned"] == 1
+    assert agent.stats["deregister_lost"] == 1
+
+
+def test_register_reply_without_concurrency_means_one_process(tmp_path):
+    agent = WorkerAgent(tmp_path / "wk", socket_path=tmp_path / "no.sock")
+    agent._call = lambda message: {"ok": True, "worker": "wk0001"}
+    assert agent._register()
+    assert agent.processes == 1
 
 
 def test_lease_events_land_in_the_log():

@@ -11,9 +11,11 @@ of ``(workload, base_seed)``.
 
 This module holds the worker half of that decomposition: one picklable
 payload per stage, dispatched by :func:`run_stage_task` inside a
-supervisor child (or inline, on the serial fallback rung).  The parent
-half -- streaming results, batching analysis, journaling, canonical
-assembly -- lives in :meth:`Suite._run_pipelined`.
+process of the pre-forked pool (:mod:`repro.resilience.procpool`) or
+inline, on the serial fallback rung.  The Suite's pipeline, the
+campaign service and its remote workers all run the same stages.  The
+parent half -- streaming results, batching analysis, journaling,
+canonical assembly -- lives in :meth:`Suite._run_pipelined`.
 
 Stages (``payload["stage"]``):
 
@@ -40,9 +42,9 @@ already durable -- and recompute *identically* when they must (the
 deterministic-seeding contract).  Per-stage wall times come back in the
 ``"timings"`` entry (``record_s`` / ``analyze_s`` / ``store_io_s``) and
 are merged into the task's :class:`~repro.resilience.supervisor
-.TaskOutcome` for :meth:`RunReport.profile`.  A stage that opened its
-own store also returns that store's counters in a ``"store"`` entry, so
-a caller running stages in other processes can still total them.
+.TaskOutcome` for :meth:`RunReport.profile`.  Each stage opens its own
+store and returns that store's counters in a ``"store"`` entry, so a
+caller running stages in other processes can still total them.
 """
 
 from __future__ import annotations
@@ -99,31 +101,25 @@ def analyze_payload(
     }
 
 
-def run_stage_task(payload: Dict, store=None, factory=None) -> Dict:
-    """Execute one pipeline stage (module-level, picklable).
+def run_stage_task(payload: Dict) -> Dict:
+    """Execute one pipeline stage, in whichever process runs it.
 
-    Supervisor and stage-pool children, and the campaign service's
-    in-process runner, call this with just the payload and rebuild the
-    store and program factory from it; the counters of a store opened
-    here come back as the value's ``"store"`` entry.  A remote worker
-    passes its own ``store``/``factory`` so one instance's stats
-    counters aggregate across every lease it runs.
+    Rebuilds the store and the program factory from the payload; the
+    counters of the store opened here come back as the value's
+    ``"store"`` entry.
     """
-    if store is not None:
-        return _run_stage(payload, store, factory)
-    own = PackedTraceStore(payload["store_dir"])
-    value = _run_stage(payload, own, factory)
-    value["store"] = own.snapshot()
+    store = PackedTraceStore(payload["store_dir"])
+    value = _run_stage(payload, store)
+    value["store"] = store.snapshot()
     return value
 
 
-def _run_stage(payload: Dict, store, factory) -> Dict:
+def _run_stage(payload: Dict, store) -> Dict:
     stage = payload["stage"]
     namespace = payload["namespace"]
-    if factory is None:
-        factory = get_workload(payload["workload"]).program_factory(
-            payload["params"]
-        )
+    factory = get_workload(payload["workload"]).program_factory(
+        payload["params"]
+    )
 
     if stage == "size":
         started = time.monotonic()

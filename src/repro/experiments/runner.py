@@ -59,6 +59,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.common.env import env_number
 from repro.common.errors import (
     InterruptedRunError,
     SimulationError,
@@ -101,13 +102,7 @@ _STALE_ERRORS = (AttributeError, ImportError, TypeError, ValueError,
 
 def default_jobs() -> int:
     """Worker-process count from ``REPRO_JOBS`` (default: 1, serial)."""
-    raw = os.environ.get("REPRO_JOBS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
+    return env_number("REPRO_JOBS", 1, 1)
 
 
 def default_cache_dir() -> Optional[Path]:

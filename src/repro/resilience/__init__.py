@@ -3,7 +3,8 @@
 The paper's promise is reliability of the record/detect pipeline itself
 -- no false positives, always a replayable log.  This package gives our
 *analysis* pipeline the same discipline: long campaigns survive dead or
-hung workers (:mod:`~repro.resilience.supervisor`), corrupted on-disk
+hung workers (:mod:`~repro.resilience.supervisor` over the pre-forked
+:mod:`~repro.resilience.procpool`), corrupted on-disk
 trace entries are detected, quarantined, and re-recorded
 (:mod:`repro.trace.store`), and any failure in an accelerated analysis
 path degrades to the next-slower byte-identical tier instead of taking

@@ -41,6 +41,7 @@ import time
 from pathlib import Path
 from typing import Callable, List, Optional
 
+from repro.common.env import env_number
 from repro.common.errors import InterruptedRunError
 
 logger = logging.getLogger("repro.resilience.checkpoint")
@@ -190,24 +191,13 @@ def collect_tmp_litter(root: os.PathLike, max_age_s: float = 3600.0) -> int:
 
 def default_quarantine_keep() -> int:
     """Quarantined entries kept per directory (``REPRO_QUARANTINE_KEEP``, 32)."""
-    raw = os.environ.get("REPRO_QUARANTINE_KEEP", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 32
+    return env_number("REPRO_QUARANTINE_KEEP", 32, 0)
 
 
 def default_quarantine_max_age() -> float:
     """Max quarantine age in seconds (``REPRO_QUARANTINE_MAX_AGE_S``, 7 days)."""
-    raw = os.environ.get("REPRO_QUARANTINE_MAX_AGE_S", "").strip()
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            pass
-    return 7 * 24 * 3600.0
+    return env_number("REPRO_QUARANTINE_MAX_AGE_S", 7 * 24 * 3600.0, 0.0,
+                      float)
 
 
 def prune_quarantine(

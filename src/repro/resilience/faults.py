@@ -17,18 +17,20 @@ Each armed fault carries a *charge budget* (default 1).  In-process
 faults (:func:`fire`) consume one charge per firing and go quiet when
 the budget is spent -- so a retry or a re-record after the injected
 failure succeeds, which is exactly the recovery the chaos tests assert.
-Worker-level faults (:func:`should_fire`) are evaluated in freshly
-spawned supervisor children, where a per-process budget would reset on
-every attempt; they are gated on the *attempt number* instead
+The budget is per process: in a long-lived pool process
+(:mod:`repro.resilience.procpool`) it is spent once per process, not
+once per task.  Worker-level faults (:func:`should_fire`) are evaluated
+in pool processes, which die and are replaced by these very faults;
+they are gated on the *attempt number* sent with each task instead
 (``attempt < charges``), which is deterministic across processes: a
 ``worker_kill:1`` kills every task's first attempt and no retry.
 
 Fault points wired into the pipeline:
 
 =================  =========================================================
-``worker_kill``    supervisor child exits hard (``os._exit``) before working
-``worker_stall``   supervisor child sleeps ``REPRO_FAULT_STALL_SECONDS``
-                   (default 30) before working, tripping the task deadline
+``worker_kill``    a pool process exits hard (``os._exit``) before its task
+``worker_stall``   a pool process sleeps ``REPRO_FAULT_STALL_SECONDS``
+                   (default 30) before its task, tripping the deadline
 ``store_truncate`` :class:`~repro.trace.store.PackedTraceStore` writes only
                    half of an entry's frame (a torn write)
 ``fused_raise``    the interval-fused sweep pass raises at entry
@@ -239,7 +241,7 @@ def partition_requests() -> int:
 
 
 def worker_entry(attempt: int) -> None:
-    """The supervisor child's fault hook, called before the task body.
+    """A pool process's fault hook, called before each task body.
 
     ``worker_kill`` exits the process without a word (the parent sees a
     dead worker with no result -- the crash it must survive);

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, IO, Iterator, List, Optional, Set, Tuple
 
+from repro.common.env import env_number
 from repro.common.errors import StoreCorruptError
 from repro.resilience import checkpoint, faults
 from repro.trace.store import frame_payload, unframe_payload
@@ -67,13 +68,7 @@ _RUN_ID_RE = re.compile(r"^(?P<ident>[0-9a-f]{8})-(?P<seq>\d{4})$")
 
 def default_journal_keep() -> int:
     """Finished journals kept around (``REPRO_JOURNAL_KEEP``, default 8)."""
-    raw = os.environ.get("REPRO_JOURNAL_KEEP", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 8
+    return env_number("REPRO_JOURNAL_KEEP", 8, 0)
 
 
 def identity_digest(description) -> str:

@@ -1,92 +1,59 @@
-"""Supervised process fan-out for campaign tasks.
+"""Supervised fan-out of named campaign tasks.
 
-``multiprocessing.Pool`` is the wrong tool for long campaign sweeps: a
-worker that dies mid-task hangs or poisons ``pool.map``, a hung worker
-stalls the whole sweep forever, and either way hours of finished work
-go down with it.  This supervisor replaces the pool with per-task child
-processes it actually *watches*:
-
-* every attempt gets a **deadline** (``REPRO_TASK_TIMEOUT`` seconds);
-  a child that misses it is killed and the task retried;
-* a child that **dies** without reporting (crash, OOM-kill, chaos
-  ``worker_kill``) is detected and the task retried;
-* retries use **exponential backoff with deterministic jitter**
-  (:func:`repro.common.backoff.backoff_delay`, seeded, so two identical
-  runs back off identically) up to ``REPRO_MAX_RETRIES`` extra attempts;
-* a task that exhausts its pool attempts -- or a **poisoned pool**
-  (process spawn failing, or workers dying over and over) -- falls back
-  to plain **in-process serial execution**, the degraded-but-correct
-  bottom rung;
-* the whole run is summarized in a structured :class:`RunReport` of
-  per-task :class:`TaskOutcome` rows.
-
-Exceptions *raised by the task body* are deliberately not retried: the
-tasks here are deterministic computations, so a raising task would raise
-again on every attempt.  Such failures are recorded and re-raised as
-:class:`~repro.common.errors.PipelineError` after the surviving tasks
-finish.  Results are returned keyed by task name; callers that need
-deterministic ordering iterate their own task list, never completion
+:meth:`Supervisor.run_stream` runs a stream of named tasks on a
+:class:`~repro.resilience.procpool.ProcessPool` of ``jobs`` processes,
+started for the run, under the pool's one failure rule: an attempt past
+its ``REPRO_TASK_TIMEOUT`` deadline is killed, a lost process is
+replaced, and its task retried with deterministic backoff up to
+``REPRO_MAX_RETRIES`` times; a task that exhausts its attempts, or meets
+a poisoned pool, runs in-process (the serial rung).  An exception raised
+by the task body is deterministic and never retried: it is recorded and
+re-raised as :class:`~repro.common.errors.PipelineError` after the
+surviving tasks finish.  The run is summarized in a :class:`RunReport`;
+results are keyed by task name, so callers never depend on completion
 order.
+
+This module stays import-light: the pool loads only when a run starts.
 """
 
 from __future__ import annotations
 
 import logging
-import multiprocessing
-import os
-import signal
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.backoff import backoff_delay
-from repro.common.errors import PipelineError, WorkerTimeoutError
-from repro.resilience import faults
+from repro.common.env import env_number
+from repro.common.errors import PipelineError
 
 logger = logging.getLogger("repro.resilience.supervisor")
 
+#: Longest wait between two ``should_stop`` polls of a streaming run.
+STOP_POLL_S = 0.1
+
+
 def default_task_timeout() -> float:
     """Per-attempt deadline in seconds (``REPRO_TASK_TIMEOUT``, default 600)."""
-    raw = os.environ.get("REPRO_TASK_TIMEOUT", "").strip()
-    if raw:
-        try:
-            return max(0.1, float(raw))
-        except ValueError:
-            pass
-    return 600.0
+    return env_number("REPRO_TASK_TIMEOUT", 600.0, 0.1, float)
 
 
 def default_max_retries() -> int:
     """Extra pool attempts per task (``REPRO_MAX_RETRIES``, default 2)."""
-    raw = os.environ.get("REPRO_MAX_RETRIES", "").strip()
-    if raw:
-        try:
-            return max(0, int(raw))
-        except ValueError:
-            pass
-    return 2
+    return env_number("REPRO_MAX_RETRIES", 2, 0)
 
 
 @dataclass
 class TaskOutcome:
     """What happened to one supervised task, attempt by attempt.
 
-    Attributes:
-        name: the task's key (campaign workload name).
-        status: ``"ok"``, ``"failed"``, or ``"interrupted"`` (a graceful
-            drain stopped the run before this task could finish; it is
-            not a failure -- a resumed run picks it up).
-        attempts: total attempts, pool and serial together.
-        path: where the winning attempt ran -- ``"pool"`` (first try),
-            ``"pool-retry"``, ``"serial"`` (the fallback rung), or
-            ``"cache"`` (served durably, no worker occupied).
-        errors: one human-readable line per failed attempt.
-        timings: per-stage wall times in seconds.  The supervisor stamps
-            ``task_s`` (winning attempt's spawn-to-result wall); the
-            task layer merges in its own stage breakdown (the run-level
-            scheduler adds ``record_s`` / ``analyze_s`` /
-            ``store_io_s``).  See :meth:`RunReport.profile`.
+    ``status`` is ``"ok"``, ``"failed"`` or ``"interrupted"`` (a drain
+    stopped the run first; a resumed run picks it up).  ``attempts``
+    counts pool and serial attempts; ``path`` is where the winning one
+    ran: ``"pool"`` (first try), ``"pool-retry"``, ``"serial"`` or
+    ``"cache"`` (served durably).  ``errors`` has one line per failed
+    attempt.  ``timings`` holds per-stage wall seconds: the supervisor's
+    ``task_s`` (dispatch to result) plus the task's own breakdown
+    (``record_s`` / ``analyze_s`` / ``store_io_s``).
     """
 
     name: str
@@ -185,63 +152,11 @@ class RunReport:
         raise exc
 
 
-def _child_main(fn, payload, attempt, conn) -> None:
-    """Child-process entry: run the task body, ship the result back.
-
-    Must stay module-level (picklable for spawn-based contexts).  The
-    fault hook runs *before* the body so an injected kill/stall models a
-    worker lost mid-task, not a broken computation.
-    """
-    # A forked child inherits the parent's GracefulShutdown handler,
-    # which would turn the supervisor's terminate() into a logged drain
-    # request and leave the parent waiting out its join before kill().
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    try:
-        faults.worker_entry(attempt)
-        result = fn(payload)
-        conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - full report, then die
-        try:
-            conn.send((
-                "error",
-                "%s: %s" % (type(exc).__name__, exc),
-                traceback.format_exc(),
-            ))
-        except Exception:
-            pass
-    finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
-
-
-@dataclass
-class _Attempt:
-    """One in-flight child process."""
-
-    name: str
-    payload: Any
-    attempt: int
-    proc: multiprocessing.process.BaseProcess
-    conn: Any
-    deadline: float
-    started: float = 0.0
-
-
 class Supervisor:
-    """Runs named tasks on watched child processes; see the module doc.
-
-    Args:
-        jobs: maximum concurrent worker processes.
-        timeout: per-attempt deadline in seconds (``None`` reads
-            ``REPRO_TASK_TIMEOUT``).
-        max_retries: extra pool attempts per task before the serial
-            fallback (``None`` reads ``REPRO_MAX_RETRIES``).
-        seed: seed for the deterministic backoff jitter.
-        context: a :mod:`multiprocessing` context (``None``: fork where
-            available, else the platform default).
-    """
+    """Runs named tasks on a pool of ``jobs`` processes; see the module
+    doc.  ``timeout`` (per attempt) and ``max_retries`` default to
+    ``REPRO_TASK_TIMEOUT`` and ``REPRO_MAX_RETRIES``; ``seed`` seeds the
+    backoff jitter."""
 
     def __init__(
         self,
@@ -249,62 +164,9 @@ class Supervisor:
         timeout: Optional[float] = None,
         max_retries: Optional[int] = None,
         seed: int = 0,
-        context=None,
     ):
         self.jobs = max(1, int(jobs))
-        self.timeout = default_task_timeout() if timeout is None else timeout
-        self.max_retries = (
-            default_max_retries() if max_retries is None else max_retries
-        )
-        if context is None:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # platforms without fork
-                context = multiprocessing.get_context()
-        self._context = context
-        self.seed = seed
-        #: Worker deaths/timeouts before the pool is declared poisoned.
-        self.poison_limit = max(4, 2 * self.jobs * (self.max_retries + 1))
-
-    # -- internals -----------------------------------------------------------
-
-    def _spawn(self, name, payload, attempt) -> Optional[_Attempt]:
-        recv_end, send_end = self._context.Pipe(duplex=False)
-        proc = self._context.Process(
-            target=_child_main,
-            args=(self._fn, payload, attempt, send_end),
-            name="repro-task-%s-%d" % (name, attempt),
-        )
-        proc.daemon = True
-        proc.start()
-        send_end.close()
-        started = time.monotonic()
-        return _Attempt(
-            name=name,
-            payload=payload,
-            attempt=attempt,
-            proc=proc,
-            conn=recv_end,
-            deadline=started + self.timeout,
-            started=started,
-        )
-
-    @staticmethod
-    def _reap(att: _Attempt) -> None:
-        try:
-            att.conn.close()
-        except Exception:
-            pass
-        if att.proc.is_alive():
-            att.proc.terminate()
-            att.proc.join(1.0)
-            if att.proc.is_alive():
-                att.proc.kill()
-                att.proc.join(1.0)
-        else:
-            att.proc.join()
-
-    # -- the run loop --------------------------------------------------------
+        self.timeout, self.max_retries, self.seed = timeout, max_retries, seed
 
     def run_stream(
         self,
@@ -315,47 +177,35 @@ class Supervisor:
     ) -> Tuple[Dict[str, Any], RunReport]:
         """Run every task; returns ``(results_by_name, report)``.
 
-        The task graph may *grow* while it runs: ``on_result(outcome,
-        value, submit)`` is called in the parent the moment a task
-        succeeds (whatever path computed it), and ``submit(name,
-        payload)`` enqueues a follow-up task into the same work queue,
-        so a pipeline -- record tasks fanning out into analyze tasks as
-        recordings land -- flows through one pool with one load
-        balancer.  The loop ends when the queue and the in-flight set
-        are both empty, follow-ups included.
+        ``on_result(outcome, value, submit)`` is called here the moment
+        a task succeeds (on whatever path), and ``submit(name,
+        payload)`` enqueues a follow-up task, so a pipeline -- record
+        tasks fanning out into analyze tasks -- flows through one pool.
+        The run ends when no task is queued or in flight.  Raises
+        :class:`PipelineError` (carrying ``exc.report``) when a task
+        failed on the pool or on the serial rung.
 
-        A task that exhausts its pool retries -- or hits a poisoned
-        pool -- runs **inline immediately** in this process, so its
-        follow-ups still stream through the queue while other workers
-        keep computing.  Raises :class:`PipelineError` (carrying the
-        report as ``exc.report``) only when a task failed on the pool
-        *and* in that serial fallback.
-
-        ``should_stop`` is polled every loop iteration (the graceful
-        shutdown hook): when it turns true the run *drains* -- no new
-        attempts spawn, every in-flight worker is reaped immediately,
-        unfinished tasks are marked ``"interrupted"`` (not failed),
-        ``report.interrupted`` is set, and the finished results are
-        returned so the caller can commit them before exiting
-        resumably.  Exceptions raised by ``on_result`` itself propagate
-        after the in-flight children are reaped -- a coordinator bug
-        must surface, not hang the fan-out.
+        ``should_stop`` is polled at least every :data:`STOP_POLL_S`;
+        once true the run *drains*: the pool is killed at once,
+        unfinished tasks are marked ``"interrupted"``, and the finished
+        results are returned for the caller to commit.  An exception
+        from ``on_result`` propagates after the pool is shut down.
         """
-        self._fn = fn
+        from repro.resilience.procpool import ProcessPool
+
+        pool = ProcessPool(
+            fn, self.jobs, self.timeout, self.max_retries, self.seed
+        )
         outcomes: Dict[str, TaskOutcome] = {}
         report = RunReport()
         results: Dict[str, Any] = {}
         #: (name, payload, attempt, not_before_monotonic)
         queue: List[Tuple[str, Any, int, float]] = []
-        running: List[_Attempt] = []
-        pool_ok = True
-        deaths = 0
+        running: List[Any] = []
 
         def submit(name: str, payload: Any) -> None:
             if name in outcomes:
-                raise ValueError(
-                    "duplicate streamed task name %r" % (name,)
-                )
+                raise ValueError("duplicate streamed task name %r" % (name,))
             outcomes[name] = TaskOutcome(name)
             report.outcomes.append(outcomes[name])
             queue.append((name, payload, 0, 0.0))
@@ -363,161 +213,85 @@ class Supervisor:
         for name, payload in tasks:
             submit(name, payload)
 
-        def finish_ok(name: str, value: Any) -> None:
+        def finish_ok(name: str, value: Any, path: str,
+                      started: float) -> None:
+            out = outcomes[name]
+            out.status, out.path = "ok", path
+            out.timings["task_s"] = time.monotonic() - started
             results[name] = value
             if on_result is not None:
-                on_result(outcomes[name], value, submit)
+                on_result(out, value, submit)
 
         def run_serial_now(name: str, payload: Any) -> None:
             out = outcomes[name]
             out.attempts += 1
-            out.path = "serial"
-            logger.warning(
-                "task %s falling back to serial execution", name
-            )
+            logger.warning("task %s falling back to serial execution", name)
             started = time.monotonic()
             try:
-                value = self._fn(payload)
+                value = fn(payload)
             except Exception as exc:  # noqa: BLE001
-                out.status = "failed"
-                out.errors.append(
-                    "serial fallback raised %s: %s"
-                    % (type(exc).__name__, exc)
-                )
+                out.status, out.path = "failed", "serial"
+                out.errors.append("serial fallback raised %s: %s"
+                                  % (type(exc).__name__, exc))
                 return
-            out.status = "ok"
-            out.timings["task_s"] = time.monotonic() - started
-            finish_ok(name, value)
-
-        def fail_attempt(att: _Attempt, detail: str, infra: bool) -> None:
-            nonlocal pool_ok, deaths
-            out = outcomes[att.name]
-            out.errors.append(detail)
-            logger.warning(
-                "task %s attempt %d failed: %s",
-                att.name, att.attempt + 1, detail,
-            )
-            if not infra:
-                out.status = "failed"
-                return
-            deaths += 1
-            if deaths >= self.poison_limit:
-                pool_ok = False
-                report.pool_poisoned = True
-                logger.error(
-                    "pool poisoned after %d worker failures; "
-                    "remaining tasks run serially", deaths,
-                )
-            if pool_ok and att.attempt < self.max_retries:
-                delay = backoff_delay(att.name, att.attempt, self.seed)
-                queue.append((
-                    att.name, att.payload, att.attempt + 1,
-                    time.monotonic() + delay,
-                ))
-            else:
-                run_serial_now(att.name, att.payload)
+            finish_ok(name, value, "serial", started)
 
         try:
+            try:
+                pool.start()
+            except OSError as exc:
+                pool.poisoned = True
+                logger.error("worker spawn failed (%s)", exc)
             while queue or running:
                 if should_stop is not None and should_stop():
                     report.interrupted = True
                     break
+                if pool.poisoned and not report.pool_poisoned:
+                    report.pool_poisoned = True
+                    logger.error("pool poisoned; remaining tasks run "
+                                 "serially")
                 now = time.monotonic()
-                if pool_ok:
-                    ready = [
-                        entry for entry in queue if entry[3] <= now
-                    ]
-                    for entry in ready:
-                        if len(running) >= self.jobs:
-                            break
-                        queue.remove(entry)
-                        name, payload, attempt, _ = entry
-                        outcomes[name].attempts += 1
-                        try:
-                            running.append(
-                                self._spawn(name, payload, attempt)
-                            )
-                        except OSError as exc:
-                            pool_ok = False
-                            report.pool_poisoned = True
-                            logger.error(
-                                "worker spawn failed (%s); falling back "
-                                "to serial execution", exc,
-                            )
-                            outcomes[name].attempts -= 1
-                            run_serial_now(name, payload)
-                            break
-                else:
-                    drained = list(queue)
-                    queue.clear()
-                    for name, payload, _attempt, _t in drained:
+                for entry in [e for e in queue
+                              if e[3] <= now or pool.poisoned]:
+                    child = None if pool.poisoned else pool.acquire()
+                    if child is None and not pool.poisoned:
+                        break
+                    queue.remove(entry)
+                    name, payload, attempt, _ = entry
+                    if child is None:
                         run_serial_now(name, payload)
-                progressed = False
-                for att in list(running):
-                    msg = None
-                    dead = False
-                    if att.conn.poll():
-                        try:
-                            msg = att.conn.recv()
-                        except (EOFError, OSError):
-                            dead = True
-                    elif not att.proc.is_alive():
-                        # Drain the race where the child wrote and died
-                        # between our poll and the liveness check.
-                        att.proc.join()
-                        if att.conn.poll():
-                            try:
-                                msg = att.conn.recv()
-                            except (EOFError, OSError):
-                                dead = True
-                        else:
-                            dead = True
-                    elif now > att.deadline:
-                        self._reap(att)
-                        running.remove(att)
-                        progressed = True
-                        fail_attempt(
-                            att,
-                            repr(WorkerTimeoutError(
-                                att.name, att.attempt + 1,
-                                "deadline of %.1fs exceeded"
-                                % self.timeout,
-                            )),
-                            infra=True,
-                        )
                         continue
-                    if msg is None and not dead:
+                    outcomes[name].attempts += 1
+                    pool.dispatch(child, name, payload, attempt)
+                    running.append(child)
+                waits = [t - now for _n, _p, _a, t in queue if t > now]
+                if should_stop is not None:
+                    waits.append(STOP_POLL_S)
+                if not running and not waits:
+                    continue
+                for child, status, value in pool.poll(
+                    running, min(waits) if waits else None
+                ):
+                    running.remove(child)
+                    name, payload, attempt = child.task
+                    if status == "ok":
+                        finish_ok(name, value, "pool-retry" if attempt
+                                  else "pool", child.started)
                         continue
-                    self._reap(att)
-                    running.remove(att)
-                    progressed = True
-                    if msg is None:
-                        code = att.proc.exitcode
-                        fail_attempt(
-                            att,
-                            "worker died without a result "
-                            "(exit code %r)" % (code,),
-                            infra=True,
-                        )
-                    elif msg[0] == "ok":
-                        out = outcomes[att.name]
-                        out.status = "ok"
-                        out.path = (
-                            "pool" if att.attempt == 0 else "pool-retry"
-                        )
-                        out.timings["task_s"] = now - att.started
-                        finish_ok(att.name, msg[1])
+                    detail = value[1] if status == "error" else value
+                    outcomes[name].errors.append(detail)
+                    logger.warning("task %s attempt %d failed: %s",
+                                   name, attempt + 1, detail)
+                    delay = pool.retry_delay(name, attempt)
+                    if status == "error":
+                        outcomes[name].status = "failed"
+                    elif delay is None:
+                        run_serial_now(name, payload)
                     else:
-                        fail_attempt(
-                            att,
-                            "%s\n%s" % (msg[1], msg[2]),
-                            infra=False,
-                        )
-                if not progressed and (running or queue):
-                    time.sleep(0.02)
+                        queue.append((name, payload, attempt + 1,
+                                      time.monotonic() + delay))
         finally:
-            for att in running:
-                self._reap(att)
+            pool.shutdown()
 
         if report.interrupted:
             for out in outcomes.values():
@@ -526,4 +300,3 @@ class Supervisor:
             logger.warning("supervised run drained: %s", report.summary())
         report.raise_if_failed()
         return results, report
-

@@ -24,11 +24,11 @@ of draining the global arrival order.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.common.env import env_number
 from repro.resilience import faults
 from repro.service import protocol
 
@@ -39,26 +39,6 @@ RETRY_AFTER_ENV = "REPRO_SVC_RETRY_AFTER_S"
 _DEFAULT_QUEUE_MAX = 64
 _DEFAULT_TENANT_MAX = 16
 _DEFAULT_RETRY_AFTER = 1.0
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            pass
-    return default
 
 
 @dataclass(frozen=True)
@@ -79,15 +59,17 @@ class ServiceLimits:
         return cls(
             queue_max=(
                 queue_max if queue_max is not None
-                else _env_int(QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX)
+                else env_number(QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX, 1)
             ),
             tenant_max=(
                 tenant_max if tenant_max is not None
-                else _env_int(TENANT_MAX_ENV, _DEFAULT_TENANT_MAX)
+                else env_number(TENANT_MAX_ENV, _DEFAULT_TENANT_MAX, 1)
             ),
             retry_after_s=(
                 retry_after_s if retry_after_s is not None
-                else _env_float(RETRY_AFTER_ENV, _DEFAULT_RETRY_AFTER)
+                else env_number(
+                    RETRY_AFTER_ENV, _DEFAULT_RETRY_AFTER, 0.0, float
+                )
             ),
         )
 

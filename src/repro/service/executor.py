@@ -11,12 +11,13 @@ digest.
 
 The stage runner is a callable, ``run_stage(payload) -> value``.  Direct
 callers get the in-process runner by default.  The server passes
-:meth:`~repro.service.stagepool.StagePool.run`: one blocking submit
-to a pool of forked stage processes, one per job slot, so concurrent
-jobs run their CPU-bound stages in parallel instead of sharing the
-server's GIL.  With live
-remote workers the stage tasks go out over leases instead, and the
-runner only serves the pool's zero-worker fallback.
+:meth:`~repro.resilience.procpool.ProcessPool.run`: one blocking submit
+to its pre-forked stage processes, one per job slot, so concurrent jobs
+run their CPU-bound stages in parallel instead of sharing the server's
+GIL.  The pool kills a stage task at its deadline, replaces a process
+that died, and retries the task there before it falls back in-process.
+With live remote workers the stage tasks go out over leases instead,
+and the runner only serves the pool's zero-worker fallback.
 
 Everything is store-keyed and idempotent, which is the whole recovery
 story: a job re-executed after a server crash skips every durable

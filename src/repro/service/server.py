@@ -15,9 +15,11 @@ One serving process, three moving parts:
   records/analyzes against the shared content-addressed trace store,
   so identical recordings are made once globally and deduped across
   tenants.  The threads only coordinate: every local stage task is a
-  blocking submit to the :class:`~repro.service.stagepool.StagePool`,
-  ``concurrency`` processes forked when :meth:`CampaignServer.serve`
-  starts, so concurrent jobs compute on separate cores.
+  blocking submit to the stage
+  :class:`~repro.resilience.procpool.ProcessPool`, whose zygote and
+  ``concurrency`` processes are forked when :meth:`CampaignServer.serve`
+  starts, so concurrent jobs compute on separate cores; a stage process
+  that dies or misses its deadline is replaced and its task retried.
 
 Robustness contract (proven by the service chaos matrix):
 
@@ -47,8 +49,11 @@ from pathlib import Path
 from threading import Lock
 from typing import Dict, Optional, Set
 
+from repro.common.env import env_number
 from repro.common.errors import CordError
+from repro.experiments import pipeline
 from repro.resilience.checkpoint import INTERRUPTED_EXIT_CODE
+from repro.resilience.procpool import ProcessPool
 from repro.service import jobs as jobmod
 from repro.service import protocol
 from repro.service.admission import (
@@ -71,7 +76,6 @@ from repro.service.jobs import (
     RESUMABLE,
     job_from_replay,
 )
-from repro.service.stagepool import StagePool
 from repro.service.workers import (
     PoolLimits,
     UnknownLease,
@@ -87,16 +91,6 @@ CONCURRENCY_ENV = "REPRO_SVC_CONCURRENCY"
 DEADLINE_ENV = "REPRO_SVC_DEADLINE_S"
 
 _DEFAULT_CONCURRENCY = 2
-
-
-def _env_positive_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return default
 
 
 def _env_optional_float(name: str) -> Optional[float]:
@@ -137,8 +131,8 @@ class CampaignServer:
         self.host = host
         self.port = port
         self.limits = limits or ServiceLimits.from_env()
-        self.concurrency = concurrency or _env_positive_int(
-            CONCURRENCY_ENV, _DEFAULT_CONCURRENCY
+        self.concurrency = concurrency or env_number(
+            CONCURRENCY_ENV, _DEFAULT_CONCURRENCY, 1
         )
         self.default_deadline_s = (
             default_deadline_s
@@ -178,7 +172,9 @@ class CampaignServer:
             thread_name_prefix="svc-job",
         )
         #: One stage process per job thread, forked by serve().
-        self.stage_pool = StagePool(self.concurrency)
+        self.stage_pool = ProcessPool(
+            pipeline.run_stage_task, self.concurrency
+        )
         #: Cross-tenant dedup ledger: run key -> first-owner tenant,
         #: spec digest -> first-owner tenant.  Guarded (executor threads
         #: report shard plans concurrently).

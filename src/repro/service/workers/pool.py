@@ -45,12 +45,13 @@ finishes).  ``health`` reports the degradation.
 from __future__ import annotations
 
 import itertools
-import os
 import re
 import threading
 import time
 from collections import Counter, OrderedDict, deque
 from typing import Any, Callable, Dict, List, Optional, Tuple
+
+from repro.common.env import env_number
 
 HEARTBEAT_ENV = "REPRO_SVC_HEARTBEAT_S"
 MISS_ENV = "REPRO_SVC_HEARTBEAT_MISSES"
@@ -79,26 +80,6 @@ class RemoteTaskError(RuntimeError):
     """A stage task failed remotely more times than the requeue budget."""
 
 
-def _env_float(name: str, default: float, floor: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return max(floor, float(raw))
-        except ValueError:
-            pass
-    return default
-
-
-def _env_int(name: str, default: int, floor: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            return max(floor, int(raw))
-        except ValueError:
-            pass
-    return default
-
-
 class PoolLimits:
     """Worker-pool knobs (all environment-overridable)."""
 
@@ -115,9 +96,9 @@ class PoolLimits:
     @classmethod
     def from_env(cls) -> "PoolLimits":
         return cls(
-            heartbeat_s=_env_float(HEARTBEAT_ENV, 2.0, 0.01),
-            miss_threshold=_env_int(MISS_ENV, 5, 2),
-            lease_s=_env_float(LEASE_ENV, 120.0, 0.05),
+            heartbeat_s=env_number(HEARTBEAT_ENV, 2.0, 0.01, float),
+            miss_threshold=env_number(MISS_ENV, 5, 2),
+            lease_s=env_number(LEASE_ENV, 120.0, 0.05, float),
         )
 
     def as_fields(self) -> Dict[str, Any]:

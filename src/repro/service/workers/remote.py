@@ -7,11 +7,12 @@ in-process scheduler uses), executes them against its *own* local trace
 store, replicates the artifacts it produced (and fetches the ones it
 needs) through the store-replication ops, and streams completions back.
 
-Right after its first registration the agent forks a
-:class:`~repro.service.stagepool.StagePool` of one process per server
-job slot (the reply's ``concurrency``; 1 when absent) and runs one lease
-loop per stage process, so one worker computes as many leases at once
-as the server runs jobs.
+Right after its first registration the agent starts a pre-forked
+:class:`~repro.resilience.procpool.ProcessPool` of one stage process
+per server job slot (the reply's ``concurrency``; 1 when absent) and
+runs one lease loop per stage process, so one worker computes as many
+leases at once as the server runs jobs.  A stage process that dies or
+misses its deadline is replaced and its lease's task retried.
 
 The transport is connection-per-request, so the agent's identity is its
 ``worker`` id, not a socket: a flapped link or a restarted server costs
@@ -48,11 +49,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.backoff import backoff_delay
+from repro.experiments import pipeline
 from repro.injection.campaign import CampaignConfig, detectors_digest
 from repro.resilience import faults
+from repro.resilience.procpool import ProcessPool
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceUnavailable
-from repro.service.stagepool import StagePool
 from repro.service.workers import replicate
 from repro.trace.store import PackedTraceStore
 
@@ -94,7 +96,7 @@ class WorkerAgent:
         self.heartbeat_s = 2.0
         #: Stage processes (and lease loops): the server's job slots.
         self.processes = 1
-        self.stage_pool: Optional[StagePool] = None
+        self.stage_pool: Optional[ProcessPool] = None
         #: Set once every lease loop should stop after its lease: a
         #: local drain, a server drain, or a server found lost.
         self._stop = threading.Event()
@@ -255,7 +257,9 @@ class WorkerAgent:
             return 0
         # Fork before any other thread starts; requests are one
         # connection each, so no socket is open either.
-        self.stage_pool = StagePool(self.processes)
+        self.stage_pool = ProcessPool(
+            pipeline.run_stage_task, self.processes
+        )
         self.stage_pool.start()
         heartbeat = threading.Thread(
             target=self._heartbeat_loop, name="heartbeat", daemon=True

@@ -310,6 +310,17 @@ def _children(pid):
     return found
 
 
+def _descendants(pid):
+    """Pids of every live process below ``pid``: a server's or worker's
+    pool zygote (its child) and the stage processes the zygote forks."""
+    found = []
+    level = _children(pid)
+    while level:
+        found.extend(level)
+        level = [kid for parent in level for kid in _children(parent)]
+    return sorted(found)
+
+
 def _submit_and_wait_mid_job(client):
     job_id = client.submit(
         SPEC.workload, runs=SPEC.runs, seed=SPEC.seed, scale=SPEC.scale,
@@ -323,14 +334,16 @@ def _submit_and_wait_mid_job(client):
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
 def test_stage_processes_die_with_a_killed_server(tmp_path):
-    """SIGKILL the server mid-job: its stage processes exit within 2 s."""
+    """SIGKILL the server mid-job: every process it forked exits within
+    2 s."""
     root = tmp_path / "root"
     client = _client(root)
     proc = _start(root)
     try:
         client.wait_ready()
-        children = _children(proc.pid)
-        assert len(children) == 2  # one stage process per job slot
+        children = _descendants(proc.pid)
+        # The pool zygote and one stage process per job slot.
+        assert len(children) == 3
         _submit_and_wait_mid_job(client)
         proc.kill()
         proc.wait(timeout=10)
@@ -348,20 +361,27 @@ def test_stage_processes_die_with_a_killed_server(tmp_path):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
-def test_killed_stage_process_degrades_to_in_process(tmp_path, warm):
-    """SIGKILL one stage process of an idle server: health reports the
-    degraded pool at once, and jobs still commit the byte-identical
-    report in-process."""
+def test_killed_stage_process_is_replaced(tmp_path, warm):
+    """SIGKILL one stage process of an idle server: health shows a fresh
+    process in its place, and jobs still commit the byte-identical
+    report on the pool."""
     root = tmp_path / "root"
     client = _client(root)
     proc = _start(root)
     try:
         client.wait_ready()
-        os.kill(_children(proc.pid)[0], signal.SIGKILL)
+        before = client.health()["stage_pool"]["pids"]
+        (zygote,) = _children(proc.pid)
+        assert sorted(before) == sorted(_children(zygote))
+        os.kill(before[0], signal.SIGKILL)
         deadline = time.monotonic() + 10
-        while client.health()["stage_pool"]["state"] != "degraded":
+        while client.health()["stage_pool"]["replaced"] == 0:
             assert time.monotonic() < deadline
             time.sleep(0.05)
+        pool = client.health()["stage_pool"]
+        assert pool["state"] == "forked"
+        assert before[0] not in pool["pids"] and before[1] in pool["pids"]
+        assert all(_alive(pid) for pid in pool["pids"])
 
         job_id = client.submit(
             SPEC.workload, runs=SPEC.runs, seed=SPEC.seed, scale=SPEC.scale,
@@ -370,12 +390,12 @@ def test_killed_stage_process_degrades_to_in_process(tmp_path, warm):
         assert final["ok"] is True
         assert final["report"] == warm["report"]
         pool = client.health()["stage_pool"]
-        assert pool["state"] == "degraded"
-        assert pool["pooled"] == 0
-        assert pool["inline"] >= 1
-        assert _children(proc.pid) == []  # never re-forked
+        assert pool["replaced"] == 1
+        assert pool["pooled"] >= 1
+        assert pool["inline"] == 0
+        assert len(_descendants(proc.pid)) == 3
 
-        # Later jobs keep working in-process.
+        # Later jobs keep working on the pool.
         again = client.submit(
             SPEC.workload, runs=SPEC.runs + 1, seed=SPEC.seed,
             scale=SPEC.scale,

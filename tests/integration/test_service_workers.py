@@ -36,6 +36,7 @@ from .test_service_recovery import (  # noqa: F401  (warm fixture reuse)
     SPEC,
     _alive,
     _children,
+    _descendants,
     _env,
     _prewarmed_root,
     warm,
@@ -390,13 +391,13 @@ def test_stage_processes_die_with_a_killed_worker(tmp_path, warm):
         )
         assert response.get("ok"), response
         deadline = time.monotonic() + 60
-        # The worker forks one stage process per job slot right after
-        # it registers.
-        while len(_children(worker.pid)) < 2:
+        # The worker forks its pool zygote and, through it, one stage
+        # process per job slot right after it registers.
+        while len(_descendants(worker.pid)) < 3:
             assert time.monotonic() < deadline
             time.sleep(0.01)
-        children = _children(worker.pid)
-        assert len(children) == 2
+        children = _descendants(worker.pid)
+        assert len(children) == 3
         while client.health()["workers"]["outstanding_leases"] == 0:
             assert time.monotonic() < deadline
             time.sleep(0.01)
@@ -420,11 +421,10 @@ def test_stage_processes_die_with_a_killed_worker(tmp_path, warm):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs procfs")
-def test_killed_stage_process_degrades_worker_to_in_process(tmp_path,
-                                                            warm):
-    """SIGKILL one stage process of an idle worker: its leases run
-    in-process from then on, the report does not move, and the worker
-    forks no replacement."""
+def test_killed_worker_stage_process_is_replaced(tmp_path, warm):
+    """SIGKILL one stage process of an idle worker: a fresh process takes
+    its place, every lease still runs on the pool, and the report does
+    not move."""
     root = _prewarmed_root(tmp_path, warm)
     server = _start_server(root)
     worker = _start_worker(root, tmp_path / "wk1", "wk1")
@@ -432,22 +432,25 @@ def test_killed_stage_process_degrades_worker_to_in_process(tmp_path,
         client = _client(root)
         _wait_attached(client, 1)
         deadline = time.monotonic() + 60
-        while len(_children(worker.pid)) < 2:
+        while len(_descendants(worker.pid)) < 3:
             assert time.monotonic() < deadline
             time.sleep(0.01)
-        children = set(_children(worker.pid))
-        os.kill(min(children), signal.SIGKILL)
+        (zygote,) = _children(worker.pid)
+        stage = set(_children(zygote))
+        os.kill(min(stage), signal.SIGKILL)
 
         final = _submit_and_check(client, warm["report"])
         assert final["stats"]["remote"]["remote_completions"] > 0
-        assert set(_children(worker.pid)) <= children
+        after = set(_children(zygote))
+        assert len(after) == 2 and min(stage) not in after
+        assert len(after & stage) == 1
 
         worker.send_signal(signal.SIGTERM)
         assert worker.wait(timeout=60) == 0
         # The deregistered worker's own counters, as the server got them.
         stats = client.health()["workers"]["stats"]
-        assert stats.get("agent_pooled", 0) == 0
-        assert stats["agent_inline"] == stats["agent_executed"] > 0
+        assert stats.get("agent_inline", 0) == 0
+        assert stats["agent_pooled"] == stats["agent_executed"] > 0
         client.drain()
         assert server.wait(timeout=30) == 0
     finally:

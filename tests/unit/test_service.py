@@ -8,7 +8,6 @@ not need a live server process (the integration suites cover that).
 """
 
 import dataclasses
-import multiprocessing
 import os
 import signal
 import threading
@@ -24,6 +23,7 @@ from repro.injection.campaign import (
     run_campaign,
 )
 from repro.resilience import faults
+from repro.resilience.procpool import ProcessPool
 from repro.service import protocol
 from repro.service.admission import (
     AdmissionController,
@@ -51,7 +51,6 @@ from repro.service.jobs import (
     TERMINAL,
     job_from_replay,
 )
-from repro.service.stagepool import StagePool
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
@@ -436,7 +435,7 @@ def test_execute_job_is_byte_identical_to_cli(tmp_path, monkeypatch):
 
 @pytest.fixture
 def stage_pool():
-    pool = StagePool(2)
+    pool = ProcessPool(pipeline.run_stage_task, 2)
     pool.start()
     yield pool
     pool.shutdown()
@@ -449,14 +448,23 @@ def _stage_runner(procs, request):
     return request.getfixturevalue("stage_pool").run
 
 
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def test_execute_job_pooled_matches_inline(tmp_path, monkeypatch,
                                            stage_pool):
     monkeypatch.setenv("REPRO_FSYNC", "0")
     outcome = execute_job(SPEC, tmp_path, run_stage=stage_pool.run)
     assert outcome["report"] == _cli_report(SPEC)
     assert outcome["stats"]["result_hit"] == 0
-    assert stage_pool.health()["pooled"] > 0
-    assert not stage_pool.degraded
+    health = stage_pool.health()
+    assert health["pooled"] > 0
+    assert health["inline"] == health["replaced"] == 0
 
 
 @pytest.mark.parametrize("procs", [1, 2])
@@ -479,16 +487,18 @@ def test_execute_job_extend_mixes_durable_and_missing_runs(
 def test_stage_pool_forks_every_child_at_start(stage_pool):
     pids = stage_pool.pids
     assert len(set(pids)) == 2
-    live = {child.pid for child in multiprocessing.active_children()}
-    assert set(pids) <= live
-    assert stage_pool.health()["state"] == "forked"
+    assert all(_alive(pid) for pid in pids)
+    assert os.getpid() not in pids
+    health = stage_pool.health()
+    assert health["state"] == "forked"
+    assert health["pids"] == pids
 
 
-def test_stage_pool_child_killed_mid_job_degrades_in_process(
+def test_stage_pool_child_killed_mid_job_is_replaced(
     tmp_path, monkeypatch, stage_pool
 ):
     # SIGKILL one stage process as the job's first record task goes in:
-    # that task and every later one run in-process.
+    # a fresh process takes its place and every task still runs pooled.
     monkeypatch.setenv("REPRO_FSYNC", "0")
     victim = stage_pool.pids[0]
     killed = []
@@ -502,21 +512,24 @@ def test_stage_pool_child_killed_mid_job_degrades_in_process(
     outcome = execute_job(SPEC, tmp_path, run_stage=run_stage)
     assert outcome["report"] == _cli_report(SPEC)
     health = stage_pool.health()
-    assert health["state"] == "degraded"
-    assert health["inline"] >= 1
+    assert health["state"] == "forked"
+    assert health["replaced"] == 1
+    assert health["inline"] == 0
+    assert victim not in health["pids"] and len(health["pids"]) == 2
+    assert all(_alive(pid) for pid in health["pids"])
 
 
 def test_stage_pool_reruns_a_task_whose_process_died(tmp_path,
                                                      monkeypatch):
     # The one child is stopped, so the submitted task is still pending
-    # when the child is killed: run() must catch the broken pool and
-    # run that very task in-process.
+    # when the child is killed: run() must rerun that very task on the
+    # child's replacement.
     monkeypatch.setenv("REPRO_FSYNC", "0")
     payload = pipeline.size_payload(
         SPEC.workload, SPEC.workload_params(), str(tmp_path / "traces"),
         SPEC.trace_namespace(), 7,
     )
-    pool = StagePool(1)
+    pool = ProcessPool(pipeline.run_stage_task, 1)
     pool.start()
     try:
         (victim,) = pool.pids
@@ -525,25 +538,42 @@ def test_stage_pool_reruns_a_task_whose_process_died(tmp_path,
         killer.start()
         value = pool.run(payload)
         killer.join()
+        health = pool.health()
     finally:
         pool.shutdown()
     assert value["instances"] == pipeline.run_stage_task(payload)[
         "instances"
     ]
-    assert pool.health() == {
-        "processes": 1, "state": "degraded", "pooled": 0, "inline": 1,
+    (fresh,) = health.pop("pids")
+    assert fresh != victim
+    assert health == {
+        "processes": 1, "state": "forked", "replaced": 1, "timeouts": 0,
+        "pooled": 1, "inline": 0,
     }
 
 
 def test_stage_pool_health_sees_a_child_that_died_between_tasks(
-    stage_pool
+    tmp_path, monkeypatch, stage_pool
 ):
-    os.kill(stage_pool.pids[0], signal.SIGKILL)
+    # A child killed while idle is replaced as soon as health looks:
+    # every process is alive again, one with a new pid, and the next
+    # job's report does not move.
+    monkeypatch.setenv("REPRO_FSYNC", "0")
+    before = stage_pool.pids
+    os.kill(before[0], signal.SIGKILL)
     deadline = time.monotonic() + 10
-    while stage_pool.health()["state"] != "degraded":
+    while stage_pool.health()["replaced"] == 0:
         assert time.monotonic() < deadline
         time.sleep(0.01)
-    assert stage_pool.health()["pooled"] == 0
+    health = stage_pool.health()
+    assert health["state"] == "forked"
+    assert len(health["pids"]) == 2
+    assert before[0] not in health["pids"] and before[1] in health["pids"]
+    assert all(_alive(pid) for pid in health["pids"])
+    assert health["pooled"] == 0
+    outcome = execute_job(SPEC, tmp_path, run_stage=stage_pool.run)
+    assert outcome["report"] == _cli_report(SPEC)
+    assert stage_pool.health()["inline"] == 0
 
 
 def test_execute_job_stop_raises_and_commits_nothing(tmp_path,

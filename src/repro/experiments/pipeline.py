@@ -1,4 +1,4 @@
-"""Run-level pipeline stages: the unit of work under the streaming pool.
+"""Run-level pipeline: the stage tasks and the one driver that schedules them.
 
 :meth:`Suite.campaigns` historically scheduled one *whole campaign* per
 supervisor task, so a pool was load-balanced across workloads only --
@@ -9,13 +9,18 @@ a *sizing* run, ``n_runs`` independent *record* steps, and analysis
 passes over the recorded traces, every one a deterministic pure function
 of ``(workload, base_seed)``.
 
-This module holds the worker half of that decomposition: one picklable
-payload per stage, dispatched by :func:`run_stage_task` inside a
-process of the pre-forked pool (:mod:`repro.resilience.procpool`) or
-inline, on the serial fallback rung.  The Suite's pipeline, the
-campaign service and its remote workers all run the same stages.  The
-parent half -- streaming results, batching analysis, journaling,
-canonical assembly -- lives in :meth:`Suite._run_pipelined`.
+This module holds both halves of that decomposition.  The worker half
+is one picklable payload per stage, dispatched by :func:`run_stage_task`
+inside a process of the pre-forked pool
+(:mod:`repro.resilience.procpool`), on a remote worker, or inline.  The
+parent half is :func:`drive`: it probes the store for the sizing count,
+shards each campaign into its run keys, dispatches record tasks,
+batches analysis and assembles each :class:`CampaignResult` in
+run-index order.  The Suite's pipeline (:meth:`Suite._run_pipelined`)
+and the campaign service (:func:`repro.service.executor.execute_job`)
+are thin callers of it: each hands it a streaming task runner and keeps
+its own durability (run journal or job WAL) in hooks, so the two split
+and assemble work the same way wherever it runs.
 
 Stages (``payload["stage"]``):
 
@@ -50,9 +55,21 @@ caller running stages in other processes can still total them.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.injection.campaign import analyze_recorded, record_injected_once
+from repro.common.errors import SimulationError
+from repro.injection.campaign import (
+    CampaignConfig,
+    CampaignResult,
+    RunResult,
+    analyze_recorded,
+    campaign_run_keys,
+    campaign_sizing_seed,
+    record_injected_once,
+    trace_namespace,
+)
 from repro.injection.injector import count_sync_instances
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
@@ -158,8 +175,6 @@ def _run_stage(payload: Dict, store) -> Dict:
     if stage != "analyze":
         raise ValueError("unknown pipeline stage %r" % (stage,))
 
-    from repro.injection.campaign import CampaignConfig
-
     detectors = CampaignConfig().detector_suite()
     switch_probability = payload["switch_probability"]
     started = time.monotonic()
@@ -195,3 +210,224 @@ def _run_stage(payload: Dict, store) -> Dict:
             "analyze_s": finished - loaded,
         },
     }
+
+
+# -- the parent half: one driver for every caller -----------------------------
+
+#: ``(name, payload)``: one stage task as a runner receives it.
+Task = Tuple[str, Dict]
+
+#: ``submit(name, payload)``: enqueue a follow-up task on a running stream.
+Submit = Callable[[str, Dict], None]
+
+#: A streaming task runner, ``run_stream(tasks, on_result) -> interrupted``.
+#: It runs every task, calling ``on_result(name, value, submit)`` as each
+#: one succeeds (``submit`` adds follow-up tasks to the same stream),
+#: until none is queued or running, and returns whether it stopped early.
+RunStream = Callable[[List[Task], Callable[[str, Dict, Submit], None]], bool]
+
+#: ``(run_index, seed, target)``: one run's place in a campaign.
+RunKey = Tuple[int, int, int]
+
+
+@dataclass(frozen=True)
+class Campaign:
+    """One campaign for :func:`drive`: a workload program and its config."""
+
+    workload: str
+    params: WorkloadParams
+    config: CampaignConfig
+
+    @property
+    def namespace(self) -> str:
+        return trace_namespace(self.workload, self.params)
+
+
+def _noop(*_args) -> None:
+    return None
+
+
+def inline_stream(
+    run_stage: Callable[[Dict], Dict],
+    stop: Optional[Callable[[], bool]] = None,
+) -> RunStream:
+    """A :data:`RunStream` that runs tasks one by one, first in first out.
+
+    ``run_stage(payload)`` runs one task and blocks until it is done;
+    ``stop()`` is polled before every task, and a true answer ends the
+    stream as interrupted.
+    """
+    def run_stream(tasks, on_result) -> bool:
+        queue = deque(tasks)
+        while queue:
+            if stop is not None and stop():
+                return True
+            name, payload = queue.popleft()
+            on_result(name, run_stage(payload),
+                      lambda *task: queue.append(task))
+        return False
+
+    return run_stream
+
+
+class _Shard:
+    """One sized campaign's scheduling state inside :func:`drive`."""
+
+    def __init__(self, campaign: Campaign, instances: int,
+                 keys: List[RunKey]):
+        self.campaign = campaign
+        self.instances = instances
+        self.keys = keys
+        # Read at call time, so a patched BATCH_RUNS takes effect.
+        size = BATCH_RUNS
+        self.batches = [keys[i: i + size] for i in range(0, len(keys), size)]
+        self.batch_of = {
+            run_index: index
+            for index, batch in enumerate(self.batches)
+            for run_index, _seed, _target in batch
+        }
+        #: Records each batch still waits for before it can be analyzed.
+        self.waiting = [0] * len(self.batches)
+        self.analyzing = False
+        self.results: Dict[int, RunResult] = {}
+        self.emitted = 0
+
+
+def drive(
+    campaigns: Sequence[Campaign],
+    store: PackedTraceStore,
+    run_stream: RunStream,
+    on_sharded: Callable[[str, int, List[RunKey], Dict[int, bool]],
+                         None] = _noop,
+    on_recorded: Callable[[str, int], None] = _noop,
+    on_analyzing: Callable[[str], None] = _noop,
+    on_run: Callable[[str, RunResult], None] = _noop,
+    on_campaign: Callable[[str, CampaignResult], None] = _noop,
+) -> bool:
+    """Run ``campaigns`` as stage tasks on ``run_stream``.
+
+    Every campaign is sized (from the store when a previous run
+    persisted the count, else by a ``size:<wl>`` task), sharded into its
+    :func:`~repro.injection.campaign.campaign_run_keys`, recorded by one
+    ``rec:<wl>/run<N>`` task per run not yet durable in ``store``, and
+    analyzed in fixed key-order batches of :data:`BATCH_RUNS`
+    (``an:<wl>#<k>``); a batch is submitted once its last missing
+    record is durable.  The hooks carry the caller's durability, each
+    called on the thread that calls ``on_result``:
+
+    * ``on_sharded(workload, instances, keys, durable)`` once the run
+      keys are known, before any of them is submitted (``durable``
+      maps each run index to whether its recording already exists);
+    * ``on_recorded(workload, run_index)`` as a record task completes;
+    * ``on_analyzing(workload)`` just before a campaign's first
+      analysis batch is submitted;
+    * ``on_run(workload, run)`` per analyzed run, in run-index order;
+    * ``on_campaign(workload, result)`` once a campaign's last run is
+      analyzed.
+
+    Returns whether ``run_stream`` was interrupted; campaigns finished
+    before that point have already gone through ``on_campaign``.
+    Raises :class:`SimulationError` for a workload with nothing to
+    inject.
+    """
+    store_dir = str(store.root)
+    by_name = {campaign.workload: campaign for campaign in campaigns}
+    shards: Dict[str, _Shard] = {}
+
+    def analyze(shard: _Shard, index: int, submit: Submit) -> None:
+        campaign = shard.campaign
+        if not shard.analyzing:
+            shard.analyzing = True
+            on_analyzing(campaign.workload)
+        submit(
+            "an:%s#%d" % (campaign.workload, index + 1),
+            analyze_payload(
+                campaign.workload, campaign.params, store_dir,
+                campaign.namespace, shard.batches[index],
+                campaign.config.switch_probability,
+                campaign.config.check_soundness,
+            ),
+        )
+
+    def shard_campaign(campaign: Campaign, instances: int,
+                       submit: Submit) -> None:
+        name, config = campaign.workload, campaign.config
+        if not instances:
+            raise SimulationError(
+                "workload %r has no injectable sync instances" % name
+            )
+        keys = campaign_run_keys(name, config, instances)
+        durable = {
+            run_index: store.has_run(
+                campaign.namespace,
+                (seed, target, config.switch_probability),
+            )
+            for run_index, seed, target in keys
+        }
+        on_sharded(name, instances, keys, durable)
+        shard = shards[name] = _Shard(campaign, instances, keys)
+        for run_index, seed, target in keys:
+            if durable[run_index]:
+                continue
+            shard.waiting[shard.batch_of[run_index]] += 1
+            submit(
+                "rec:%s/run%d" % (name, run_index),
+                record_payload(
+                    name, campaign.params, store_dir, campaign.namespace,
+                    run_index, seed, target, config.switch_probability,
+                ),
+            )
+        for index, left in enumerate(shard.waiting):
+            if not left:
+                analyze(shard, index, submit)
+
+    def on_result(name: str, value: Dict, submit: Submit) -> None:
+        kind, _, rest = name.partition(":")
+        if kind == "size":
+            shard_campaign(by_name[rest], value["instances"], submit)
+            return
+        if kind == "rec":
+            shard = shards[rest.partition("/")[0]]
+            run_index = value["run_index"]
+            on_recorded(shard.campaign.workload, run_index)
+            index = shard.batch_of[run_index]
+            shard.waiting[index] -= 1
+            if not shard.waiting[index]:
+                analyze(shard, index, submit)
+            return
+        shard = shards[rest.rpartition("#")[0]]
+        campaign = shard.campaign
+        shard.results.update(value["results"])
+        while shard.emitted in shard.results:
+            on_run(campaign.workload, shard.results[shard.emitted])
+            shard.emitted += 1
+        if shard.emitted == len(shard.keys):
+            on_campaign(campaign.workload, CampaignResult(
+                workload=campaign.workload,
+                detector_names=[
+                    spec.name for spec in campaign.config.detector_suite()
+                ],
+                sync_instances=shard.instances,
+                runs=[shard.results[key[0]] for key in shard.keys],
+            ))
+
+    tasks: List[Task] = []
+    for campaign in campaigns:
+        sizing_seed = campaign_sizing_seed(
+            campaign.workload, campaign.config.base_seed
+        )
+        instances = store.load_value(
+            campaign.namespace, ("sync_instances", sizing_seed)
+        )
+        if instances is not None:
+            shard_campaign(campaign, instances,
+                           lambda *task: tasks.append(task))
+        else:
+            tasks.append((
+                "size:" + campaign.workload,
+                size_payload(
+                    campaign.workload, campaign.params, store_dir,
+                    campaign.namespace, sizing_seed,
+                ),
+            ))
+    return run_stream(tasks, on_result)

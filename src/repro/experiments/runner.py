@@ -13,10 +13,11 @@ bit-identical regardless of ``jobs``: each campaign derives its seeds
 from ``(base_seed, workload)`` alone, and the fan-out only changes
 *where* a campaign runs, never what it computes.  The scheduler follows
 from what the suite can observe: a cache directory and ``jobs > 1`` run
-the run-level pipeline (:mod:`repro.experiments.pipeline`), whose stage
-tasks meet in the trace store; no cache directory, ``jobs > 1`` and more
-than one pending campaign run one campaign per pool task; everything
-else runs serially.
+the run-level pipeline, whose stage tasks meet in the trace store and
+are scheduled by :func:`repro.experiments.pipeline.drive`, the driver
+the campaign service runs too; no cache directory, ``jobs > 1`` and
+more than one pending campaign run one campaign per pool task;
+everything else runs serially.
 
 An optional on-disk cache (``cache_dir`` argument, or ``REPRO_CACHE_DIR``)
 persists finished campaigns keyed by the full parameter tuple, so
@@ -60,17 +61,12 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.env import env_number
-from repro.common.errors import (
-    InterruptedRunError,
-    SimulationError,
-    StoreCorruptError,
-)
+from repro.common.errors import InterruptedRunError, StoreCorruptError
 from repro.injection.campaign import (
     CampaignConfig,
     CampaignResult,
-    campaign_run_keys,
-    campaign_sizing_seed,
     run_campaign,
+    trace_namespace,
 )
 from repro.resilience.checkpoint import (
     GracefulShutdown,
@@ -134,17 +130,6 @@ class SuiteConfig:
         if self.workloads is not None:
             return list(self.workloads)
         return [spec.name for spec in all_workloads()]
-
-
-def trace_namespace(workload: str, params: WorkloadParams) -> str:
-    """Trace-store namespace for one (workload, parameters) program.
-
-    Every caller that records traces for a workload program must key
-    them this way (workload name plus the full parameter repr), so a
-    sweep, a campaign, and a figure script all hit each other's
-    recordings -- and a parameter change misses cleanly.
-    """
-    return "%s/%r" % (workload, params)
 
 
 #: One unit of pool work: everything a worker needs to rebuild the
@@ -481,62 +466,31 @@ class Suite:
         pending: List[str],
         cache_hits: List[str],
         ckpt: RunCheckpoint,
-        shutdown: Optional[GracefulShutdown],
+        shutdown: GracefulShutdown,
     ) -> None:
         """Run-level streaming fan-out: one work queue, three stages.
 
-        :func:`~repro.injection.campaign.campaign_run_keys` is the unit
-        of scheduling: every campaign decomposes into a sizing task,
-        per-run record tasks, and batched analyze tasks
-        (:mod:`repro.experiments.pipeline`), all flowing through one
+        :func:`repro.experiments.pipeline.drive` schedules the sizing,
+        record and analyze tasks of every pending campaign on one
         :meth:`~repro.resilience.supervisor.Supervisor.run_stream`
-        queue.  Recording of run N+1 overlaps analysis of run N, and
-        the pool load-balances across *runs* rather than campaigns, so
-        an imbalanced workload mix no longer idles on its slowest
-        campaign.
-
-        Everything stays byte-identical to the serial path: stages meet
-        only in the trace store (durable, keyed, atomic), results
-        assemble in run-index order, campaign caches are written in
-        completion order but with canonicalized content, and the
-        journal keeps one workload-level task per campaign plus
-        the per-run ``<workload>/run<N>`` tasks of the serial path.
-        Each recording has exactly one analyzing consumer, which maps it
-        zero-copy off the store's mmap.
+        queue, so recording overlaps analysis and the pool
+        load-balances across *runs* rather than campaigns.  This method
+        only keeps the suite's durability: the journal keeps one
+        workload-level task per campaign plus the per-run
+        ``<workload>/run<N>`` tasks of the serial path, and each
+        campaign's cache entry is written (canonicalized, so completion
+        order changes no byte) the moment its last run is analyzed.
         """
         from repro.experiments import pipeline
 
-        store = self.trace_store()
-        store_dir = str(self.trace_store_dir)
-        n_runs = self.config.runs_per_app
         config = CampaignConfig(
-            n_runs=n_runs, base_seed=self.config.base_seed
+            n_runs=self.config.runs_per_app, base_seed=self.config.base_seed
         )
-        switch_probability = config.switch_probability
-        detector_names = [
-            spec.name for spec in config.detector_suite()
-        ]
-        batch_runs = pipeline.BATCH_RUNS
-
         wl_tasks = {}
         for name in pending:
             wl_tasks[name] = ckpt.task(name)
             wl_tasks[name].scheduled()
-
-        #: per-workload streaming state
-        states: Dict[str, Dict] = {
-            name: {
-                "namespace": trace_namespace(name, self.config.params),
-                "instances": None,
-                "keys": {},            # run_index -> (seed, target)
-                "pending_records": set(),
-                "buffer": [],          # recorded, awaiting an analyze task
-                "batches": 0,
-                "results": {},         # run_index -> RunResult
-            }
-            for name in pending
-        }
-        run_tasks: Dict[str, object] = {}  # "<wl>/run<N>" -> journal task
+        run_tasks: Dict[Tuple[str, int], object] = {}
 
         def journal(transition) -> None:
             # Journal transitions are observational here; one that loses
@@ -548,136 +502,58 @@ class Suite:
             except InterruptedRunError:
                 pass
 
-        def flush(name: str, submit, force: bool) -> None:
-            st = states[name]
-            while st["buffer"] and (
-                len(st["buffer"]) >= batch_runs or force
-            ):
-                st["buffer"].sort()
-                batch = st["buffer"][:batch_runs]
-                del st["buffer"][:batch_runs]
-                st["batches"] += 1
-                submit(
-                    "an:%s#%d" % (name, st["batches"]),
-                    pipeline.analyze_payload(
-                        name, self.config.params, store_dir,
-                        st["namespace"],
-                        [(ri,) + st["keys"][ri] for ri in batch],
-                        switch_probability, config.check_soundness,
-                    ),
-                )
+        def on_sharded(name, _instances, keys, durable) -> None:
+            for run_index, _seed, _target in keys:
+                task = ckpt.task("%s/run%d" % (name, run_index))
+                run_tasks[name, run_index] = task
+                journal(task.scheduled)
+                if durable[run_index]:
+                    journal(task.recorded)
 
-        def submit_runs(name: str, instances: int, submit) -> None:
-            st = states[name]
-            if not instances:
-                raise SimulationError(
-                    "workload %r has no injectable sync instances"
-                    % name
-                )
-            st["instances"] = instances
-            for run_index, seed, target in campaign_run_keys(
-                name, config, instances
-            ):
-                st["keys"][run_index] = (seed, target)
-                task_name = "%s/run%d" % (name, run_index)
-                run_tasks[task_name] = ckpt.task(task_name)
-                journal(run_tasks[task_name].scheduled)
-                if store.has_run(
-                    st["namespace"], (seed, target, switch_probability)
-                ):
-                    # Durable from a previous (possibly interrupted)
-                    # campaign: straight to the analysis buffer.
-                    journal(run_tasks[task_name].recorded)
-                    st["buffer"].append(run_index)
-                else:
-                    st["pending_records"].add(run_index)
-                    submit(
-                        "rec:" + task_name,
-                        pipeline.record_payload(
-                            name, self.config.params, store_dir,
-                            st["namespace"], run_index, seed, target,
-                            switch_probability,
-                        ),
-                    )
-            flush(name, submit, force=not st["pending_records"])
-
-        def finalize(name: str) -> None:
-            st = states[name]
-            result = CampaignResult(
-                workload=name,
-                detector_names=list(detector_names),
-                sync_instances=st["instances"],
-                runs=[st["results"][ri] for ri in range(n_runs)],
-            )
-            # Streamed commit: campaigns become durable as they finish
-            # (run-index order inside, completion order across), so a
-            # later drain or failure costs none of this one's work.
+        def on_campaign(name: str, result: CampaignResult) -> None:
+            # Streamed commit: a later drain or failure costs none of
+            # this campaign's work.
             self._campaigns[name] = result
             self._cache_store(name, result)
             wl_tasks[name].committed()
 
-        def on_result(outcome, value, submit) -> None:
-            if isinstance(value, dict):
+        supervisor = Supervisor(jobs=self.jobs, seed=self.config.base_seed)
+        reports: List[RunReport] = []
+
+        def run_stream(tasks, on_result) -> bool:
+            def fold_timings(outcome, value, submit) -> None:
                 outcome.timings.update(value.get("timings", {}))
-            kind, _, rest = outcome.name.partition(":")
-            if kind == "size":
-                submit_runs(rest, value["instances"], submit)
-            elif kind == "rec":
-                name = rest.partition("/")[0]
-                st = states[name]
-                run_index = value["run_index"]
-                journal(run_tasks[rest].recorded)
-                st["pending_records"].discard(run_index)
-                st["buffer"].append(run_index)
-                flush(name, submit, force=not st["pending_records"])
-            else:  # "an"
-                name = rest.rpartition("#")[0]
-                st = states[name]
-                for run_index, run in value["results"]:
-                    st["results"][run_index] = run
-                    run_tasks["%s/run%d" % (name, run_index)].committed()
-                if len(st["results"]) == n_runs:
-                    finalize(name)
+                on_result(outcome.name, value, submit)
 
-        initial: List[Tuple[str, Dict]] = []
-        enqueue = lambda task_name, payload: initial.append(  # noqa: E731
-            (task_name, payload)
-        )
-        for name in pending:
-            st = states[name]
-            sizing_seed = campaign_sizing_seed(
-                name, self.config.base_seed
+            _results, report = supervisor.run_stream(
+                pipeline.run_stage_task, tasks,
+                on_result=fold_timings,
+                should_stop=lambda: shutdown.requested,
             )
-            instances = store.load_value(
-                st["namespace"], ("sync_instances", sizing_seed)
-            )
-            if instances is not None:
-                submit_runs(name, instances, enqueue)
-            else:
-                enqueue(
-                    "size:" + name,
-                    pipeline.size_payload(
-                        name, self.config.params, store_dir,
-                        st["namespace"], sizing_seed,
-                    ),
-                )
+            reports.append(report)
+            return report.interrupted
 
-        supervisor = Supervisor(
-            jobs=self.jobs, seed=self.config.base_seed
-        )
-        _results, report = supervisor.run_stream(
-            pipeline.run_stage_task,
-            initial,
-            on_result=on_result,
-            should_stop=(
-                (lambda: shutdown.requested)
-                if shutdown is not None else None
+        interrupted = pipeline.drive(
+            [
+                pipeline.Campaign(name, self.config.params, config)
+                for name in pending
+            ],
+            self.trace_store(),
+            run_stream,
+            on_sharded=on_sharded,
+            on_recorded=lambda name, run_index: journal(
+                run_tasks[name, run_index].recorded
             ),
+            on_run=lambda name, run: run_tasks[
+                name, run.run_index
+            ].committed(),
+            on_campaign=on_campaign,
         )
+        report = reports[0]
         self.last_report = self._account_tasks(report, cache_hits)
         if report.degraded:
             logger.warning("run-level fan-out: %s", report.summary())
-        if report.interrupted:
+        if interrupted:
             raise InterruptedRunError(ckpt.run_id)
 
     def _account_tasks(

@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set, Tuple,
+)
 
 from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
@@ -45,6 +47,9 @@ from repro.injection.injector import (
 from repro.program.builder import Program
 from repro.trace.packed import PackedTrace
 from repro.trace.store import PackedTraceStore
+
+if TYPE_CHECKING:
+    from repro.workloads.base import WorkloadParams
 
 #: A program factory: run seed -> fresh Program (workload shapes may be
 #: seed-dependent; most workloads ignore the argument).
@@ -232,6 +237,17 @@ def record_injected_once(
 #: Kept under its historical name: the sharing heuristic now lives with
 #: the degradation ladder (the other consumer of the whole-suite view).
 _mark_plan_sharing = mark_plan_sharing
+
+
+def trace_namespace(workload: str, params: WorkloadParams) -> str:
+    """Trace-store namespace for one (workload, parameters) program.
+
+    Every caller that records traces for a workload program must key
+    them this way (workload name plus the full parameter repr), so a
+    sweep, a campaign, a figure script and a service job all hit each
+    other's recordings -- and a parameter change misses cleanly.
+    """
+    return "%s/%r" % (workload, params)
 
 
 def campaign_sizing_seed(workload_name: str, base_seed: int) -> int:

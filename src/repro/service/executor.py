@@ -1,13 +1,15 @@
 """Execute one accepted campaign job against the shared trace store.
 
 The executor is the bridge between a :class:`~repro.service.jobs.Job`
-and the existing record-once / analyze-many machinery: it shards the
-spec into the same run-level stage payloads the pipelined ``Suite``
-scheduler uses (:mod:`repro.experiments.pipeline`), hands each one to a
-stage runner, assembles the
-:class:`~repro.injection.campaign.CampaignResult`, and persists the
+and the existing record-once / analyze-many machinery.  It hands the
+spec's campaign to the one stage-DAG driver,
+:func:`repro.experiments.pipeline.drive` -- the same driver the
+pipelined ``Suite`` runs, so sizing, sharding, batching and run
+assembly happen exactly as they do on the CLI -- and persists the
 finished result document into the store keyed by the spec's content
-digest.
+digest.  What stays here is the job's durability: the hooks log the
+WAL phases (``sharded``, ``recording``, ``analyzing``), fire the
+``store_corrupt_mid_job`` chaos fault and stream ``on_run``.
 
 The stage runner is a callable, ``run_stage(payload) -> value``.  Direct
 callers get the in-process runner by default.  The server passes
@@ -16,8 +18,10 @@ to its pre-forked stage processes, one per job slot, so concurrent jobs
 run their CPU-bound stages in parallel instead of sharing the server's
 GIL.  The pool kills a stage task at its deadline, replaces a process
 that died, and retries the task there before it falls back in-process.
-With live remote workers the stage tasks go out over leases instead,
-and the runner only serves the pool's zero-worker fallback.
+A job with no live remote worker runs its tasks one at a time through
+``run_stage`` (:func:`~repro.experiments.pipeline.inline_stream`); with
+live workers the stage tasks go out over leases instead, and
+``run_stage`` only serves the pool's zero-worker fallback.
 
 Everything is store-keyed and idempotent, which is the whole recovery
 story: a job re-executed after a server crash skips every durable
@@ -34,9 +38,8 @@ tasks (and passed to the worker pool as its drain predicate); when it
 trips, :class:`JobInterrupted` propagates and the caller decides what
 the stop *meant* (drain: leave the job resumable; cancel/deadline:
 terminal).  The ``store_corrupt_mid_job`` chaos fault truncates one
-durable trace entry between the record and analyze phases, proving the
-self-healing store (quarantine + deterministic re-record) holds inside
-a service job too.
+durable trace entry as analysis starts, proving the self-healing store
+(quarantine + deterministic re-record) holds inside a service job too.
 """
 
 from __future__ import annotations
@@ -44,13 +47,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.common.errors import SimulationError
 from repro.experiments import pipeline
 from repro.injection.campaign import (
     CampaignResult,
     RunResult,
-    campaign_run_keys,
-    campaign_sizing_seed,
     format_campaign_report,
 )
 from repro.resilience import faults
@@ -113,9 +113,10 @@ def execute_job(
 
     ``on_phase(name, **info)`` fires at each lifecycle transition the
     caller should journal (``sharded`` -- with the run-key shard plan
-    and per-run durability -- then ``recording`` and ``analyzing``);
-    ``on_run(run)`` fires per completed run, in run-index order.  Both
-    are invoked on the executing thread; callers own thread safety.
+    and per-run durability -- then ``recording``, and ``analyzing`` as
+    the first analysis batch is submitted); ``on_run(run)`` fires per
+    completed run, in run-index order.  Both are invoked on the
+    executing thread; callers own thread safety.
 
     ``run_stage(payload)`` runs one local stage task and blocks until it
     is done; the default runs it in-process.  A value's ``"store"``
@@ -173,7 +174,7 @@ def execute_job(
             },
         }
 
-    store_dir = str(store.root)
+    _check_stop(stop)
     remote_stats: Dict[str, int] = {}
     stage_store_stats: Dict[str, int] = {}
 
@@ -181,72 +182,6 @@ def execute_job(
         value = run_stage(payload)
         _merge_stats(stage_store_stats, value.get("store", {}))
         return value
-
-    # -- shard: sizing run, then the deterministic run-key schedule ----
-    _check_stop(stop)
-    size_task = pipeline.size_payload(
-        spec.workload, spec.workload_params(), store_dir, namespace,
-        campaign_sizing_seed(spec.workload, config.base_seed),
-    )
-    if use_remote:
-        values, stats, interrupted = pool.run_tasks(
-            job_id or spec.digest(), [("size", size_task)], run_local,
-            should_stop=stop,
-        )
-        _merge_stats(remote_stats, stats)
-        if interrupted:
-            raise JobInterrupted("job stop requested (pool drained)")
-        sizing = values["size"]
-    else:
-        sizing = run_local(size_task)
-    instances = sizing["instances"]
-    if instances == 0:
-        raise SimulationError(
-            "workload %r has no injectable sync instances" % spec.workload
-        )
-    keys = campaign_run_keys(spec.workload, config, instances)
-    durable = {
-        run_index: store.has_run(
-            namespace, (seed, target, config.switch_probability)
-        )
-        for run_index, seed, target in keys
-    }
-    on_phase(
-        "sharded",
-        instances=instances,
-        keys=keys,
-        durable=durable,
-        switch_probability=config.switch_probability,
-    )
-
-    missing = [key for key in keys if not durable[key[0]]]
-    results: Dict[int, RunResult] = {}
-    emitted = [0]
-
-    def emit_ready() -> None:
-        # Stream runs in run-index order regardless of analysis order.
-        while emitted[0] in results:
-            on_run(results[emitted[0]])
-            emitted[0] += 1
-
-    def record_task(key: Tuple[int, int, int]) -> Dict:
-        run_index, seed, target = key
-        return pipeline.record_payload(
-            spec.workload, spec.workload_params(), store_dir, namespace,
-            run_index, seed, target, config.switch_probability,
-        )
-
-    def analyze_task(batch: List[Tuple[int, int, int]]) -> Dict:
-        return pipeline.analyze_payload(
-            spec.workload, spec.workload_params(), store_dir, namespace,
-            batch, config.switch_probability, config.check_soundness,
-        )
-
-    batch_runs = pipeline.BATCH_RUNS
-    batches = [
-        keys[start: start + batch_runs]
-        for start in range(0, len(keys), batch_runs)
-    ]
 
     def run_remote(tasks, on_result) -> bool:
         _values, stats, interrupted = pool.run_tasks(
@@ -256,25 +191,38 @@ def execute_job(
         _merge_stats(remote_stats, stats)
         return interrupted
 
-    if use_remote:
-        _execute_streamed(
-            run_remote, store, missing, batches, record_task,
-            analyze_task, on_phase, results, emit_ready, namespace,
-            config.switch_probability,
-        )
-    else:
-        _execute_inline(
-            stop, run_local, store, missing, batches,
-            record_task, analyze_task, on_phase, results, emit_ready,
-            namespace, config.switch_probability,
-        )
+    keys: List[Tuple[int, int, int]] = []
+    missing: List[int] = []
+    done: Dict[str, CampaignResult] = {}
 
-    campaign = CampaignResult(
-        workload=spec.workload,
-        detector_names=[s.name for s in config.detector_suite()],
-        sync_instances=instances,
+    def on_sharded(_workload, instances, shard_keys, durable) -> None:
+        keys.extend(shard_keys)
+        missing.extend(index for index, hit in durable.items() if not hit)
+        on_phase(
+            "sharded",
+            instances=instances,
+            keys=shard_keys,
+            durable=durable,
+            switch_probability=config.switch_probability,
+        )
+        on_phase("recording")
+
+    def on_analyzing(_workload) -> None:
+        _chaos_corrupt(store, namespace, keys, config.switch_probability)
+        on_phase("analyzing")
+
+    interrupted = pipeline.drive(
+        [pipeline.Campaign(spec.workload, spec.workload_params(), config)],
+        store,
+        run_remote if use_remote else pipeline.inline_stream(run_local, stop),
+        on_sharded=on_sharded,
+        on_analyzing=on_analyzing,
+        on_run=lambda _workload, run: on_run(run),
+        on_campaign=done.__setitem__,
     )
-    campaign.runs = [results[run_index] for run_index, _s, _t in keys]
+    if interrupted:
+        raise JobInterrupted("job stop requested")
+    campaign = done[spec.workload]
     report = format_campaign_report(campaign)
     store.store_value(
         SERVICE_NAMESPACE, result_key(spec),
@@ -310,107 +258,24 @@ def _merge_stats(into: Dict[str, int], stats: Dict[str, int]) -> None:
 def _chaos_corrupt(
     store: PackedTraceStore,
     namespace: str,
-    batches: List[List[Tuple[int, int, int]]],
+    keys: List[Tuple[int, int, int]],
     switch_probability: float,
 ) -> None:
     """The ``store_corrupt_mid_job`` fault: tear one durable recording.
 
-    Fires between the record and analyze phases, truncating the first
-    run's entry to half its frame.  The analyze stage must then detect
-    the damage, quarantine the entry, deterministically re-record, and
-    still produce the byte-identical report -- the store's self-healing
-    contract, exercised through a live service job.
+    Fires as the first analysis batch is submitted, truncating the
+    first durable run's entry to half its frame.  The analyze stage must
+    then detect the damage, quarantine the entry, deterministically
+    re-record, and still produce the byte-identical report -- the
+    store's self-healing contract, exercised through a live service job.
     """
     if not (faults.active() and faults.fire("store_corrupt_mid_job")):
         return
-    for batch in batches:
-        for _run_index, seed, target in batch:
-            path = store.run_entry_path(
-                namespace, (seed, target, switch_probability)
-            )
-            if path.exists():
-                data = path.read_bytes()
-                path.write_bytes(data[: max(1, len(data) // 2)])
-                return
-
-
-def _execute_inline(
-    stop, run_local, store, missing, batches,
-    record_task, analyze_task, on_phase, results, emit_ready,
-    namespace, switch_probability,
-) -> None:
-    """Serial stage execution with a stop check between stage tasks."""
-    on_phase("recording")
-    for key in missing:
-        _check_stop(stop)
-        run_local(record_task(key))
-    _check_stop(stop)
-    _chaos_corrupt(store, namespace, batches, switch_probability)
-    on_phase("analyzing")
-    for batch in batches:
-        _check_stop(stop)
-        value = run_local(analyze_task(batch))
-        for run_index, run in value["results"]:
-            results[run_index] = run
-        emit_ready()
-
-
-def _execute_streamed(
-    run_stream, store, missing, batches,
-    record_task, analyze_task, on_phase, results, emit_ready,
-    namespace, switch_probability,
-) -> None:
-    """Stream the stage tasks through the multi-host worker pool.
-
-    Same shape as ``Suite._run_pipelined`` scoped to one campaign: all
-    record tasks enter the pool up front, and each analysis batch is
-    submitted the moment its last member run is durable, so recording
-    overlaps analysis.  ``run_stream(tasks, on_result)`` executes the
-    tasks on the worker pool, with its retry and local-fallback ladder
-    underneath, calling ``on_result(name, value, submit)`` per
-    completion, and returns whether it was interrupted.
-    """
-    on_phase("recording")
-    batch_of: Dict[int, int] = {}
-    pending = []
-    for index, batch in enumerate(batches):
-        for run_index, _seed, _target in batch:
-            batch_of[run_index] = index
-        pending.append(
-            sum(1 for key in batch if key in missing)
+    for _run_index, seed, target in keys:
+        path = store.run_entry_path(
+            namespace, (seed, target, switch_probability)
         )
-    analyzing = [False]
-
-    def start_analyzing() -> None:
-        if not analyzing[0]:
-            analyzing[0] = True
-            _chaos_corrupt(store, namespace, batches, switch_probability)
-            on_phase("analyzing")
-
-    tasks = [
-        ("record/%d" % key[0], record_task(key)) for key in missing
-    ]
-    ready_now = [
-        index for index, left in enumerate(pending) if left == 0
-    ]
-
-    def on_result(name, value, submit) -> None:
-        if name.startswith("record/"):
-            index = batch_of[value["run_index"]]
-            pending[index] -= 1
-            if pending[index] == 0:
-                start_analyzing()
-                submit("analyze/%d" % index,
-                       analyze_task(batches[index]))
+        if path.exists():
+            data = path.read_bytes()
+            path.write_bytes(data[: max(1, len(data) // 2)])
             return
-        for run_index, run in value["results"]:
-            results[run_index] = run
-        emit_ready()
-
-    if ready_now and not missing:
-        start_analyzing()
-    for index in ready_now:
-        tasks.append(("analyze/%d" % index, analyze_task(batches[index])))
-
-    if run_stream(tasks, on_result):
-        raise JobInterrupted("job stop requested (pool drained)")

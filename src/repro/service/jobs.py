@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.injection.campaign import CampaignConfig
+from repro.injection.campaign import CampaignConfig, trace_namespace
 from repro.resilience import faults
 from repro.resilience.journal import Journal, _encode_record, _iter_records
 from repro.workloads.base import WorkloadParams
@@ -94,11 +94,7 @@ class CampaignSpec:
         )
 
     def trace_namespace(self) -> str:
-        # Same derivation as experiments.runner.trace_namespace (kept
-        # callable here to avoid importing the Suite machinery into the
-        # server): the CLI, the sweeps, and the service all hit each
-        # other's recordings.
-        return "%s/%r" % (self.workload, self.workload_params())
+        return trace_namespace(self.workload, self.workload_params())
 
     def to_wire(self) -> Dict:
         return {

@@ -1,13 +1,15 @@
 """Integration tests: the run-level pipelined scheduler under chaos.
 
 The tentpole contract of the run-level scheduler
-(:meth:`Suite._run_pipelined`): campaigns decompose into sizing /
-record / analyze tasks streamed through one supervisor queue, and
+(:func:`repro.experiments.pipeline.drive`, run by
+:meth:`Suite._run_pipelined` and by the campaign service's
+:func:`~repro.service.executor.execute_job`): campaigns decompose into
+sizing / record / analyze tasks streamed through one queue, and
 *everything observable stays byte-identical to the serial path* --
-results, campaign caches, journals -- no matter which scheduler ran,
-which workers died, or where a drain request landed.  A fault in an
-accelerated analysis tier inside a worker costs only a degradation,
-never a wrong byte.
+results, campaign caches, journals, store entries -- no matter which
+scheduler or caller ran, which workers died, or where a drain request
+landed.  A fault in an accelerated analysis tier inside a worker costs
+only a degradation, never a wrong byte.
 """
 
 import glob
@@ -18,9 +20,14 @@ import pytest
 from repro.common.errors import InterruptedRunError
 from repro.experiments import pipeline
 from repro.experiments.runner import Suite, SuiteConfig
+from repro.injection.campaign import format_campaign_report
 from repro.resilience import faults
 from repro.resilience.guard import GUARD_LOG
 from repro.resilience.journal import WAL_SUFFIX, replay
+from repro.resilience.procpool import ProcessPool
+from repro.service.executor import SERVICE_NAMESPACE, execute_job, result_key
+from repro.service.jobs import CampaignSpec
+from repro.trace.store import PackedTraceStore
 from repro.workloads import WorkloadParams
 
 _PARAMS = WorkloadParams(scale=0.25)
@@ -133,6 +140,48 @@ class TestSchedulerEquivalence:
             for out in partial.last_report.outcomes
         )
         assert _campaign_caches(cache) == reference
+
+
+def _store_entries(traces, skip=()):
+    return {
+        path.name: path.read_bytes()
+        for path in traces.iterdir()
+        if path.is_file() and path.name not in skip
+    }
+
+
+class TestOneDriver:
+    """The Suite pipeline and a service job drive the same stages."""
+
+    def test_suite_and_service_write_identical_stores(self, tmp_path):
+        spec = CampaignSpec(workload="fft", runs=6, seed=2006, scale=0.25)
+        suite_dir = tmp_path / "suite"
+        suite = Suite(
+            SuiteConfig(runs_per_app=6, base_seed=2006, workloads=("fft",),
+                        params=_PARAMS),
+            jobs=2, cache_dir=suite_dir,
+        )
+        expected = format_campaign_report(suite.campaign("fft"))
+        reference = _store_entries(suite_dir / "traces")
+        assert reference
+
+        pool = ProcessPool(pipeline.run_stage_task, 2)
+        pool.start()
+        try:
+            arms = {"inline": pipeline.run_stage_task, "pooled": pool.run}
+            for arm, run_stage in arms.items():
+                root = tmp_path / arm
+                outcome = execute_job(spec, root, run_stage=run_stage)
+                assert outcome["report"] == expected, arm
+                result_doc = PackedTraceStore(root / "traces").entry_path(
+                    "value", SERVICE_NAMESPACE, result_key(spec)
+                )
+                assert result_doc.exists()
+                assert _store_entries(
+                    root / "traces", skip=(result_doc.name,)
+                ) == reference, arm
+        finally:
+            pool.shutdown()
 
 
 class TestPipelineUnderChaos:

@@ -583,3 +583,25 @@ def test_execute_job_stop_raises_and_commits_nothing(tmp_path,
         execute_job(SPEC, tmp_path, stop=lambda: True)
     store = PackedTraceStore(tmp_path / "traces")
     assert load_result(store, SPEC) is None
+
+
+def test_execute_job_stop_mid_job_resumes_byte_identical(tmp_path,
+                                                         monkeypatch):
+    # The stop trips after the sizing task and the first record task:
+    # the job commits nothing, and a re-run records only the rest.
+    monkeypatch.setenv("REPRO_FSYNC", "0")
+    stages = []
+
+    def run_stage(payload):
+        stages.append(payload["stage"])
+        return pipeline.run_stage_task(payload)
+
+    with pytest.raises(JobInterrupted):
+        execute_job(SPEC, tmp_path, run_stage=run_stage,
+                    stop=lambda: len(stages) >= 2)
+    assert stages == ["size", "record"]
+    store = PackedTraceStore(tmp_path / "traces")
+    assert load_result(store, SPEC) is None
+    outcome = execute_job(SPEC, tmp_path)
+    assert outcome["report"] == _cli_report(SPEC)
+    assert outcome["stats"]["simulated"] == SPEC.runs - 1

@@ -284,18 +284,3 @@ def test_analysis_kernel_timings(trace, bench_log):
         ),
     )
     assert coh.n_slots > 0
-
-
-def test_lockset_throughput(benchmark, trace, bench_log):
-    from repro.detectors import LocksetDetector
-
-    def detect():
-        return LocksetDetector(trace.n_threads).run(trace)
-
-    benchmark(
-        bench_log.timed,
-        "components",
-        "lockset",
-        detect,
-        events=_n_events(trace),
-    )

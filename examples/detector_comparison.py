@@ -2,9 +2,9 @@
 
 Runs one injected execution of the fmm analogue through every detector in
 this repository -- the Ideal happens-before oracle, its FastTrack-style
-epoch optimization, the ReEnact-like limited vector configurations, the
-full CORD D-sweep, and the Eraser-style lockset comparator -- and prints
-what each reported, with the properties that distinguish them.
+epoch optimization, the ReEnact-like limited vector configurations and the
+full CORD D-sweep -- and prints what each reported, with the properties
+that distinguish them.
 
     python examples/detector_comparison.py [app] [injection-index]
 """
@@ -23,7 +23,7 @@ from repro import (
 )
 from repro.cachesim import CacheGeometry
 from repro.common.texttable import format_table
-from repro.detectors import EpochDetector, LocksetDetector
+from repro.detectors import EpochDetector
 
 
 def main(app="fmm", target=7):
@@ -52,8 +52,6 @@ def main(app="fmm", target=7):
          "naive scalar clocks"),
         ("CORD D=16", CordDetector(CordConfig(d=16), n),
          "the paper's mechanism"),
-        ("Lockset (Eraser)", LocksetDetector(n),
-         "interleaving-independent; false alarms"),
     ]
 
     oracle = None
@@ -75,8 +73,7 @@ def main(app="fmm", target=7):
     ))
     print("\n'extra vs HB' counts accesses flagged beyond the oracle:")
     print("zero for the vector family always; possibly nonzero for")
-    print("scalar CORD only in already-racy runs, and for Lockset on")
-    print("barrier/flag-synchronized sharing (its false alarms).")
+    print("scalar CORD only in already-racy runs.")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,4 @@
-"""Logical clocks: scalar (CORD), Lamport, and vector clocks.
+"""Logical clocks: scalar (CORD) and Lamport clocks.
 
 The paper contrasts three clocking schemes:
 
@@ -8,7 +8,9 @@ The paper contrasts three clocking schemes:
   equality can express concurrency, with the ``clk = ts + 1`` race update
   and the sync-read window update ``clk = max(clk, ts + D)`` (Section 2.6);
 * **vector clocks** (Fidge/Mattern) that capture the happens-before relation
-  exactly and are used by the Ideal and ReEnact-like comparison configs.
+  exactly and are used by the Ideal and ReEnact-like comparison configs;
+  they live with those detectors, as component tuples, in
+  :mod:`repro.detectors.hb`.
 
 The 16-bit hardware clock with sliding-window comparison (Section 2.7.5) is
 modeled in :mod:`repro.clocks.window`.
@@ -16,7 +18,6 @@ modeled in :mod:`repro.clocks.window`.
 
 from repro.clocks.scalar import ScalarClock
 from repro.clocks.lamport import LamportClock, LamportStamp
-from repro.clocks.vector import VectorClock
 from repro.clocks.window import SlidingWindowComparator, WINDOW_CLOCK_BITS
 
 __all__ = [
@@ -24,6 +25,5 @@ __all__ = [
     "LamportStamp",
     "ScalarClock",
     "SlidingWindowComparator",
-    "VectorClock",
     "WINDOW_CLOCK_BITS",
 ]

@@ -15,6 +15,10 @@ configurations mirror Section 4 of the paper:
 * :class:`~repro.cord.detector.CordDetector` -- the paper's mechanism
   (scalar clocks, window ``D``, main-memory timestamps, order recording).
 
+The vector-clock detectors (and the FastTrack-style
+:class:`~repro.detectors.epoch.EpochDetector`) share one happens-before
+relation, defined in :mod:`repro.detectors.hb`.
+
 :mod:`repro.detectors.registry` builds the full named suite used by the
 experiment drivers.
 """
@@ -27,7 +31,6 @@ from repro.detectors.base import (
 )
 from repro.detectors.epoch import EpochDetector
 from repro.detectors.ideal import IdealDetector
-from repro.detectors.lockset import LocksetDetector
 from repro.detectors.vector_cord import LimitedVectorDetector
 from repro.detectors.registry import DetectorSpec, standard_suite
 
@@ -40,6 +43,5 @@ __all__ = [
     "EpochDetector",
     "IdealDetector",
     "LimitedVectorDetector",
-    "LocksetDetector",
     "standard_suite",
 ]

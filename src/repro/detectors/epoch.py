@@ -19,24 +19,26 @@ Guarantees (property-tested against :class:`IdealDetector`):
   iff the full oracle does (the first race per word is detected exactly);
   per-access flag sets may differ after the first race on a word, because
   post-race state updates diverge between the algorithms.
+
+Clocks and the sync rule come from :mod:`repro.detectors.hb`, shared
+with the Ideal oracle.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
-from repro.clocks.vector import VectorClock
-from repro.detectors.base import DataRace, Detector
-from repro.trace.events import MemoryEvent
+from repro.detectors.base import DataRace
+from repro.detectors.hb import Clock, HBDetector, dominates
 
 #: An epoch: (clock value, thread id).
 Epoch = Tuple[int, int]
 
 
-def _epoch_leq(epoch: Epoch, vc: VectorClock) -> bool:
+def _epoch_leq(epoch: Epoch, vc: Clock) -> bool:
     """``epoch`` happens-before-or-equals ``vc``."""
     clock, thread = epoch
-    return clock <= vc.component(thread)
+    return clock <= vc[thread]
 
 
 class _WordState:
@@ -45,58 +47,23 @@ class _WordState:
     def __init__(self):
         self.write: Optional[Epoch] = None
         self.read_epoch: Optional[Epoch] = None
-        self.read_vc: Optional[VectorClock] = None
+        self.read_vc: Optional[Clock] = None
 
 
-class EpochDetector(Detector):
+class EpochDetector(HBDetector):
     """FastTrack-style happens-before detector."""
 
     name = "Epoch"
 
     def __init__(self, n_threads: int):
-        super().__init__()
-        self.n_threads = n_threads
-        self.vcs = [
-            VectorClock.unit(n_threads, t) for t in range(n_threads)
-        ]
-        self._sync_write_vc: Dict[int, VectorClock] = {}
-        self._sync_read_vc: Dict[int, VectorClock] = {}
+        super().__init__(n_threads)
         self._words: Dict[int, _WordState] = {}
         #: Representation statistics (the optimization's payoff).
         self.epoch_reads = 0
         self.vector_reads = 0
 
-    # -- sync (identical to the Ideal oracle) ------------------------------
-
-    def _process_sync(self, event: MemoryEvent) -> None:
-        self._sync_access(event.thread, event.address, event.is_write)
-
-    def _sync_access(self, t: int, address: int, is_write: int) -> None:
-        vc = self.vcs[t]
-        write_hist = self._sync_write_vc.get(address)
-        if is_write:
-            if write_hist is not None:
-                vc = vc.joined(write_hist)
-            read_hist = self._sync_read_vc.get(address)
-            if read_hist is not None:
-                vc = vc.joined(read_hist)
-            self._sync_write_vc[address] = (
-                write_hist.joined(vc) if write_hist else vc
-            )
-            self.vcs[t] = vc.ticked(t)
-        else:
-            if write_hist is not None:
-                vc = vc.joined(write_hist)
-            read_hist = self._sync_read_vc.get(address)
-            self._sync_read_vc[address] = (
-                read_hist.joined(vc) if read_hist else vc
-            )
-            self.vcs[t] = vc
-
-    # -- data ---------------------------------------------------------------
-
     def _own_epoch(self, thread: int) -> Epoch:
-        return (self.vcs[thread].component(thread), thread)
+        return (self.hb.clocks[thread][thread], thread)
 
     def _report(
         self, t: int, icount: int, address: int, detail: str
@@ -110,17 +77,33 @@ class EpochDetector(Detector):
             )
         )
 
-    def _process_data(self, event: MemoryEvent) -> None:
-        self._data_access(
-            event.thread, event.address, event.is_write, event.icount
-        )
+    def _columns(self, packed):
+        # Every access the word residual drops is a data access, and each
+        # dropped *read* would have taken the epoch fast path exactly
+        # once -- a single-thread word never promotes to a read vector --
+        # so the representation statistics count them here.
+        residual = packed.word_residual()
+        if residual is not None:
+            self.epoch_reads += residual.skipped_reads
+        return super()._columns(packed)
+
+    def process_packed(self, packed) -> None:
+        """Columnar dispatch: no event objects, same verdicts."""
+        if self._ran_warm(packed):
+            return
+        sync = self.hb.sync
+        data_access = self._data_access
+        for t, address, eflags, icount in zip(*self._columns(packed)):
+            if eflags & 2:
+                sync(t, address, eflags & 1)
+            else:
+                data_access(t, address, eflags & 1, icount)
 
     def _data_access(
         self, t: int, address: int, is_write: int, icount: int
     ) -> None:
-        vc = self.vcs[t]
+        vc = self.hb.clocks[t]
         word = self._words.setdefault(address, _WordState())
-
         write = word.write
         write_races = (
             write is not None
@@ -135,9 +118,9 @@ class EpochDetector(Detector):
             my_epoch = self._own_epoch(t)
             if word.read_vc is not None:
                 self.vector_reads += 1
-                comps = list(word.read_vc.components)
+                comps = list(word.read_vc)
                 comps[t] = max(comps[t], my_epoch[0])
-                word.read_vc = VectorClock(comps)
+                word.read_vc = tuple(comps)
             elif word.read_epoch is None or word.read_epoch[1] == t:
                 self.epoch_reads += 1
                 word.read_epoch = my_epoch
@@ -151,7 +134,7 @@ class EpochDetector(Detector):
                 comps = [0] * self.n_threads
                 comps[word.read_epoch[1]] = word.read_epoch[0]
                 comps[t] = my_epoch[0]
-                word.read_vc = VectorClock(comps)
+                word.read_vc = tuple(comps)
                 word.read_epoch = None
             return
 
@@ -162,7 +145,7 @@ class EpochDetector(Detector):
             raced = True
             self._report(t, icount, address, "write-write race")
         if not raced and word.read_vc is not None:
-            if not vc.dominates(word.read_vc):
+            if not dominates(vc, word.read_vc):
                 raced = True
                 self._report(
                     t, icount, address, "write after concurrent reads"
@@ -179,47 +162,3 @@ class EpochDetector(Detector):
         word.write = self._own_epoch(t)
         word.read_vc = None
         word.read_epoch = None
-
-
-    def process(self, event: MemoryEvent) -> None:
-        if event.is_sync:
-            self._process_sync(event)
-        else:
-            self._process_data(event)
-
-    def process_packed(self, packed) -> None:
-        """Columnar dispatch: no event objects, same verdicts.
-
-        On a cold detector, interprets only the trace's word residual
-        when the kernels provide one (same argument as the Ideal
-        oracle: single-thread words cannot race and their history is
-        never consulted across threads).  Every dropped access is a
-        data access; each dropped *read* would have taken the epoch
-        fast path exactly once -- a single-thread word never promotes
-        to a read vector -- so the representation statistics are
-        reconstituted from the residual's drop counts.
-        """
-        sync_access = self._sync_access
-        data_access = self._data_access
-        cols = None
-        if (
-            not self._sync_write_vc
-            and not self._sync_read_vc
-            and not self._words
-        ):
-            residual = packed.word_residual()
-            if residual is not None:
-                cols = (
-                    residual.threads,
-                    residual.addresses,
-                    residual.flags,
-                    residual.icounts,
-                )
-                self.epoch_reads += residual.skipped_reads
-        if cols is None:
-            cols = packed.hot_columns()
-        for t, address, eflags, icount in zip(*cols):
-            if eflags & 2:
-                sync_access(t, address, eflags & 1)
-            else:
-                data_access(t, address, eflags & 1, icount)

@@ -8,137 +8,50 @@ access by thread *u* is ordered before the current access, every earlier
 one is too (program order plus transitivity), so nothing is lost relative
 to unbounded per-access history for *flagged-access* counting.
 
-The happens-before relation it tracks is the standard one for an observed
-execution: program order, plus the observed outcomes of conflicting
-*synchronization* accesses.  Synchronization writes therefore join the
-variable's accumulated read+write history and publish; synchronization
-reads join the variable's write history; a thread's own component ticks on
-each synchronization write (release).
+The happens-before relation, and its sync rule, is the one in
+:mod:`repro.detectors.hb`, shared with every vector-clock detector.
 """
 
 from __future__ import annotations
 
 from typing import Dict
 
-from repro.clocks.vector import VectorClock
-from repro.detectors.base import DataRace, Detector
-from repro.trace.events import MemoryEvent
+from repro.detectors.base import DataRace
+from repro.detectors.hb import Clock, HBDetector, dominates
 
 
-class IdealDetector(Detector):
+class IdealDetector(HBDetector):
     """Oracle happens-before data race detector."""
 
     name = "Ideal"
 
     def __init__(self, n_threads: int):
-        super().__init__()
-        self.n_threads = n_threads
-        self.vcs = [
-            VectorClock.unit(n_threads, t) for t in range(n_threads)
-        ]
-        # Per sync word: accumulated writer / reader vector history.
-        self._sync_write_vc: Dict[int, VectorClock] = {}
-        self._sync_read_vc: Dict[int, VectorClock] = {}
+        super().__init__(n_threads)
         # Per data word, per thread: last read / last write vector stamps.
-        self._last_read: Dict[int, Dict[int, VectorClock]] = {}
-        self._last_write: Dict[int, Dict[int, VectorClock]] = {}
-
-    # -- event processing -----------------------------------------------------
-
-    def process(self, event: MemoryEvent) -> None:
-        if event.is_sync:
-            self._process_sync(event)
-        else:
-            self._process_data(event)
+        self._last_read: Dict[int, Dict[int, Clock]] = {}
+        self._last_write: Dict[int, Dict[int, Clock]] = {}
 
     def process_packed(self, packed) -> None:
         """Columnar loop: no event objects, same verdicts.
 
         Data accesses dominate the stream, so their path is inlined with
-        the dominance test open-coded over raw component tuples (the
-        ``a < b`` early-exit idiom).  History tables hold component
-        tuples on this path instead of :class:`VectorClock` wrappers --
-        fine because a detector instance observes exactly one trace
-        through exactly one path.  Synchronization accesses (rare) go
-        through :meth:`_sync_access` unchanged.
-
-        On a cold detector the pass interprets only the trace's word
-        residual (:meth:`PackedTrace.word_residual`) when the kernels
-        provide one: a data access to a word no other thread ever
-        touches in data mode cannot race (every conflicting stamp is the
-        thread's own) and leaves history only its own thread would
-        consult, so dropping it changes no verdict.  Sync tables are
-        keyed separately, so a word used as data by one thread and sync
-        by another stays exact.  The residual is config-independent and
-        cached on the trace -- every oracle pass of a sweep shares one
-        classification.
+        the dominance test open-coded over the component tuples (the
+        ``a < b`` early-exit idiom); sync accesses (rare) go through
+        :meth:`HBState.sync`.  It reads :meth:`_columns`: the word
+        residual when the kernels provide one.
         """
+        if self._ran_warm(packed):
+            return
         record_race = self.outcome.record_race
-        vcs = self.vcs
+        clocks = self.hb.clocks
+        sync = self.hb.sync
         last_read = self._last_read
         last_write = self._last_write
-        comps_by_thread = [vc.components for vc in vcs]
-        # Sync joins run on raw component tuples (``map(max, ...)``)
-        # instead of VectorClock allocations; the wrapped state tables
-        # and ``vcs`` are rebuilt at the end of the pass.
-        swv = {
-            a: vc.components for a, vc in self._sync_write_vc.items()
-        }
-        srv = {
-            a: vc.components for a, vc in self._sync_read_vc.items()
-        }
-        cols = None
-        if (
-            not self._sync_write_vc
-            and not self._sync_read_vc
-            and not last_read
-            and not last_write
-        ):
-            # Cold start: prior history could order (or race with) the
-            # accesses the residual drops, so warm detectors take the
-            # full stream.
-            residual = packed.word_residual()
-            if residual is not None:
-                cols = (
-                    residual.threads,
-                    residual.addresses,
-                    residual.flags,
-                    residual.icounts,
-                )
-        if cols is None:
-            cols = packed.hot_columns()
-        threads, addresses, flag_col, icounts = cols
-        for t, address, eflags, icount in zip(
-            threads, addresses, flag_col, icounts
-        ):
+        for t, address, eflags, icount in zip(*self._columns(packed)):
             if eflags & 2:
-                # _sync_access over raw tuples: join the accumulated
-                # histories, publish, and (for writes) tick.  The
-                # published write history equals the joined vector --
-                # the join already dominates the prior history -- so
-                # only the read table needs an explicit merge.
-                comps = comps_by_thread[t]
-                wh = swv.get(address)
-                if wh is not None:
-                    comps = tuple(map(max, comps, wh))
-                if eflags & 1:
-                    rh = srv.get(address)
-                    if rh is not None:
-                        comps = tuple(map(max, comps, rh))
-                    swv[address] = comps
-                    ticked = list(comps)
-                    ticked[t] += 1
-                    comps_by_thread[t] = tuple(ticked)
-                else:
-                    rh = srv.get(address)
-                    srv[address] = (
-                        tuple(map(max, rh, comps))
-                        if rh is not None
-                        else comps
-                    )
-                    comps_by_thread[t] = comps
+                sync(t, address, eflags & 1)
                 continue
-            comps = comps_by_thread[t]
+            comps = clocks[t]
             is_write = eflags & 1
             raced_with = None
             write_hist = last_write.get(address)
@@ -177,64 +90,24 @@ class IdealDetector(Detector):
                 table[address] = {t: comps}
             else:
                 entry[t] = comps
-        for t in range(len(vcs)):
-            vcs[t] = VectorClock(comps_by_thread[t])
-        self._sync_write_vc = {
-            a: VectorClock(c) for a, c in swv.items()
-        }
-        self._sync_read_vc = {
-            a: VectorClock(c) for a, c in srv.items()
-        }
-
-    def _process_sync(self, event: MemoryEvent) -> None:
-        self._sync_access(event.thread, event.address, event.is_write)
-
-    def _sync_access(self, t: int, address: int, is_write: int) -> None:
-        vc = self.vcs[t]
-        write_hist = self._sync_write_vc.get(address)
-        if is_write:
-            # Ordered after every prior conflicting sync access (both
-            # modes), then publish and tick (release).
-            if write_hist is not None:
-                vc = vc.joined(write_hist)
-            read_hist = self._sync_read_vc.get(address)
-            if read_hist is not None:
-                vc = vc.joined(read_hist)
-            merged = write_hist.joined(vc) if write_hist else vc
-            self._sync_write_vc[address] = merged
-            self.vcs[t] = vc.ticked(t)
-        else:
-            # Ordered after every prior write of the sync variable.
-            if write_hist is not None:
-                vc = vc.joined(write_hist)
-            read_hist = self._sync_read_vc.get(address)
-            self._sync_read_vc[address] = (
-                read_hist.joined(vc) if read_hist else vc
-            )
-            self.vcs[t] = vc
-
-    def _process_data(self, event: MemoryEvent) -> None:
-        self._data_access(
-            event.thread, event.address, event.is_write, event.icount
-        )
 
     def _data_access(
         self, t: int, address: int, is_write: int, icount: int
     ) -> None:
-        vc = self.vcs[t]
+        clock = self.hb.clocks[t]
 
         write_hist = self._last_write.get(address)
         raced_with = None
         if write_hist:
             for u, stamp in write_hist.items():
-                if u != t and not vc.dominates(stamp):
+                if u != t and not dominates(clock, stamp):
                     raced_with = u
                     break
         if raced_with is None and is_write:
             read_hist = self._last_read.get(address)
             if read_hist:
                 for u, stamp in read_hist.items():
-                    if u != t and not vc.dominates(stamp):
+                    if u != t and not dominates(clock, stamp):
                         raced_with = u
                         break
         if raced_with is not None:
@@ -248,4 +121,4 @@ class IdealDetector(Detector):
             )
 
         table = self._last_write if is_write else self._last_read
-        table.setdefault(address, {})[t] = vc
+        table.setdefault(address, {})[t] = clock

@@ -16,8 +16,9 @@ Configuration  Geometry
 ``L1Cache``    8 KB per processor, 2 entries per line
 =============  =========================================
 
-Synchronization-induced ordering is tracked exactly (an unbounded side
-table per sync variable), isolating the variable under study -- the *data
+Synchronization-induced ordering is tracked exactly (the unbounded
+per-sync-variable tables of :class:`repro.detectors.hb.HBState`, shared
+with the Ideal oracle), isolating the variable under study -- the *data
 history* limitation -- from incidental sync-metadata displacement.  This
 modeling choice is recorded in DESIGN.md.
 """
@@ -29,17 +30,16 @@ from typing import Dict, Optional
 
 from repro.cachesim.cache import CacheGeometry
 from repro.cachesim.snoop import SnoopDomain
-from repro.clocks.vector import VectorClock
 from repro.detectors.base import (
     DataRace,
     Detector,
     default_thread_to_processor,
 )
+from repro.detectors.hb import HBDetector, dominates
 from repro.meta.linemeta import LineMeta, TimestampEntry
-from repro.trace.events import MemoryEvent
 
 
-class LimitedVectorDetector(Detector):
+class LimitedVectorDetector(HBDetector):
     """Vector clocks over CORD-limited access histories.
 
     Args:
@@ -62,14 +62,8 @@ class LimitedVectorDetector(Detector):
         self.name = label or "Vector(%s)" % (
             "Inf" if geometry.is_infinite else "%dB" % geometry.size
         )
-        super().__init__()
-        self.n_threads = n_threads
+        super().__init__(n_threads)
         self.geometry = geometry
-        self.vcs = [
-            VectorClock.unit(n_threads, t) for t in range(n_threads)
-        ]
-        self._sync_write_vc: Dict[int, VectorClock] = {}
-        self._sync_read_vc: Dict[int, VectorClock] = {}
         self._entries_per_line = entries_per_line
         self._snoop = SnoopDomain(
             n_processors, geometry, lambda: LineMeta(entries_per_line)
@@ -77,14 +71,6 @@ class LimitedVectorDetector(Detector):
         self._thread_proc = default_thread_to_processor(
             n_threads, n_processors
         )
-
-    # -- event processing ---------------------------------------------------
-
-    def process(self, event: MemoryEvent) -> None:
-        if event.is_sync:
-            self._process_sync(event)
-        else:
-            self._process_data(event)
 
     def process_packed(self, packed) -> None:
         """One pass over the trace's segment plan; no event objects.
@@ -102,19 +88,18 @@ class LimitedVectorDetector(Detector):
         processor bitmask`` residency map stands in for per-processor
         snoop probes.
 
-        Clocks are raw component tuples here, joined with
-        ``tuple(map(max, ...))`` as in :meth:`IdealDetector.process_packed`;
-        cached entries keep them, and ``vcs`` and the sync tables are
-        rewrapped as :class:`VectorClock` at the end.  Without a plan
+        Sync accesses go through :meth:`HBState.sync`.  Without a plan
         (no kernels, or lines too wide for 64-bit word masks) the pass
         is the reference :meth:`process` loop over event objects.
         Verdicts and counters are identical either way (pinned by the
         packed-equivalence suite).
         """
+        if self._ran_warm(packed):
+            return
         line_mask = ~(self.geometry.line_size - 1)
         plan = packed.segment_plan(line_mask)
         if plan is None:
-            super().process_packed(packed)
+            Detector.process_packed(self, packed)
             return
         offset_mask = self.geometry.line_size - 1
         caches = self._snoop.caches
@@ -126,21 +111,11 @@ class LimitedVectorDetector(Detector):
         entries_per_line = self._entries_per_line
         record_race = self.outcome.record_race
         thread_proc = self._thread_proc
-        comps_by_thread = [vc.components for vc in self.vcs]
-        swv = {a: vc.components for a, vc in self._sync_write_vc.items()}
-        srv = {a: vc.components for a, vc in self._sync_read_vc.items()}
-
+        clocks = self.hb.clocks
+        sync = self.hb.sync
         # line -> bitmask of the processors caching it, kept on insert
-        # and evict.  Rebuilt from the caches (empty on a cold detector),
-        # whose stamps become tuples like the ones this pass stores.
+        # and evict (the caches start empty).
         resident: Dict[int, int] = {}
-        for processor, sets in enumerate(cache_sets):
-            bit = 1 << processor
-            for cache_set in sets:
-                for line, meta in cache_set.items():
-                    resident[line] = resident.get(line, 0) | bit
-                    for entry in meta.entries:
-                        entry.ts = getattr(entry.ts, "components", entry.ts)
 
         threads, addresses, flag_col, icounts = packed.hot_columns()
         starts = plan.starts
@@ -151,29 +126,9 @@ class LimitedVectorDetector(Detector):
             t = threads[start]
             address = addresses[start]
             if is_sync:
-                # _sync_access over raw tuples (see IdealDetector).
-                comps = comps_by_thread[t]
-                wh = swv.get(address)
-                if wh is not None:
-                    comps = tuple(map(max, comps, wh))
-                if flag_col[start] & 1:
-                    rh = srv.get(address)
-                    if rh is not None:
-                        comps = tuple(map(max, comps, rh))
-                    swv[address] = comps
-                    ticked = list(comps)
-                    ticked[t] += 1
-                    comps_by_thread[t] = tuple(ticked)
-                else:
-                    rh = srv.get(address)
-                    srv[address] = (
-                        tuple(map(max, rh, comps))
-                        if rh is not None
-                        else comps
-                    )
-                    comps_by_thread[t] = comps
+                sync(t, address, flag_col[start] & 1)
                 continue
-            comps = comps_by_thread[t]
+            comps = clocks[t]
             processor = thread_proc[t]
             bit = 1 << processor
             line = address & line_mask
@@ -254,48 +209,20 @@ class LimitedVectorDetector(Detector):
                 if len(entries) > entries_per_line:
                     entries.pop()
 
-        self.vcs = [VectorClock(comps) for comps in comps_by_thread]
-        self._sync_write_vc = {a: VectorClock(c) for a, c in swv.items()}
-        self._sync_read_vc = {a: VectorClock(c) for a, c in srv.items()}
 
-    def _process_sync(self, event: MemoryEvent) -> None:
-        self._sync_access(event.thread, event.address, event.is_write)
-
-    def _sync_access(self, t: int, address: int, is_write: int) -> None:
-        vc = self.vcs[t]
-        write_hist = self._sync_write_vc.get(address)
-        if is_write:
-            if write_hist is not None:
-                vc = vc.joined(write_hist)
-            read_hist = self._sync_read_vc.get(address)
-            if read_hist is not None:
-                vc = vc.joined(read_hist)
-            self._sync_write_vc[address] = (
-                write_hist.joined(vc) if write_hist else vc
-            )
-            self.vcs[t] = vc.ticked(t)
-        else:
-            if write_hist is not None:
-                vc = vc.joined(write_hist)
-            read_hist = self._sync_read_vc.get(address)
-            self._sync_read_vc[address] = (
-                read_hist.joined(vc) if read_hist else vc
-            )
-            self.vcs[t] = vc
-
-    def _process_data(self, event: MemoryEvent) -> None:
-        t = event.thread
+    def _data_access(
+        self, t: int, address: int, is_write: int, icount: int
+    ) -> None:
         processor = self._thread_proc[t]
-        vc = self.vcs[t]
-        line = self.geometry.line_address(event.address)
-        word = (event.address - line) // 4
-        is_write = event.is_write
+        clock = self.hb.clocks[t]
+        line = self.geometry.line_address(address)
+        word = (address - line) // 4
 
         # Snoop remote caches for conflicting cached history.
         raced_processor = None
         for remote, meta in self._snoop.snoop(processor, line):
             for stamp in meta.conflicting_timestamps(word, is_write):
-                if not vc.dominates(stamp):
+                if not dominates(clock, stamp):
                     raced_processor = remote
                     break
             if raced_processor is not None:
@@ -303,8 +230,8 @@ class LimitedVectorDetector(Detector):
         if raced_processor is not None:
             self.outcome.record_race(
                 DataRace(
-                    access=(t, event.icount),
-                    address=event.address,
+                    access=(t, icount),
+                    address=address,
                     other_thread=None,
                     detail="vector-unordered vs P%d" % raced_processor,
                 )
@@ -314,7 +241,7 @@ class LimitedVectorDetector(Detector):
         # is lost (no main-memory timestamps in the vector schemes).
         cache = self._snoop.cache_of(processor)
         meta, _evicted = cache.access(line)
-        meta.record_access(vc, word, is_write)
+        meta.record_access(clock, word, is_write)
 
     def finish(self, trace):
         self.outcome.counters["evictions"] = self._snoop.total_evictions()

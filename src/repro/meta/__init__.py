@@ -14,8 +14,8 @@ in its Figure 2):
   (Section 2.7.5).
 
 The timestamp type is generic: CORD stores scalar ints, the comparison
-configurations store :class:`~repro.clocks.vector.VectorClock` objects in
-the same structures.
+configurations store vector-clock component tuples
+(:mod:`repro.detectors.hb`) in the same structures.
 """
 
 from repro.meta.linemeta import LineMeta, TimestampEntry

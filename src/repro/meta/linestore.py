@@ -21,7 +21,7 @@ column     type   contents (``E`` = entries per line)
 Semantics are bit-for-bit identical to ``LineMeta`` with scalar integer
 timestamps -- the golden replay suite pins that equivalence.  The object
 path remains for detectors whose timestamps are not scalars (the vector
-comparison configurations store :class:`VectorClock` objects).
+comparison configurations store vector-clock tuples).
 
 Freed slots go on a free list and are reused, so a long campaign touches
 a bounded region of each column: no per-event object allocation, no GC

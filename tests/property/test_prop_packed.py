@@ -9,6 +9,9 @@ Three layers of the equivalence the record-once pipeline rests on:
 3. **Analysis** -- every detector's ``process_packed`` path produces
    byte-identical race reports and order logs to its per-event-object
    path, on hypothesis-generated racy programs and on golden workloads.
+   The happens-before detectors are also fed a mixed stream -- a prefix
+   through ``process()``, the rest as one packed pass -- which must equal
+   the object path too.
    The vector-clock comparison detectors are pinned at every geometry
    (InfCache, L2Cache, L1Cache and a tiny cache that evicts constantly),
    oversubscribed processors included, on programs built to produce
@@ -299,6 +302,19 @@ def test_overflow_guard_paths_agree():
     assert not any(det._kernel_spent for det in sweep)
 
 
+def _run_mixed(detector, trace):
+    """Feed the first half of ``trace`` event by event through
+    ``process()``, then the rest as one packed pass."""
+    events = trace.events
+    split = len(events) // 2
+    for event in events[:split]:
+        detector.process(event)
+    detector.process_packed(
+        PackedTrace.from_events(events[split:], trace.final_icounts)
+    )
+    return detector.finish(trace)
+
+
 @settings(max_examples=30, deadline=None)
 @given(programs, seeds)
 def test_ideal_and_epoch_packed_paths_equivalent(thread_actions, seed):
@@ -308,6 +324,8 @@ def test_ideal_and_epoch_packed_paths_equivalent(thread_actions, seed):
         object_outcome = build(program.n_threads).run(trace)
         packed_outcome = build(program.n_threads).run_packed(trace.packed)
         _assert_outcomes_identical(object_outcome, packed_outcome)
+        mixed_outcome = _run_mixed(build(program.n_threads), trace)
+        _assert_outcomes_identical(object_outcome, mixed_outcome)
 
 
 #: The vector-clock comparison geometries: InfCache, L2Cache, L1Cache,
@@ -463,8 +481,12 @@ def _assert_vector_paths_identical(thread_actions, seed):
         packed_outcome = LimitedVectorDetector(
             program.n_threads, geometry
         ).run_packed(trace.packed)
+        mixed_outcome = _run_mixed(
+            LimitedVectorDetector(program.n_threads, geometry), trace
+        )
         # Flagged set, race order and detail, and the eviction counter.
         assert _fingerprint(packed_outcome) == _fingerprint(object_outcome)
+        assert _fingerprint(mixed_outcome) == _fingerprint(object_outcome)
 
 
 @settings(max_examples=40, deadline=None)
@@ -553,7 +575,11 @@ def test_vector_packed_path_equivalent_on_event_streams(trace):
         packed_outcome = LimitedVectorDetector(
             trace.n_threads, geometry
         ).run_packed(packed)
+        mixed_outcome = _run_mixed(
+            LimitedVectorDetector(trace.n_threads, geometry), trace
+        )
         assert _fingerprint(packed_outcome) == _fingerprint(object_outcome)
+        assert _fingerprint(mixed_outcome) == _fingerprint(object_outcome)
 
 
 def test_burst_programs_exercise_racy_runs_and_evictions():

@@ -316,6 +316,38 @@ def test_warm_sweep_zero_copy(bench_log):
     )
 
 
+def _whole_campaign(task):
+    """One workload's whole campaign, in one pool task (module-level, so
+    a forked pool process can run it)."""
+    from repro.injection.campaign import (
+        CampaignConfig,
+        run_campaign,
+        trace_namespace,
+    )
+    from repro.workloads.registry import get_workload
+
+    name, config = task
+    return run_campaign(
+        get_workload(name).program_factory(config.params),
+        name,
+        CampaignConfig(n_runs=config.runs_per_app,
+                       base_seed=config.base_seed),
+        trace_namespace=trace_namespace(name, config.params),
+    )
+
+
+def _campaign_digest(campaigns):
+    return [
+        (name, campaign.sync_instances, [
+            (run.run_index, run.seed, run.target_index,
+             sorted(run.flagged.items()),
+             sorted(run.problem.items()))
+            for run in campaign.runs
+        ])
+        for name, campaign in campaigns.items()
+    ]
+
+
 def test_pipeline_speedup(bench_log):
     """Run-level pipelining vs campaign-level pooling: >= 1.5x.
 
@@ -323,12 +355,13 @@ def test_pipeline_speedup(bench_log):
     deliberately imbalanced mix (ocean is several times heavier than
     fft or lu, so campaign-level pooling idles every worker behind the
     ocean campaign while run-level scheduling keeps them fed): serial
-    and the run-level pipelined scheduler, each on a fresh cache
-    directory, and campaign-per-task pooling, which only runs without
-    one.  Campaign digests must be equal across all three arms and the
-    serial and pipelined cache trees byte-identical -- the scheduler
-    changes *where* work runs, never what it computes -- and the
-    pipelined wall clock must beat campaign pooling by
+    and the run-level pipelined scheduler, each a ``Suite`` on a fresh
+    cache directory, and campaign-per-task pooling, defined here as
+    :meth:`Supervisor.run_stream` over one whole-campaign task per
+    workload.  Campaign digests must be equal across all three arms and
+    the serial and pipelined cache trees byte-identical -- the
+    scheduler changes *where* work runs, never what it computes -- and
+    the pipelined wall clock must beat campaign pooling by
     ``CORD_PIPELINE_SPEEDUP_MIN`` (default 1.5).
 
     The gate needs real parallel hardware: below 4 CPUs the pool arms
@@ -338,6 +371,7 @@ def test_pipeline_speedup(bench_log):
     anyway, e.g. with ``CORD_PIPELINE_SPEEDUP_MIN=0``).
     """
     from repro.experiments.runner import Suite, SuiteConfig
+    from repro.resilience.supervisor import Supervisor
 
     cpus = os.cpu_count() or 1
     if cpus < 4 and not os.environ.get("CORD_PIPELINE_BENCH_FORCE"):
@@ -353,43 +387,42 @@ def test_pipeline_speedup(bench_log):
     saved_fsync = os.environ.get("REPRO_FSYNC")
     os.environ["REPRO_FSYNC"] = "0"
 
-    def run_arm(arm_jobs, cached):
-        # The cache directory picks the pooled scheduler: with one,
-        # jobs > 1 runs the pipeline; without, the campaign pool.
+    def run_arm(arm_jobs):
+        # With a cache directory, jobs == 1 runs the journaled serial
+        # path and jobs > 1 the run-level pipeline.
         root = Path(tempfile.mkdtemp(prefix="cord-bench-pipeline-"))
         try:
-            suite = Suite(
-                config, jobs=arm_jobs,
-                cache_dir=str(root) if cached else None,
-            )
+            suite = Suite(config, jobs=arm_jobs, cache_dir=str(root))
             start = time.perf_counter()
             campaigns = suite.campaigns()
             wall = time.perf_counter() - start
-            digest = [
-                (name, campaign.sync_instances, [
-                    (run.run_index, run.seed, run.target_index,
-                     sorted(run.flagged.items()),
-                     sorted(run.problem.items()))
-                    for run in campaign.runs
-                ])
-                for name, campaign in campaigns.items()
-            ]
             caches = {
                 p.name: p.read_bytes()
                 for p in root.iterdir()
                 if p.is_file()
             }
-            return wall, digest, caches
+            return wall, _campaign_digest(campaigns), caches
         finally:
             shutil.rmtree(root, ignore_errors=True)
 
+    def run_campaign_pool():
+        names = config.workload_names()
+        start = time.perf_counter()
+        finished, _report = Supervisor(
+            jobs=min(jobs, len(names)), seed=config.base_seed,
+        ).run_stream(
+            _whole_campaign, [(name, (name, config)) for name in names],
+        )
+        wall = time.perf_counter() - start
+        return wall, _campaign_digest(
+            {name: finished[name] for name in names}
+        )
+
     saved_cache_dir = os.environ.pop("REPRO_CACHE_DIR", None)
     try:
-        serial_s, serial_digest, serial_caches = run_arm(1, True)
-        pooled_s, pooled_digest, _ = run_arm(jobs, False)
-        pipelined_s, pipelined_digest, pipelined_caches = run_arm(
-            jobs, True
-        )
+        serial_s, serial_digest, serial_caches = run_arm(1)
+        pooled_s, pooled_digest = run_campaign_pool()
+        pipelined_s, pipelined_digest, pipelined_caches = run_arm(jobs)
     finally:
         if saved_fsync is None:
             os.environ.pop("REPRO_FSYNC", None)

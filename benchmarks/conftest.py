@@ -15,9 +15,10 @@ counts, events/second) and ``BENCH_sweeps.json`` (end-to-end sweep wall
 times and the record-once speedup).  Each session appends (or replaces)
 one entry keyed by ``CORD_BENCH_LABEL``, stamped with the date, kernel
 backend, and git short sha; the committed entries track how the
-simulator's performance moves PR over PR.  The explicit wall-clock
-measurement is what makes the files exist even under
-``--benchmark-disable`` (the CI smoke mode).
+simulator's performance moves PR over PR.  A session without a label
+writes neither file.  The explicit wall-clock measurement is what makes
+the entries exist even under ``--benchmark-disable`` (the CI smoke
+mode).
 """
 
 import json
@@ -87,9 +88,15 @@ class BenchLog:
         return result
 
     def flush(self):
-        label = os.environ.get("CORD_BENCH_LABEL", "").strip() or (
-            "local-%s" % time.strftime("%Y%m%d")
-        )
+        """Write the trajectory files, only for a labelled session.
+
+        Without ``CORD_BENCH_LABEL`` nothing is written, so running a
+        benchmark (or CI's smoke commands) locally leaves the tracked
+        files untouched.
+        """
+        label = os.environ.get("CORD_BENCH_LABEL", "").strip()
+        if not label:
+            return
         commit = _git_short_sha()
         for kind, results in self._results.items():
             if not results:

@@ -1,13 +1,11 @@
 """Run-level pipeline: the stage tasks and the one driver that schedules them.
 
-:meth:`Suite.campaigns` historically scheduled one *whole campaign* per
-supervisor task, so a pool was load-balanced across workloads only --
-the slowest campaign bounded the wall clock, and inside each campaign
-recording and analysis alternated serially per run.  The record-once /
-analyze-many split makes the finer decomposition natural: a campaign is
-a *sizing* run, ``n_runs`` independent *record* steps, and analysis
-passes over the recorded traces, every one a deterministic pure function
-of ``(workload, base_seed)``.
+The record-once / analyze-many split makes a campaign a *sizing* run,
+``n_runs`` independent *record* steps, and analysis passes over the
+recorded traces, every one a deterministic pure function of
+``(workload, base_seed)``.  Scheduling these stages instead of whole
+campaigns balances a pool across runs, not workloads, and lets
+recording overlap analysis.
 
 This module holds both halves of that decomposition.  The worker half
 is one picklable payload per stage, dispatched by :func:`run_stage_task`
@@ -121,11 +119,12 @@ def analyze_payload(
 def run_stage_task(payload: Dict) -> Dict:
     """Execute one pipeline stage, in whichever process runs it.
 
-    Rebuilds the store and the program factory from the payload; the
+    Rebuilds the store (skipping fsync when the payload says
+    ``"fsync": False``) and the program factory from the payload; the
     counters of the store opened here come back as the value's
     ``"store"`` entry.
     """
-    store = PackedTraceStore(payload["store_dir"])
+    store = PackedTraceStore(payload["store_dir"], payload.get("fsync"))
     value = _run_stage(payload, store)
     value["store"] = store.snapshot()
     return value
@@ -334,12 +333,19 @@ def drive(
     by_name = {campaign.workload: campaign for campaign in campaigns}
     shards: Dict[str, _Shard] = {}
 
+    def stage(submit: Submit, name: str, payload: Dict) -> None:
+        # A store that skips fsync has every stage's store skip it too.
+        if store.fsync is False:
+            payload["fsync"] = False
+        submit(name, payload)
+
     def analyze(shard: _Shard, index: int, submit: Submit) -> None:
         campaign = shard.campaign
         if not shard.analyzing:
             shard.analyzing = True
             on_analyzing(campaign.workload)
-        submit(
+        stage(
+            submit,
             "an:%s#%d" % (campaign.workload, index + 1),
             analyze_payload(
                 campaign.workload, campaign.params, store_dir,
@@ -370,7 +376,8 @@ def drive(
             if durable[run_index]:
                 continue
             shard.waiting[shard.batch_of[run_index]] += 1
-            submit(
+            stage(
+                submit,
                 "rec:%s/run%d" % (name, run_index),
                 record_payload(
                     name, campaign.params, store_dir, campaign.namespace,
@@ -423,11 +430,12 @@ def drive(
             shard_campaign(campaign, instances,
                            lambda *task: tasks.append(task))
         else:
-            tasks.append((
+            stage(
+                lambda *task: tasks.append(task),
                 "size:" + campaign.workload,
                 size_payload(
                     campaign.workload, campaign.params, store_dir,
                     campaign.namespace, sizing_seed,
                 ),
-            ))
+            )
     return run_stream(tasks, on_result)

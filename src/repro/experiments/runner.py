@@ -5,19 +5,19 @@ full detector suite) and caches the :class:`CampaignResult`; Figures 10 and
 12-17 are all views over the same campaign data, exactly as the paper's
 per-configuration columns are views over its injection runs.
 
-Campaigns are embarrassingly parallel -- every (workload, config) pair is
+Campaigns are embarrassingly parallel -- every (workload, run) pair is
 an independent deterministic computation -- so :meth:`Suite.campaigns`
 fans missing campaigns out over supervised worker processes (``jobs``
 argument, or the ``REPRO_JOBS`` environment variable).  Results are
 bit-identical regardless of ``jobs``: each campaign derives its seeds
 from ``(base_seed, workload)`` alone, and the fan-out only changes
-*where* a campaign runs, never what it computes.  The scheduler follows
-from what the suite can observe: a cache directory and ``jobs > 1`` run
-the run-level pipeline, whose stage tasks meet in the trace store and
-are scheduled by :func:`repro.experiments.pipeline.drive`, the driver
-the campaign service runs too; no cache directory, ``jobs > 1`` and
-more than one pending campaign run one campaign per pool task;
-everything else runs serially.
+*where* a run is recorded or analyzed, never what it computes.  The
+scheduler follows from what the suite can observe: a cache directory
+and ``jobs == 1`` run the journaled serial runner; everything else runs
+the run-level pipeline, whose stage tasks meet in a trace store and are
+scheduled by :func:`repro.experiments.pipeline.drive`, the driver the
+campaign service runs too.  Without a cache directory that store is a
+temporary directory, deleted when the campaigns are done.
 
 An optional on-disk cache (``cache_dir`` argument, or ``REPRO_CACHE_DIR``)
 persists finished campaigns keyed by the full parameter tuple, so
@@ -55,10 +55,11 @@ import hashlib
 import logging
 import os
 import pickle
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.env import env_number
 from repro.common.errors import InterruptedRunError, StoreCorruptError
@@ -132,32 +133,13 @@ class SuiteConfig:
         return [spec.name for spec in all_workloads()]
 
 
-#: One unit of pool work: everything a worker needs to rebuild the
-#: campaign (must stay picklable for spawn-based platforms).  Only
-#: uncached suites run campaign tasks, so there is no trace store.
-_CampaignTask = Tuple[str, int, int, WorkloadParams]
-
-
-def _run_campaign_task(task: _CampaignTask) -> Tuple[str, CampaignResult]:
-    """Pool worker: run one workload's campaign (module-level, picklable)."""
-    name, n_runs, base_seed, params = task
-    spec = get_workload(name)
-    result = run_campaign(
-        spec.program_factory(params),
-        name,
-        CampaignConfig(n_runs=n_runs, base_seed=base_seed),
-        trace_namespace=trace_namespace(name, params),
-    )
-    return name, result
-
-
 class Suite:
     """Runs and caches the per-workload injection campaigns.
 
     Args:
         config: suite configuration.
-        jobs: campaign worker processes; ``None`` reads ``REPRO_JOBS``
-            (default 1 = serial in-process, no pool spawned).
+        jobs: stage-task worker processes; ``None`` reads
+            ``REPRO_JOBS`` (default 1 = in-process, no pool spawned).
         cache_dir: directory for pickled campaign results; ``None`` reads
             ``REPRO_CACHE_DIR`` (default: no on-disk cache).
     """
@@ -294,24 +276,16 @@ class Suite:
 
     # -- campaign execution --------------------------------------------------
 
-    def _task(self, workload: str) -> _CampaignTask:
-        return (
-            workload,
-            self.config.runs_per_app,
-            self.config.base_seed,
-            self.config.params,
-        )
-
     def campaign(self, workload: str) -> CampaignResult:
         """The (cached) campaign for one application.
 
-        A cache miss runs through the same checkpointed runner as
-        :meth:`campaigns` -- journaled, drain-able, and accounted in
-        :attr:`last_report` -- so a single-workload script gets the
-        identical crash-consistency story (and, with ``jobs > 1``, the
-        run-level pipeline's intra-campaign parallelism).  Without a
-        cache directory the campaign runs inline, unjournaled, exactly
-        as before.
+        A cache miss runs through the same scheduler as
+        :meth:`campaigns` -- with a cache directory journaled,
+        drain-able, and accounted in :attr:`last_report` -- so a
+        single-workload script gets the identical crash-consistency
+        story (and, with ``jobs > 1``, the run-level pipeline's
+        intra-campaign parallelism).  Without a cache directory the
+        campaign runs unjournaled, over a temporary trace store.
         """
         if workload not in self._campaigns:
             cached = self._cache_load(workload)
@@ -329,9 +303,9 @@ class Suite:
         retried with backoff, and a poisoned pool falls back to
         in-process serial execution (``self.last_report`` holds the
         per-task outcomes).  Disk cache hits never occupy a worker, and
-        results land in ``self._campaigns`` -- and in the on-disk cache
-        -- in canonical workload order regardless of completion order,
-        retries, or fallbacks, so two identical runs leave identical
+        results come back -- and land in the on-disk cache -- the same
+        regardless of completion order, retries, or fallbacks, in
+        canonical workload order, so two identical runs leave identical
         state behind.
 
         With a cache directory the run is *checkpointed*: campaign
@@ -411,28 +385,28 @@ class Suite:
     def _run_pending(
         self, pending: List[str], cache_hits: List[str]
     ) -> None:
-        """Run the campaigns no cache could serve (checkpointed if any).
+        """Run the campaigns no cache could serve.
 
-        Scheduler selection, from what the suite can observe: a cache
-        directory and ``jobs > 1`` use the run-level pipeline (its
-        stages meet in the trace store); no cache directory, ``jobs >
-        1`` and more than one pending campaign use the campaign pool;
-        everything else runs serially.
+        Two schedulers, from what the suite can observe: with a cache
+        directory and ``jobs == 1`` the journaled serial runner, whose
+        per-run and per-config transitions are the sweep's kill points;
+        otherwise the run-level pipeline.  Without a cache directory
+        the pipeline's stages meet in a temporary trace store, deleted
+        on return and on any exception.
         """
         ckpt = self._open_checkpoint()
         if ckpt is None:
-            if len(pending) > 1 and self.jobs > 1:
-                self._run_pool(pending)
-            else:
-                for name in pending:
-                    _name, result = _run_campaign_task(self._task(name))
-                    self._campaigns[name] = result
+            with tempfile.TemporaryDirectory(prefix="repro-traces-") as root:
+                self._run_pipelined(pending, cache_hits,
+                                    PackedTraceStore(root, fsync=False))
             return
         try:
             with GracefulShutdown() as shutdown:
                 if self.jobs > 1:
-                    self._run_pipelined(pending, cache_hits, ckpt,
-                                        shutdown)
+                    self._run_pipelined(
+                        pending, cache_hits, self.trace_store(), ckpt,
+                        lambda: shutdown.requested,
+                    )
                 else:
                     self._run_serial_checkpointed(pending, ckpt)
             ckpt.finish()
@@ -442,50 +416,82 @@ class Suite:
         finally:
             ckpt.close()
 
-    def _run_pool(self, pending: List[str]) -> None:
-        """Supervised campaign-per-task fan-out (no cache directory)."""
-        supervisor = Supervisor(
-            jobs=min(self.jobs, len(pending)),
-            seed=self.config.base_seed,
-        )
-        finished, report = supervisor.run_stream(
-            _run_campaign_task,
-            [(name, self._task(name)) for name in pending],
-        )
-        self.last_report = report
-        if report.degraded:
-            logger.warning("campaign fan-out: %s", report.summary())
-        # Deterministic submission order for memoization -- never the
-        # order tasks happened to finish in (retried and serial-fallback
-        # results memoize the same as clean pool results).
-        for name in pending:
-            self._campaigns[name] = finished[name][1]
-
     def _run_pipelined(
         self,
         pending: List[str],
         cache_hits: List[str],
-        ckpt: RunCheckpoint,
-        shutdown: GracefulShutdown,
+        store: PackedTraceStore,
+        ckpt: Optional[RunCheckpoint] = None,
+        should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
         """Run-level streaming fan-out: one work queue, three stages.
 
         :func:`repro.experiments.pipeline.drive` schedules the sizing,
-        record and analyze tasks of every pending campaign on one
+        record and analyze tasks of every pending campaign, so
+        recording overlaps analysis and the pool load-balances across
+        *runs* rather than campaigns.  At ``jobs == 1`` the tasks run
+        in this process (:func:`~repro.experiments.pipeline
+        .inline_stream`); otherwise they share one
         :meth:`~repro.resilience.supervisor.Supervisor.run_stream`
-        queue, so recording overlaps analysis and the pool
-        load-balances across *runs* rather than campaigns.  This method
-        only keeps the suite's durability: the journal keeps one
-        workload-level task per campaign plus the per-run
-        ``<workload>/run<N>`` tasks of the serial path, and each
-        campaign's cache entry is written (canonicalized, so completion
-        order changes no byte) the moment its last run is analyzed.
+        queue.  With a checkpoint, :meth:`_journal_hooks` keeps the
+        suite's durability.
         """
         from repro.experiments import pipeline
 
         config = CampaignConfig(
             n_runs=self.config.runs_per_app, base_seed=self.config.base_seed
         )
+        hooks = (
+            {"on_campaign": self._campaigns.__setitem__} if ckpt is None
+            else self._journal_hooks(pending, ckpt)
+        )
+        supervisor = Supervisor(jobs=self.jobs, seed=self.config.base_seed)
+        reports: List[RunReport] = []
+
+        def run_stream(tasks, on_result) -> bool:
+            def fold_timings(outcome, value, submit) -> None:
+                outcome.timings.update(value.get("timings", {}))
+                on_result(outcome.name, value, submit)
+
+            _results, report = supervisor.run_stream(
+                pipeline.run_stage_task, tasks,
+                on_result=fold_timings,
+                should_stop=should_stop,
+            )
+            reports.append(report)
+            return report.interrupted
+
+        interrupted = pipeline.drive(
+            [
+                pipeline.Campaign(name, self.config.params, config)
+                for name in pending
+            ],
+            store,
+            pipeline.inline_stream(pipeline.run_stage_task)
+            if self.jobs == 1 else run_stream,
+            **hooks,
+        )
+        if not reports:
+            return
+        report = reports[0]
+        self.last_report = self._account_tasks(report, cache_hits)
+        if report.degraded:
+            logger.warning("run-level fan-out: %s", report.summary())
+        if interrupted:
+            raise InterruptedRunError(ckpt.run_id)
+
+    def _journal_hooks(
+        self, pending: List[str], ckpt: RunCheckpoint
+    ) -> Dict[str, Callable]:
+        """The :func:`~repro.experiments.pipeline.drive` hooks of a
+        checkpointed run.
+
+        The journal keeps one workload-level task per campaign plus the
+        per-run ``<workload>/run<N>`` tasks of the serial path, and
+        each campaign's cache entry is written (canonicalized, so
+        completion order changes no byte) the moment its last run is
+        analyzed.
+        """
         wl_tasks = {}
         for name in pending:
             wl_tasks[name] = ckpt.task(name)
@@ -517,29 +523,7 @@ class Suite:
             self._cache_store(name, result)
             wl_tasks[name].committed()
 
-        supervisor = Supervisor(jobs=self.jobs, seed=self.config.base_seed)
-        reports: List[RunReport] = []
-
-        def run_stream(tasks, on_result) -> bool:
-            def fold_timings(outcome, value, submit) -> None:
-                outcome.timings.update(value.get("timings", {}))
-                on_result(outcome.name, value, submit)
-
-            _results, report = supervisor.run_stream(
-                pipeline.run_stage_task, tasks,
-                on_result=fold_timings,
-                should_stop=lambda: shutdown.requested,
-            )
-            reports.append(report)
-            return report.interrupted
-
-        interrupted = pipeline.drive(
-            [
-                pipeline.Campaign(name, self.config.params, config)
-                for name in pending
-            ],
-            self.trace_store(),
-            run_stream,
+        return dict(
             on_sharded=on_sharded,
             on_recorded=lambda name, run_index: journal(
                 run_tasks[name, run_index].recorded
@@ -549,12 +533,6 @@ class Suite:
             ].committed(),
             on_campaign=on_campaign,
         )
-        report = reports[0]
-        self.last_report = self._account_tasks(report, cache_hits)
-        if report.degraded:
-            logger.warning("run-level fan-out: %s", report.summary())
-        if interrupted:
-            raise InterruptedRunError(ckpt.run_id)
 
     def _account_tasks(
         self, report: RunReport, cache_hits: List[str]

@@ -198,10 +198,14 @@ class PackedTraceStore:
             unmappable files, or ``REPRO_NO_MMAP=1``).  Reads never
             raise for any of these; the counters are how the healing
             stops being silent.
+        fsync: whether writes fsync before their rename; ``None``
+            follows ``REPRO_FSYNC``.  A store whose directory is deleted
+            when its caller is done passes ``False``.
     """
 
-    def __init__(self, root: os.PathLike):
+    def __init__(self, root: os.PathLike, fsync: Optional[bool] = None):
         self.root = Path(root)
+        self.fsync = fsync
         self.stats: Counter = Counter()
 
     # -- keying ---------------------------------------------------------------
@@ -534,4 +538,4 @@ class PackedTraceStore:
             # Chaos harness: model a torn write by persisting only half
             # the frame.  The next read must detect and quarantine it.
             framed = framed[: max(1, len(framed) // 2)]
-        atomic_write_bytes(path, framed)
+        atomic_write_bytes(path, framed, fsync=self.fsync)

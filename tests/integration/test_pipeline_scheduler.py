@@ -82,24 +82,25 @@ def _campaign_caches(cache_dir):
 
 
 class TestSchedulerEquivalence:
-    """Serial, campaign-pooled, and run-level runs are byte-identical."""
+    """Serial, uncached and cached run-level runs are byte-identical."""
 
     def test_all_schedulers_agree(self, tmp_path):
         # The scheduler follows from jobs and the cache directory.
         arms = {
             "serial": Suite(_CONFIG, jobs=1, cache_dir=tmp_path / "s"),
-            "pool": Suite(_CONFIG, jobs=2),
+            "uncached": Suite(_CONFIG, jobs=2),
             "pipeline": Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "p"),
         }
         digests = {name: _digest(suite) for name, suite in arms.items()}
         assert digests["pipeline"] == digests["serial"]
-        assert digests["pool"] == digests["serial"]
-        pool_paths = {out.path for out in arms["pool"].last_report.outcomes}
-        assert pool_paths == {"pool"}
-        assert any(
-            out.name.startswith("rec:")
-            for out in arms["pipeline"].last_report.outcomes
-        )
+        assert digests["uncached"] == digests["serial"]
+        uncached = arms["uncached"].last_report.outcomes
+        assert {out.path for out in uncached} == {"pool"}
+        for arm in ("uncached", "pipeline"):
+            assert any(
+                out.name.startswith("rec:")
+                for out in arms[arm].last_report.outcomes
+            )
         serial_caches = _campaign_caches(tmp_path / "s")
         assert serial_caches
         assert _campaign_caches(tmp_path / "p") == serial_caches

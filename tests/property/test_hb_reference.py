@@ -17,7 +17,9 @@ access by another thread to the same word, one of the two a write, is
 not ordered before it.
 
 Ideal must never flag outside the reference.  The converse does not
-hold yet: the 4-event witness below is a real race Ideal misses.
+hold yet: the 4-event witness below is a real race Ideal misses.  A
+second hand-built witness, which the detectors do match, pins the
+read->write sync edge that the fuzz programs never make decisive.
 """
 
 from pathlib import Path
@@ -119,12 +121,30 @@ def _witness_trace():
     The read->write edge on V orders t1's *read* before t0's write, but
     nothing orders t1's later write of X before t0's read of X.
     """
-    accesses = [
+    return _hand_built_trace([
         (1, _V, True, False),
         (1, _X, False, True),
         (0, _V, True, True),
         (0, _X, False, False),
-    ]
+    ])
+
+
+def _read_join_trace():
+    """t0 writes X; t0 sync-reads V; t1 sync-writes V; t1 reads X.
+
+    Only the read->write edge on V orders t0's write of X before t1's
+    read of it, so a sync rule that drops the read history flags t1.
+    """
+    return _hand_built_trace([
+        (0, _X, False, True),
+        (0, _V, True, False),
+        (1, _V, True, True),
+        (1, _X, False, False),
+    ])
+
+
+def _hand_built_trace(accesses):
+    """A two-thread trace of ``(thread, address, sync, write)`` rows."""
     icounts = [0, 0]
     events = []
     for index, (thread, address, sync, write) in enumerate(accesses):
@@ -145,16 +165,27 @@ def test_reference_flags_the_witness():
     assert reference_flagged(_witness_trace().events) == {(0, 1)}
 
 
+_HB_DETECTORS = pytest.mark.parametrize("build", [
+    IdealDetector,
+    EpochDetector,
+    lambda n: LimitedVectorDetector(n, CacheGeometry.infinite()),
+], ids=["Ideal", "Epoch", "InfCache"])
+
+
+@_HB_DETECTORS
+def test_detector_equals_reference_on_read_join(build):
+    trace = _read_join_trace()
+    assert reference_flagged(trace.events) == set()
+    outcome = build(trace.n_threads).run(trace)
+    assert outcome.flagged == reference_flagged(trace.events)
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="ROADMAP item 1: the sync rule ticks a thread's clock only on "
     "sync writes, so a sync read orders the reader's later accesses too",
 )
-@pytest.mark.parametrize("build", [
-    IdealDetector,
-    EpochDetector,
-    lambda n: LimitedVectorDetector(n, CacheGeometry.infinite()),
-], ids=["Ideal", "Epoch", "InfCache"])
+@_HB_DETECTORS
 def test_detector_equals_reference_on_witness(build):
     trace = _witness_trace()
     outcome = build(trace.n_threads).run(trace)

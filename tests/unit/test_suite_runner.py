@@ -9,11 +9,17 @@ import os
 import pickle
 import subprocess
 import sys
+import tempfile
 import time
 
 import pytest
 
-from repro.common.errors import InterruptedRunError
+from repro.common.errors import (
+    CordError,
+    InterruptedRunError,
+    SimulationError,
+)
+from repro.experiments import pipeline
 from repro.experiments.runner import (
     Suite,
     SuiteConfig,
@@ -90,7 +96,7 @@ class TestParallelFanOut:
 
 
 class TestDiskCache:
-    def test_cold_then_warm(self, tmp_path):
+    def test_cold_then_warm(self, tmp_path, monkeypatch):
         cold = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
         baseline = _digest(cold)
         files = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
@@ -103,17 +109,12 @@ class TestDiskCache:
         # A warm suite must load results instead of recomputing: poison
         # the compute path and verify it is never reached.
         warm = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
-        import repro.experiments.runner as runner_mod
 
-        def explode(task):
-            raise AssertionError("cache miss recomputed %r" % (task,))
+        def explode(pending, _cache_hits):
+            raise AssertionError("cache miss recomputed %r" % (pending,))
 
-        original = runner_mod._run_campaign_task
-        runner_mod._run_campaign_task = explode
-        try:
-            assert _digest(warm) == baseline
-        finally:
-            runner_mod._run_campaign_task = original
+        monkeypatch.setattr(warm, "_run_pending", explode)
+        assert _digest(warm) == baseline
 
     def test_key_tracks_config(self, tmp_path):
         a = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
@@ -149,6 +150,38 @@ class TestDiskCache:
         suite = Suite(_CONFIG, jobs=1)
         suite.campaign("fft")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestTemporaryStore:
+    """Without a cache directory the pipeline's stages meet in a
+    temporary trace store, which the suite deletes whether the
+    campaigns finish or a stage raises."""
+
+    @pytest.fixture(autouse=True)
+    def _private_tempdir(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)
+        self.tempdir = tmp_path / "tmp"
+        self.tempdir.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(self.tempdir))
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_is_deleted_after_success(self, jobs):
+        assert _digest(Suite(_CONFIG, jobs=jobs)) == _digest(
+            Suite(_CONFIG, jobs=1, cache_dir=self.tempdir.parent / "c")
+        )
+        assert list(self.tempdir.iterdir()) == []
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_store_is_deleted_after_a_stage_raises(self, jobs,
+                                                   monkeypatch):
+        def fail(*_args, **_kwargs):
+            raise SimulationError("injected analysis failure")
+
+        monkeypatch.setattr(pipeline, "analyze_recorded", fail)
+        with pytest.raises(CordError, match="injected analysis failure"):
+            Suite(_CONFIG, jobs=jobs).campaigns()
+        assert list(self.tempdir.iterdir()) == []
 
 
 class TestResilientFanOut:
@@ -213,12 +246,11 @@ class TestResilientFanOut:
         # serves them without recomputing.
         faults.arm("")
         warm = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
-        import repro.experiments.runner as runner_mod
 
-        def explode(task):
-            raise AssertionError("cache miss recomputed %r" % (task,))
+        def explode(pending, _cache_hits):
+            raise AssertionError("cache miss recomputed %r" % (pending,))
 
-        monkeypatch.setattr(runner_mod, "_run_campaign_task", explode)
+        monkeypatch.setattr(warm, "_run_pending", explode)
         assert _digest(warm) == baseline
 
     def test_corrupt_cache_entry_is_counted_and_quarantined(

@@ -14,11 +14,13 @@ inside a process of the pre-forked pool
 parent half is :func:`drive`: it probes the store for the sizing count,
 shards each campaign into its run keys, dispatches record tasks,
 batches analysis and assembles each :class:`CampaignResult` in
-run-index order.  The Suite's pipeline (:meth:`Suite._run_pipelined`)
-and the campaign service (:func:`repro.service.executor.execute_job`)
-are thin callers of it: each hands it a streaming task runner and keeps
-its own durability (run journal or job WAL) in hooks, so the two split
-and assemble work the same way wherever it runs.
+run-index order.  The Suite (:meth:`Suite._run_pipelined`) and the
+record-once sweep (:func:`repro.experiments.sensitivity._run_sweep`)
+reach it through :func:`run_campaigns`, which picks the store and
+journals through :func:`journal_hooks`; the campaign service
+(:func:`repro.service.executor.execute_job`) calls it directly and
+keeps its job WAL in its own hooks.  So all three split and assemble
+work the same way wherever it runs.
 
 Stages (``payload["stage"]``):
 
@@ -35,9 +37,12 @@ Stages (``payload["stage"]``):
     pickled through the result pipe.
 
 ``"analyze"``
-    Load a batch of recorded runs and analyze each one
-    (:func:`~repro.injection.campaign.analyze_recorded`); returns the
-    per-run :class:`~repro.injection.campaign.RunResult` rows.
+    Load a batch of recorded runs and analyze each one with the
+    payload's ``CampaignConfig`` detector suite
+    (:func:`~repro.injection.campaign.analyze_recorded`), persisting
+    each run's outcome bundle when the payload says ``"persist"``;
+    returns the per-run :class:`~repro.injection.campaign.RunResult`
+    rows.
 
 Every stage is idempotent and keyed into the store, so supervisor
 retries, serial fallbacks, and resumed runs recompute nothing that is
@@ -52,12 +57,13 @@ caller running stages in other processes can still total them.
 
 from __future__ import annotations
 
+import tempfile
 import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.common.errors import SimulationError
+from repro.common.errors import InterruptedRunError, SimulationError
 from repro.injection.campaign import (
     CampaignConfig,
     CampaignResult,
@@ -69,6 +75,7 @@ from repro.injection.campaign import (
     trace_namespace,
 )
 from repro.injection.injector import count_sync_instances
+from repro.resilience.journal import RunCheckpoint, TaskCheckpoint
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
@@ -106,13 +113,12 @@ def record_payload(
 def analyze_payload(
     workload: str, params: WorkloadParams, store_dir: str,
     namespace: str, runs: List[Tuple[int, int, int]],
-    switch_probability: float, check_soundness: bool,
+    config: CampaignConfig, persist: bool,
 ) -> Dict:
     return {
         "stage": "analyze", "workload": workload, "params": params,
         "store_dir": store_dir, "namespace": namespace,
-        "runs": runs, "switch_probability": switch_probability,
-        "check_soundness": check_soundness,
+        "runs": runs, "config": config, "persist": persist,
     }
 
 
@@ -174,8 +180,9 @@ def _run_stage(payload: Dict, store) -> Dict:
     if stage != "analyze":
         raise ValueError("unknown pipeline stage %r" % (stage,))
 
-    detectors = CampaignConfig().detector_suite()
-    switch_probability = payload["switch_probability"]
+    config = payload["config"]
+    detectors = config.detector_suite()
+    switch_probability = config.switch_probability
     started = time.monotonic()
     # Store hits, zero-copy off the mmap; a missing or quarantined entry
     # falls back to deterministic re-recording inside.
@@ -194,8 +201,8 @@ def _run_stage(payload: Dict, store) -> Dict:
         analyze_recorded(
             run,
             detectors,
-            payload["check_soundness"],
-            store=store,
+            config.check_soundness,
+            store=store if payload["persist"] else None,
             namespace=namespace,
             switch_probability=switch_probability,
         )
@@ -302,6 +309,7 @@ def drive(
     on_analyzing: Callable[[str], None] = _noop,
     on_run: Callable[[str, RunResult], None] = _noop,
     on_campaign: Callable[[str, CampaignResult], None] = _noop,
+    persist_outcomes: bool = True,
 ) -> bool:
     """Run ``campaigns`` as stage tasks on ``run_stream``.
 
@@ -324,6 +332,8 @@ def drive(
     * ``on_campaign(workload, result)`` once a campaign's last run is
       analyzed.
 
+    With ``persist_outcomes`` the analyze stages write every run's
+    outcome bundle to ``store``, so a resumed run re-analyzes nothing.
     Returns whether ``run_stream`` was interrupted; campaigns finished
     before that point have already gone through ``on_campaign``.
     Raises :class:`SimulationError` for a workload with nothing to
@@ -350,8 +360,7 @@ def drive(
             analyze_payload(
                 campaign.workload, campaign.params, store_dir,
                 campaign.namespace, shard.batches[index],
-                campaign.config.switch_probability,
-                campaign.config.check_soundness,
+                campaign.config, persist_outcomes,
             ),
         )
 
@@ -439,3 +448,100 @@ def drive(
                 ),
             )
     return run_stream(tasks, on_result)
+
+
+def journal_hooks(
+    ckpt: RunCheckpoint,
+    workloads: Sequence[str],
+    on_campaign: Callable[[str, CampaignResult], None],
+) -> Dict[str, Callable]:
+    """The :func:`drive` hooks of a checkpointed run.
+
+    The journal keeps one workload-level task per campaign plus one
+    ``<workload>/run<N>`` task per run, each logging
+    ``scheduled -> recorded -> committed``.  ``on_campaign`` gets each
+    finished campaign (the Suite writes its cache entry there) before
+    the workload task commits.
+    """
+    wl_tasks = {}
+    for name in workloads:
+        wl_tasks[name] = ckpt.task(name)
+        wl_tasks[name].scheduled()
+    run_tasks: Dict[Tuple[str, int], TaskCheckpoint] = {}
+
+    def journal(transition) -> None:
+        # Journal transitions are observational here; one that loses
+        # the race against a drain request just skips its record (the
+        # streaming loop surfaces the drain through its stop poll, and
+        # stores stay the source of truth on resume).
+        try:
+            transition()
+        except InterruptedRunError:
+            pass
+
+    def on_sharded(name, _instances, keys, durable) -> None:
+        for run_index, _seed, _target in keys:
+            task = ckpt.task("%s/run%d" % (name, run_index))
+            run_tasks[name, run_index] = task
+            journal(task.scheduled)
+            if durable[run_index]:
+                journal(task.recorded)
+
+    def commit_campaign(name: str, result: CampaignResult) -> None:
+        # Streamed commit: a later drain or failure costs none of this
+        # campaign's work.
+        on_campaign(name, result)
+        wl_tasks[name].committed()
+
+    return dict(
+        on_sharded=on_sharded,
+        on_recorded=lambda name, run_index: journal(
+            run_tasks[name, run_index].recorded
+        ),
+        on_run=lambda name, run: run_tasks[name, run.run_index].committed(),
+        on_campaign=commit_campaign,
+    )
+
+
+def run_campaigns(
+    campaigns: Sequence[Campaign],
+    store: Optional[PackedTraceStore],
+    on_campaign: Callable[[str, CampaignResult], None],
+    ckpt: Optional[RunCheckpoint] = None,
+    run_stream: Optional[RunStream] = None,
+    stop: Optional[Callable[[], bool]] = None,
+) -> None:
+    """Run ``campaigns`` on :func:`drive`: the Suite's and the sweep's glue.
+
+    The stages meet in ``store``, or without one in a temporary store
+    that skips fsync and is deleted on return and on any exception.
+    With a ``ckpt`` every campaign and run is journaled
+    (:func:`journal_hooks`) and the outcome bundles are persisted, so a
+    resumed run re-analyzes nothing; an unjournaled run writes no
+    bundle, since nothing resumes from it.  ``run_stream`` defaults to
+    running each task in this process, polling ``stop`` before each
+    one, and adding every stage's store counters into ``store.stats``.
+    Raises :class:`~repro.common.errors.InterruptedRunError` if the
+    stream stopped early.
+    """
+    if store is None:
+        with tempfile.TemporaryDirectory(prefix="repro-traces-") as root:
+            return run_campaigns(
+                campaigns, PackedTraceStore(root, fsync=False), on_campaign,
+                ckpt, run_stream, stop,
+            )
+    if run_stream is None:
+        def run_stage(payload: Dict) -> Dict:
+            value = run_stage_task(payload)
+            store.stats.update(value["store"])
+            return value
+
+        run_stream = inline_stream(run_stage, stop)
+    hooks: Dict[str, Callable] = {"on_campaign": on_campaign}
+    if ckpt is not None:
+        hooks = journal_hooks(
+            ckpt, [campaign.workload for campaign in campaigns], on_campaign
+        )
+    if drive(campaigns, store, run_stream,
+             persist_outcomes=ckpt is not None, **hooks):
+        raise InterruptedRunError(ckpt.run_id if ckpt is not None else None)

@@ -11,12 +11,11 @@ fans missing campaigns out over supervised worker processes (``jobs``
 argument, or the ``REPRO_JOBS`` environment variable).  Results are
 bit-identical regardless of ``jobs``: each campaign derives its seeds
 from ``(base_seed, workload)`` alone, and the fan-out only changes
-*where* a run is recorded or analyzed, never what it computes.  The
-scheduler follows from what the suite can observe: a cache directory
-and ``jobs == 1`` run the journaled serial runner; everything else runs
-the run-level pipeline, whose stage tasks meet in a trace store and are
-scheduled by :func:`repro.experiments.pipeline.drive`, the driver the
-campaign service runs too.  Without a cache directory that store is a
+*where* a run is recorded or analyzed, never what it computes.  Every
+campaign runs on the run-level pipeline: its stage tasks meet in a
+trace store and are scheduled by
+:func:`repro.experiments.pipeline.drive`, the driver the sweep and the
+campaign service run too.  Without a cache directory that store is a
 temporary directory, deleted when the campaigns are done.
 
 An optional on-disk cache (``cache_dir`` argument, or ``REPRO_CACHE_DIR``)
@@ -44,9 +43,8 @@ fan-out and raise :class:`~repro.common.errors.InterruptedRunError`
 the same cache directory resumes to bit-identical results.  Startup
 garbage-collects the litter a killed process leaves behind (orphaned
 ``*.tmp.*`` files, stale journals, oversized quarantines), counted in
-:attr:`Suite.warnings`.  Journaling is per-workload here; the serial
-sweep path journals at per-run/per-config granularity (see
-:func:`repro.injection.campaign.run_campaign`).
+:attr:`Suite.warnings`.  The journal holds one task per workload and
+one per injected run (:func:`repro.experiments.pipeline.journal_hooks`).
 """
 
 from __future__ import annotations
@@ -55,19 +53,17 @@ import hashlib
 import logging
 import os
 import pickle
-import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.common.env import env_number
 from repro.common.errors import InterruptedRunError, StoreCorruptError
 from repro.injection.campaign import (
     CampaignConfig,
     CampaignResult,
-    run_campaign,
-    trace_namespace,
+    trace_namespace,  # re-exported: Suite callers key stores with it
 )
 from repro.resilience.checkpoint import (
     GracefulShutdown,
@@ -82,7 +78,7 @@ from repro.trace.store import (
     unframe_payload,
 )
 from repro.workloads.base import WorkloadParams
-from repro.workloads.registry import all_workloads, get_workload
+from repro.workloads.registry import all_workloads
 
 logger = logging.getLogger("repro.experiments.runner")
 
@@ -385,30 +381,22 @@ class Suite:
     def _run_pending(
         self, pending: List[str], cache_hits: List[str]
     ) -> None:
-        """Run the campaigns no cache could serve.
+        """Run the campaigns no cache could serve, on the run-level
+        pipeline.
 
-        Two schedulers, from what the suite can observe: with a cache
-        directory and ``jobs == 1`` the journaled serial runner, whose
-        per-run and per-config transitions are the sweep's kill points;
-        otherwise the run-level pipeline.  Without a cache directory
-        the pipeline's stages meet in a temporary trace store, deleted
-        on return and on any exception.
+        With a cache directory the run is journaled and drains on
+        SIGTERM; without one the stages meet in a temporary trace store,
+        deleted on return and on any exception.
         """
         ckpt = self._open_checkpoint()
         if ckpt is None:
-            with tempfile.TemporaryDirectory(prefix="repro-traces-") as root:
-                self._run_pipelined(pending, cache_hits,
-                                    PackedTraceStore(root, fsync=False))
+            self._run_pipelined(pending, cache_hits)
             return
         try:
             with GracefulShutdown() as shutdown:
-                if self.jobs > 1:
-                    self._run_pipelined(
-                        pending, cache_hits, self.trace_store(), ckpt,
-                        lambda: shutdown.requested,
-                    )
-                else:
-                    self._run_serial_checkpointed(pending, ckpt)
+                self._run_pipelined(
+                    pending, cache_hits, ckpt, lambda: shutdown.requested
+                )
             ckpt.finish()
         except InterruptedRunError:
             ckpt.interrupt()
@@ -420,33 +408,25 @@ class Suite:
         self,
         pending: List[str],
         cache_hits: List[str],
-        store: PackedTraceStore,
         ckpt: Optional[RunCheckpoint] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
         """Run-level streaming fan-out: one work queue, three stages.
 
-        :func:`repro.experiments.pipeline.drive` schedules the sizing,
-        record and analyze tasks of every pending campaign, so
+        :func:`repro.experiments.pipeline.run_campaigns` schedules the
+        sizing, record and analyze tasks of every pending campaign, so
         recording overlaps analysis and the pool load-balances across
         *runs* rather than campaigns.  At ``jobs == 1`` the tasks run
-        in this process (:func:`~repro.experiments.pipeline
-        .inline_stream`); otherwise they share one
+        in this process; otherwise they share one
         :meth:`~repro.resilience.supervisor.Supervisor.run_stream`
-        queue.  With a checkpoint, :meth:`_journal_hooks` keeps the
-        suite's durability.
+        queue, whose report lands in :attr:`last_report`.
         """
         from repro.experiments import pipeline
 
         config = CampaignConfig(
             n_runs=self.config.runs_per_app, base_seed=self.config.base_seed
         )
-        hooks = (
-            {"on_campaign": self._campaigns.__setitem__} if ckpt is None
-            else self._journal_hooks(pending, ckpt)
-        )
         supervisor = Supervisor(jobs=self.jobs, seed=self.config.base_seed)
-        reports: List[RunReport] = []
 
         def run_stream(tasks, on_result) -> bool:
             def fold_timings(outcome, value, submit) -> None:
@@ -458,81 +438,28 @@ class Suite:
                 on_result=fold_timings,
                 should_stop=should_stop,
             )
-            reports.append(report)
+            self.last_report = self._account_tasks(report, cache_hits)
+            if report.degraded:
+                logger.warning("run-level fan-out: %s", report.summary())
             return report.interrupted
 
-        interrupted = pipeline.drive(
+        pipeline.run_campaigns(
             [
                 pipeline.Campaign(name, self.config.params, config)
                 for name in pending
             ],
-            store,
-            pipeline.inline_stream(pipeline.run_stage_task)
-            if self.jobs == 1 else run_stream,
-            **hooks,
+            self.trace_store(),
+            self._commit,
+            ckpt,
+            run_stream if self.jobs > 1 else None,
+            should_stop,
         )
-        if not reports:
-            return
-        report = reports[0]
-        self.last_report = self._account_tasks(report, cache_hits)
-        if report.degraded:
-            logger.warning("run-level fan-out: %s", report.summary())
-        if interrupted:
-            raise InterruptedRunError(ckpt.run_id)
 
-    def _journal_hooks(
-        self, pending: List[str], ckpt: RunCheckpoint
-    ) -> Dict[str, Callable]:
-        """The :func:`~repro.experiments.pipeline.drive` hooks of a
-        checkpointed run.
-
-        The journal keeps one workload-level task per campaign plus the
-        per-run ``<workload>/run<N>`` tasks of the serial path, and
-        each campaign's cache entry is written (canonicalized, so
-        completion order changes no byte) the moment its last run is
-        analyzed.
-        """
-        wl_tasks = {}
-        for name in pending:
-            wl_tasks[name] = ckpt.task(name)
-            wl_tasks[name].scheduled()
-        run_tasks: Dict[Tuple[str, int], object] = {}
-
-        def journal(transition) -> None:
-            # Journal transitions are observational here; one that loses
-            # the race against a drain request just skips its record
-            # (the streaming loop surfaces the drain via should_stop,
-            # and stores stay the source of truth on resume).
-            try:
-                transition()
-            except InterruptedRunError:
-                pass
-
-        def on_sharded(name, _instances, keys, durable) -> None:
-            for run_index, _seed, _target in keys:
-                task = ckpt.task("%s/run%d" % (name, run_index))
-                run_tasks[name, run_index] = task
-                journal(task.scheduled)
-                if durable[run_index]:
-                    journal(task.recorded)
-
-        def on_campaign(name: str, result: CampaignResult) -> None:
-            # Streamed commit: a later drain or failure costs none of
-            # this campaign's work.
-            self._campaigns[name] = result
-            self._cache_store(name, result)
-            wl_tasks[name].committed()
-
-        return dict(
-            on_sharded=on_sharded,
-            on_recorded=lambda name, run_index: journal(
-                run_tasks[name, run_index].recorded
-            ),
-            on_run=lambda name, run: run_tasks[
-                name, run.run_index
-            ].committed(),
-            on_campaign=on_campaign,
-        )
+    def _commit(self, name: str, result: CampaignResult) -> None:
+        """Keep a finished campaign and write its cache entry, if any
+        (canonicalized, so completion order changes no byte)."""
+        self._campaigns[name] = result
+        self._cache_store(name, result)
 
     def _account_tasks(
         self, report: RunReport, cache_hits: List[str]
@@ -557,35 +484,6 @@ class Suite:
             if name in cache_hits
         ] + report.outcomes
         return merged
-
-    def _run_serial_checkpointed(
-        self, pending: List[str], ckpt: RunCheckpoint
-    ) -> None:
-        """In-process campaigns with full per-run/per-config journaling."""
-        store = self.trace_store()
-        for name in pending:
-            task = ckpt.task(name)
-            task.scheduled()
-            if task.was_committed:
-                cached = self._cache_load(name)
-                if cached is not None:
-                    self._campaigns[name] = cached
-                    continue
-            spec = get_workload(name)
-            result = run_campaign(
-                spec.program_factory(self.config.params),
-                name,
-                CampaignConfig(
-                    n_runs=self.config.runs_per_app,
-                    base_seed=self.config.base_seed,
-                ),
-                trace_store=store,
-                trace_namespace=trace_namespace(name, self.config.params),
-                checkpoint=ckpt,
-            )
-            self._campaigns[name] = result
-            self._cache_store(name, result)
-            task.committed()
 
     # -- cross-app aggregates --------------------------------------------------
 

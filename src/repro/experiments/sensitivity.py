@@ -22,12 +22,13 @@ from repro.common.texttable import format_percent, format_table
 from repro.detectors.base import Detector
 from repro.detectors.ideal import IdealDetector
 from repro.detectors.registry import DetectorSpec
+from repro.experiments import pipeline
 from repro.injection.campaign import (
     CampaignConfig,
-    run_campaign,
+    CampaignResult,
     run_campaign_per_config,
 )
-from repro.experiments.runner import trace_namespace
+from repro.resilience.checkpoint import run_interrupted
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
@@ -97,8 +98,12 @@ def _run_sweep(
 
     ``"shared"`` (record-once / analyze-many, the default): one campaign
     per application records each injected run exactly once and every
-    sweep point analyzes the shared packed trace; with a ``trace_store``
-    the recordings also persist across sweeps.  ``"per-config"``: the
+    sweep point analyzes the shared packed trace.  The campaigns run as
+    stage tasks in this process
+    (:func:`repro.experiments.pipeline.run_campaigns`), over
+    ``trace_store`` (so recordings persist across sweeps) or else over
+    a temporary store deleted on return.  Every stage's store counters
+    are added into ``trace_store.stats``.  ``"per-config"``: the
     legacy protocol -- every sweep point gets its own campaign (own
     dry-run, own simulations, per-event-object detector passes), the
     cost model the record-once speedup is measured against.  Both modes
@@ -107,9 +112,11 @@ def _run_sweep(
 
     With a ``checkpoint`` (a
     :class:`~repro.resilience.journal.RunCheckpoint`; shared mode with a
-    ``trace_store`` only), every campaign run's lifecycle is journaled
-    at per-config granularity, so an interrupted sweep resumes
-    bit-identically, skipping completed configurations.
+    ``trace_store`` only), every campaign and run is journaled through
+    :func:`~repro.experiments.pipeline.journal_hooks` and its outcome
+    bundle persisted, and a requested shutdown stops the stream and
+    raises :class:`~repro.common.errors.InterruptedRunError`;
+    re-running over the same store resumes bit-identically.
     """
     if mode not in ("shared", "per-config"):
         raise ValueError("unknown sweep mode %r" % mode)
@@ -119,21 +126,21 @@ def _run_sweep(
     races: Dict[str, int] = {spec.name: 0 for spec in specs}
     ideal_problems = 0
     ideal_races = 0
-    for app in workloads:
-        factory = get_workload(app).program_factory(params)
-        if mode == "shared":
-            campaign = run_campaign(
-                factory,
-                app,
-                CampaignConfig(
-                    n_runs=runs_per_app,
-                    base_seed=base_seed,
-                    detectors=[ideal_spec] + specs,
-                ),
-                trace_store=trace_store,
-                trace_namespace=trace_namespace(app, params),
-                checkpoint=checkpoint,
-            )
+    if mode == "shared":
+        config = CampaignConfig(
+            n_runs=runs_per_app,
+            base_seed=base_seed,
+            detectors=[ideal_spec] + specs,
+        )
+        done: Dict[str, CampaignResult] = {}
+        pipeline.run_campaigns(
+            [pipeline.Campaign(app, params, config) for app in workloads],
+            trace_store,
+            done.__setitem__,
+            checkpoint,
+            stop=run_interrupted if checkpoint is not None else None,
+        )
+        for campaign in done.values():
             ideal_problems += campaign.problems_detected("Ideal")
             ideal_races += campaign.races_detected("Ideal")
             for spec in specs:
@@ -141,7 +148,9 @@ def _run_sweep(
                     spec.name
                 )
                 races[spec.name] += campaign.races_detected(spec.name)
-        else:
+    else:
+        for app in workloads:
+            factory = get_workload(app).program_factory(params)
             for index, spec in enumerate(specs):
                 campaign = run_campaign_per_config(
                     factory,

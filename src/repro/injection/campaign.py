@@ -36,7 +36,6 @@ from repro.common.errors import SimulationError
 from repro.common.rng import DeterministicRng
 from repro.detectors.base import AccessId, DetectionOutcome
 from repro.resilience.guard import guarded_outcomes, mark_plan_sharing
-from repro.resilience.journal import TaskCheckpoint
 from repro.detectors.registry import DetectorSpec, standard_suite
 from repro.engine.executor import run_program
 from repro.injection.injector import (
@@ -306,7 +305,6 @@ def analyze_recorded(
     store: Optional[PackedTraceStore] = None,
     namespace: Optional[str] = None,
     switch_probability: Optional[float] = None,
-    task: Optional[TaskCheckpoint] = None,
 ) -> RunResult:
     """Evaluate every detector on one recorded run's packed trace.
 
@@ -327,15 +325,13 @@ def analyze_recorded(
     re-analyzes only the configurations the interruption cut off, and
     assembles a bit-identical :class:`RunResult` either way (the ladder
     guarantees fused/kernel/scalar equivalence, and result dicts are
-    filled in canonical detector order on both paths).  With a journal
-    ``task``, each freshly computed configuration is also journaled as
-    an ``analyzed`` transition.
+    filled in canonical detector order on both paths).
 
     The slices of one run live together in a single *outcome bundle*
     entry (one atomic write per run, not one per config): the analysis
     pass computes every missing configuration in one
     :func:`guarded_outcomes` call anyway, so bundling loses no real
-    granularity while keeping the journaling overhead within its <= 2%
+    granularity while keeping the checkpoint overhead within its <= 2%
     budget (see ``benchmarks/bench_sensitivity.py``).
     """
     result = RunResult(
@@ -364,18 +360,12 @@ def analyze_recorded(
 
     # Persist the merged bundle (post-soundness, rebuilt in canonical
     # detector order so a resume-written bundle is byte-identical to an
-    # uninterrupted run's), then journal each fresh configuration as an
-    # ``analyzed`` transition -- the per-config kill points the chaos
-    # matrix exercises.  A run with nothing fresh rewrites nothing.
+    # uninterrupted run's).  A run with nothing fresh rewrites nothing.
     if persist and fresh:
         store.store_value(
             namespace, bundle_key,
             _merged_bundle(detectors, slices, fresh, result),
         )
-    if task is not None:
-        for spec in detectors:
-            if spec.name in fresh:
-                task.analyzed(spec.name)
     return result
 
 
@@ -396,9 +386,8 @@ def _load_bundle_slices(
 ) -> Dict[str, Dict]:
     """The run's durable per-config slices already on disk.
 
-    The journal's ``analyzed`` markers are only observational: a slice
-    hits even when the journal record was lost to a torn tail, because
-    the bundle write happens-before the journal appends.
+    The bundle itself is the durable record: no journal entry is needed
+    for a slice to hit.
     """
     slices: Dict[str, Dict] = {}
     bundle = store.load_value(namespace, bundle_key)
@@ -611,42 +600,23 @@ def run_campaign(
     factory: ProgramFactory,
     workload_name: str,
     config: Optional[CampaignConfig] = None,
-    trace_store: Optional[PackedTraceStore] = None,
     trace_namespace: Optional[str] = None,
-    checkpoint=None,
 ) -> CampaignResult:
-    """Run a full injection campaign for one workload.
+    """Run a full injection campaign for one workload, in memory.
 
-    Record-once / analyze-many: each run is simulated exactly once (or
-    loaded from ``trace_store``) and its packed trace is shared by every
-    detector.  Because seeds and targets derive only from
-    ``(base_seed, workload, run_index)``, results are bit-identical to
-    per-config simulation (asserted by the record-once test suite).
+    Record-once / analyze-many: each run is simulated exactly once and
+    its packed trace is shared by every detector.  Because seeds and
+    targets derive only from ``(base_seed, workload, run_index)``,
+    results are bit-identical to per-config simulation (asserted by the
+    record-once test suite).  ``trace_namespace`` is accepted for
+    callers that name the program the way a trace store would, and
+    ignored: nothing here is stored.
 
-    Args:
-        trace_store: optional on-disk store of recorded runs; campaigns
-            over the same workload/seed reuse each other's simulations.
-        trace_namespace: store key prefix identifying the program being
-            built (workload name plus parameters); defaults to
-            ``workload_name``.  Callers whose factories take extra
-            parameters MUST fold those into the namespace.
-        checkpoint: optional
-            :class:`~repro.resilience.journal.RunCheckpoint`.  With one
-            (and a ``trace_store``), every run's lifecycle is journaled
-            (``scheduled -> recorded -> analyzed[config] -> committed``)
-            and its outcome persisted, so an interrupted campaign
-            resumes to bit-identical results, skipping completed
-            configurations.  Requires ``trace_store``.
+    Journaled and store-backed campaigns (the Suite, the sweep, service
+    jobs) run as stage tasks on :func:`repro.experiments.pipeline.drive`
+    instead, with identical results.
     """
-    return _run_campaign(
-        factory,
-        workload_name,
-        config,
-        trace_store,
-        trace_namespace,
-        use_recorded=True,
-        checkpoint=checkpoint,
-    )
+    return _run_campaign(factory, workload_name, config, use_recorded=True)
 
 
 def run_campaign_per_config(
@@ -663,37 +633,19 @@ def run_campaign_per_config(
     record-once suite asserts it); this path exists as the baseline the
     record-once speedup is measured against.
     """
-    return _run_campaign(
-        factory, workload_name, config, None, None, use_recorded=False
-    )
+    return _run_campaign(factory, workload_name, config, use_recorded=False)
 
 
 def _run_campaign(
     factory: ProgramFactory,
     workload_name: str,
     config: Optional[CampaignConfig],
-    trace_store: Optional[PackedTraceStore],
-    trace_namespace: Optional[str],
     use_recorded: bool,
-    checkpoint=None,
 ) -> CampaignResult:
     config = config or CampaignConfig()
     detectors = config.detector_suite()
-    namespace = trace_namespace or workload_name
-    journaled = (
-        checkpoint is not None and use_recorded and trace_store is not None
-    )
     sizing_seed = campaign_sizing_seed(workload_name, config.base_seed)
-    instance_count = None
-    sizing_key = ("sync_instances", sizing_seed)
-    if trace_store is not None:
-        instance_count = trace_store.load_value(namespace, sizing_key)
-    if instance_count is None:
-        instance_count = count_sync_instances(
-            factory(sizing_seed), sizing_seed
-        )
-        if trace_store is not None:
-            trace_store.store_value(namespace, sizing_key, instance_count)
+    instance_count = count_sync_instances(factory(sizing_seed), sizing_seed)
     if instance_count == 0:
         raise SimulationError(
             "workload %r has no injectable sync instances" % workload_name
@@ -706,18 +658,6 @@ def _run_campaign(
     for run_index, seed, target in campaign_run_keys(
         workload_name, config, instance_count
     ):
-        task = None
-        if journaled:
-            task = checkpoint.task(
-                "%s/run%d" % (workload_name, run_index)
-            )
-            task.scheduled()
-            # No committed fast path is needed here: the trace store
-            # holds the packed recording (the "never re-record"
-            # guarantee) and the outcome bundle holds every config's
-            # slice, so replaying a committed run below is pure
-            # store-hit assembly -- no simulation, no analysis, and no
-            # redundant durable artifact to keep in sync.
         if use_recorded:
             recorded = record_injected_once(
                 factory,
@@ -725,21 +665,9 @@ def _run_campaign(
                 target,
                 run_index=run_index,
                 switch_probability=config.switch_probability,
-                store=trace_store,
-                namespace=namespace,
             )
-            if task is not None:
-                task.recorded()
             run = analyze_recorded(
-                recorded,
-                detectors,
-                config.check_soundness,
-                store=trace_store if task is not None else None,
-                namespace=namespace,
-                switch_probability=(
-                    config.switch_probability if task is not None else None
-                ),
-                task=task,
+                recorded, detectors, config.check_soundness
             )
         else:
             run = run_injected_once(
@@ -751,7 +679,5 @@ def _run_campaign(
                 check_soundness=config.check_soundness,
                 switch_probability=config.switch_probability,
             )
-        if task is not None:
-            task.committed()
         result.runs.append(run)
     return result

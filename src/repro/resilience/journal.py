@@ -2,15 +2,16 @@
 
 A campaign sweep is hours of deterministic work; the journal makes any
 interruption of the *driver* process -- ``kill -9``, OOM, SIGTERM,
-power loss -- cost at most the one unit of work in flight.  Each run
-gets an append-only journal file under ``<root>/journal/`` whose
-records log every task's lifecycle::
+power loss -- cost at most the stage tasks in flight.  Each run gets an
+append-only journal file under ``<root>/journal/`` whose records log
+every task's lifecycle::
 
-    begin -> scheduled(task) -> recorded(task)
-          -> analyzed(task, config) ... -> committed(task) -> end
+    begin -> scheduled(task) -> recorded(task) -> committed(task) -> end
 
-at per-config granularity, so a resumed sweep skips completed
-*configurations*, not just completed workloads.
+for one task per workload and one per injected run
+(:func:`repro.experiments.pipeline.journal_hooks` writes them), so a
+resumed sweep re-records no durable run and re-analyzes no run whose
+outcome bundle is durable.
 
 Records reuse the store's ``CORDSTOR1`` checksummed framing
 (:func:`repro.trace.store.frame_payload`) around a canonical-JSON body,
@@ -22,8 +23,8 @@ suffix, never the run.
 The division of labor that makes resume safe:
 
 * the **stores** are the source of truth -- every artifact (recorded
-  trace, per-config outcome, committed run result, campaign cache
-  entry) is written atomically and keyed by run identity, so redoing a
+  trace, per-run outcome bundle, campaign cache entry) is written
+  atomically and keyed by run identity, so redoing a
   step is always correct and a completed step is always reusable;
 * the **journal** is the recovery index -- it names the run, records
   how far it got, and provides the transition points the chaos kill
@@ -47,7 +48,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, IO, Iterator, List, Optional, Set, Tuple
+from typing import Dict, IO, Iterator, Optional, Tuple
 
 from repro.common.env import env_number
 from repro.common.errors import StoreCorruptError
@@ -129,7 +130,6 @@ class TaskState:
 
     scheduled: bool = False
     recorded: bool = False
-    analyzed: Set[str] = field(default_factory=set)
     committed: bool = False
 
 
@@ -151,10 +151,8 @@ class JournalState:
 
     def summary(self) -> str:
         committed = sum(1 for t in self.tasks.values() if t.committed)
-        analyzed = sum(len(t.analyzed) for t in self.tasks.values())
-        return (
-            "%d task(s) journaled, %d committed, %d config analyses "
-            "durable" % (len(self.tasks), committed, analyzed)
+        return "%d task(s) journaled, %d committed" % (
+            len(self.tasks), committed,
         )
 
 
@@ -177,14 +175,14 @@ def replay(path: os.PathLike) -> JournalState:
             state.task(record["task"]).scheduled = True
         elif rtype == "recorded":
             state.task(record["task"]).recorded = True
-        elif rtype == "analyzed":
-            state.task(record["task"]).analyzed.add(record["config"])
         elif rtype == "committed":
             state.task(record["task"]).committed = True
         elif rtype == "end":
             state.finished = True
         # Unknown record types are skipped: a newer writer's journal
-        # still resumes on an older reader (it just redoes more work).
+        # still resumes on an older reader (it just redoes more work),
+        # and an older writer's per-config ``analyzed`` records are
+        # ignored.
     return state
 
 
@@ -273,14 +271,6 @@ class TaskCheckpoint:
             self._owner._append({"type": "recorded", "task": self.name})
             self.state.recorded = True
 
-    def analyzed(self, config: str) -> None:
-        self._owner.check()
-        if config not in self.state.analyzed:
-            self._owner._append({
-                "type": "analyzed", "task": self.name, "config": config,
-            })
-            self.state.analyzed.add(config)
-
     def committed(self) -> None:
         # No shutdown check here: by commit time the work is already
         # done and durable, so even a draining run gets credit for it.
@@ -289,11 +279,6 @@ class TaskCheckpoint:
                 {"type": "committed", "task": self.name}, durable=True
             )
             self.state.committed = True
-
-    @property
-    def was_committed(self) -> bool:
-        """Did a previous (interrupted) run commit this task?"""
-        return self.state.committed
 
 
 class RunCheckpoint:

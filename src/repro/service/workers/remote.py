@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.backoff import backoff_delay
 from repro.experiments import pipeline
-from repro.injection.campaign import CampaignConfig, detectors_digest
+from repro.injection.campaign import detectors_digest
 from repro.resilience import faults
 from repro.resilience.procpool import ProcessPool
 from repro.service import protocol
@@ -382,8 +382,9 @@ class WorkerAgent:
         re_recorded: List[Tuple] = []
         if stage == "analyze":
             namespace = payload["namespace"]
+            switch_probability = payload["config"].switch_probability
             for _run_index, seed, target in payload["runs"]:
-                components = (seed, target, payload["switch_probability"])
+                components = (seed, target, switch_probability)
                 if self.store.has_run(namespace, components):
                     continue
                 try:
@@ -434,15 +435,15 @@ class WorkerAgent:
         elif stage == "analyze":
             for components in re_recorded:
                 entries.append(("trace", components))
+            config = payload["config"]
             digest = detectors_digest(
-                CampaignConfig().detector_suite(),
-                payload["check_soundness"],
+                config.detector_suite(), config.check_soundness
             )
             for _run_index, seed, target in payload["runs"]:
                 entries.append((
                     "value",
                     ("outcomes", seed, target,
-                     payload["switch_probability"], digest),
+                     config.switch_probability, digest),
                 ))
         for kind, components in entries:
             try:

@@ -22,7 +22,6 @@ from repro.trace.serialize import (
     decode_packed_trace,
     decode_trace,
     encode_packed_trace,
-    encode_packed_trace_v2,
     encode_trace,
     view_packed_trace,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "decode_packed_trace",
     "decode_trace",
     "encode_packed_trace",
-    "encode_packed_trace_v2",
     "encode_trace",
     "mmap_enabled",
     "summarize_conflicts",

@@ -32,11 +32,8 @@ the offsets the declared alignment implies, and the buffer must end
 exactly at the last section's end, so any bit flip in the index -- and
 any truncation anywhere -- raises instead of mis-slicing columns.
 
-Version 2 (same header, columns packed back to back with no index or
-padding -- encoding was five ``array.tobytes`` calls) and version 1
-(row-major, 23 bytes per event: ``u16 thread | u64 address | u8 flags |
-u32 icount | i64 value`` after the same header shape) are still decoded
-for old files.
+Earlier versions (``CORDTRC1`` row-major, ``CORDTRC2`` unaligned
+columns) are no longer decoded: their magic is rejected like any other.
 
 Robustness contract: decoding arbitrary bytes either returns a faithful
 trace or raises :class:`~repro.common.errors.LogFormatError` -- never a
@@ -62,11 +59,8 @@ from repro.common.errors import LogFormatError
 from repro.trace.packed import COLUMN_TYPECODES, PackedTrace
 from repro.trace.stream import Trace
 
-_MAGIC_V1 = b"CORDTRC1"
-_MAGIC_V2 = b"CORDTRC2"
 _MAGIC_V3 = b"CORDTRC3"
 _HEADER = struct.Struct("<HBqI")
-_EVENT_V1 = struct.Struct("<HQBIq")
 _NO_SEED = -(1 << 62)
 _LITTLE = sys.byteorder == "little"
 
@@ -107,9 +101,9 @@ def _column_le_bytes(column, typecode: str) -> bytes:
     return swapped.tobytes()
 
 
-def _encode_header(magic: bytes, packed: PackedTrace) -> bytearray:
+def _encode_header(packed: PackedTrace) -> bytearray:
     name_bytes = packed.name.encode("utf-8")
-    out = bytearray(magic)
+    out = bytearray(_MAGIC_V3)
     out += _HEADER.pack(
         packed.n_threads,
         1 if packed.hung else 0,
@@ -124,7 +118,7 @@ def _encode_header(magic: bytes, packed: PackedTrace) -> bytearray:
     return out
 
 
-def _decode_header(data, magic_len: int):
+def _decode_header(data):
     """Decode the shared header, validating as it goes.
 
     Any way a truncated or bit-flipped buffer can break the header --
@@ -133,7 +127,7 @@ def _decode_header(data, magic_len: int):
     :class:`LogFormatError` with a reason, never ``struct.error`` or
     ``UnicodeDecodeError`` (and never an attempt to decode garbage).
     """
-    offset = magic_len
+    offset = len(_MAGIC_V3)
     try:
         n_threads, hung, seed, n_events = _HEADER.unpack_from(
             data, offset
@@ -169,7 +163,7 @@ def _decode_header(data, magic_len: int):
 
 def encode_packed_trace(packed: PackedTrace) -> bytes:
     """Serialize a packed trace (format v3, aligned column sections)."""
-    out = _encode_header(_MAGIC_V3, packed)
+    out = _encode_header(packed)
     out += _V3_INDEX.pack(
         len(COLUMN_TYPECODES), V3_ALIGN.bit_length() - 1
     )
@@ -184,26 +178,13 @@ def encode_packed_trace(packed: PackedTrace) -> bytes:
     return bytes(out)
 
 
-def encode_packed_trace_v2(packed: PackedTrace) -> bytes:
-    """Serialize in the legacy v2 layout (migration tests, old tools)."""
-    out = _encode_header(_MAGIC_V2, packed)
-    for column, (_name, code) in zip(packed.columns(), COLUMN_TYPECODES):
-        out += _column_le_bytes(column, code)
-    return bytes(out)
-
-
 def decode_packed_trace(
     data: Union[bytes, bytearray, memoryview]
 ) -> PackedTrace:
-    """Deserialize any format version into (owned) columnar form."""
-    magic = bytes(data[: len(_MAGIC_V3)])
-    if magic == _MAGIC_V3:
-        return _decode_v3(data)
-    if magic == _MAGIC_V2:
-        return _decode_v2(data)
-    if magic == _MAGIC_V1:
-        return _decode_v1(data)
-    raise LogFormatError("not a CORD trace (bad magic)")
+    """Deserialize a v3 trace into (owned) columnar form."""
+    if bytes(data[: len(_MAGIC_V3)]) != _MAGIC_V3:
+        raise LogFormatError("not a CORD v3 trace (bad magic)")
+    return _decode_v3(data)
 
 
 def _decode_v3_geometry(data):
@@ -213,9 +194,7 @@ def _decode_v3_geometry(data):
     the same contract: the declared index must match the recomputed
     layout and the buffer must end exactly at the last section's end.
     """
-    offset, n_events, final_icounts, name, hung, seed = _decode_header(
-        data, len(_MAGIC_V3)
-    )
+    offset, n_events, final_icounts, name, hung, seed = _decode_header(data)
     try:
         n_columns, align_log2 = _V3_INDEX.unpack_from(data, offset)
         declared = _V3_OFFSETS.unpack_from(
@@ -275,10 +254,9 @@ def view_packed_trace(
     ``backing`` is any object that must stay alive as long as the views
     do (the mmap); the returned trace pins it.
 
-    Only the v3 format can be viewed (v1/v2 sections are unaligned and
-    interleaved); on big-endian hosts the little-endian sections cannot
-    be aliased either, so both cases fall back to the eager decoder --
-    same trace, one copy.  Malformed buffers raise
+    On big-endian hosts the little-endian sections cannot be aliased,
+    so the eager decoder runs instead -- same trace, one copy.
+    Malformed buffers (a wrong magic included) raise
     :class:`LogFormatError` exactly like the eager path.
     """
     if bytes(data[: len(_MAGIC_V3)]) != _MAGIC_V3 or not _LITTLE:
@@ -305,56 +283,6 @@ def view_packed_trace(
     )
 
 
-def _decode_v2(data) -> PackedTrace:
-    offset, n_events, final_icounts, name, hung, seed = _decode_header(
-        data, len(_MAGIC_V2)
-    )
-    packed = PackedTrace(final_icounts, name=name, hung=hung, seed=seed)
-    expected = offset + n_events * sum(
-        array(code).itemsize for _name, code in COLUMN_TYPECODES
-    )
-    if len(data) != expected:
-        raise LogFormatError(
-            "trace payload is %d bytes, expected %d"
-            % (len(data), expected)
-        )
-    view = memoryview(data)
-    for column in packed.columns():
-        span = n_events * column.itemsize
-        column.frombytes(view[offset:offset + span])
-        if not _LITTLE:
-            column.byteswap()
-        offset += span
-    return packed
-
-
-def _decode_v1(data) -> PackedTrace:
-    offset, n_events, final_icounts, name, hung, seed = _decode_header(
-        data, len(_MAGIC_V1)
-    )
-    expected = offset + n_events * _EVENT_V1.size
-    if len(data) != expected:
-        raise LogFormatError(
-            "trace payload is %d bytes, expected %d"
-            % (len(data), expected)
-        )
-    packed = PackedTrace(final_icounts, name=name, hung=hung, seed=seed)
-    ta = packed.thread.append
-    aa = packed.address.append
-    fa = packed.flags.append
-    ia = packed.icount.append
-    va = packed.value.append
-    for thread, address, flags, icount, value in _EVENT_V1.iter_unpack(
-        bytes(data[offset:])
-    ):
-        ta(thread)
-        aa(address)
-        fa(flags)
-        ia(icount)
-        va(value)
-    return packed
-
-
 def encode_trace(trace: Union[Trace, PackedTrace]) -> bytes:
     """Serialize a trace (object- or packed-backed) to bytes (v3)."""
     if isinstance(trace, PackedTrace):
@@ -363,19 +291,10 @@ def encode_trace(trace: Union[Trace, PackedTrace]) -> bytes:
 
 
 def decode_trace(data: Union[bytes, bytearray]) -> Trace:
-    """Deserialize a trace produced by :func:`encode_trace` (any version).
+    """Deserialize a trace produced by :func:`encode_trace`.
 
     The returned trace is packed-backed: its event-object list
     materializes lazily on first ``.events`` access.
     """
     return Trace.from_packed(decode_packed_trace(data))
 
-
-def _encode_trace_v1(trace: Trace) -> bytes:
-    """Legacy row-major encoder (kept for migration tests only)."""
-    packed = PackedTrace.from_trace(trace)
-    out = _encode_header(_MAGIC_V1, packed)
-    pack = _EVENT_V1.pack
-    for thread, address, flags, icount, value in zip(*packed.columns()):
-        out += pack(thread, address, flags, icount, value)
-    return bytes(out)

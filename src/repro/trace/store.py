@@ -10,8 +10,8 @@ packed trace from disk for every other consumer.
 Keying: every entry is addressed by a *namespace* (the caller's identity
 string for the program being run -- workload name plus its parameters)
 plus a tuple of run components (seed, injection target, scheduler knobs).
-The digest also folds in the store schema and the trace-format version,
-so format bumps miss cleanly instead of decoding garbage.  See
+The digest also folds in the store schema, so layout bumps miss cleanly
+instead of decoding garbage.  See
 ``docs/trace-format.md`` for the full key scheme.
 
 Integrity: every entry is wrapped in a checksummed frame
@@ -38,10 +38,9 @@ its column sections land 64-byte aligned in the *file* -- and served
 back as ``mmap``-backed :class:`~repro.trace.packed.PackedTrace` views:
 the frame checksum is verified over the mapped view (no copy), and the
 trace columns are ``memoryview`` casts straight into the page cache.
-Per-store counters split ``mmap_hits`` from ``eager_decodes`` (legacy
-pickled-dict entries, big-endian hosts, unmappable files, or
-``REPRO_NO_MMAP=1``), so a warm sweep can assert it paid zero full
-deserializations.
+Per-store counters split ``mmap_hits`` from ``eager_decodes`` (big-endian
+hosts, unmappable files, or ``REPRO_NO_MMAP=1``), so a warm sweep can
+assert it paid zero full deserializations.
 """
 
 from __future__ import annotations
@@ -74,17 +73,11 @@ from repro.trace.serialize import (
 
 logger = logging.getLogger("repro.trace.store")
 
-#: Bump when the entry layout changes incompatibly.  2 = checksummed
-#: framing (bumping also renames every key, so pre-frame files are
-#: simply never looked up again).
-_STORE_SCHEMA = 2
-
-#: Folded into every digest.  Deliberately *not* bumped for the v3
-#: codec: this is a key-compatibility tag, not the written format.  The
-#: read path sniffs each payload (``CORDRUN3`` container vs. legacy
-#: pickled dict), so pre-existing v2 entries keep hitting under the same
-#: digest keys instead of being orphaned by a rename.
-_FORMAT_TAG = "CORDTRC2"
+#: Bump when the entry layout changes incompatibly; bumping renames
+#: every key, so older files are simply never looked up again.
+#: 2 = checksummed framing; 3 = run entries are ``CORDRUN3`` containers
+#: only (pre-container pickled-dict entries miss by key).
+_STORE_SCHEMA = 3
 
 #: Escape hatch: disable mmap-backed reads (forces eager decode).
 NO_MMAP_ENV = "REPRO_NO_MMAP"
@@ -193,8 +186,7 @@ class PackedTraceStore:
             disk vs. had to be re-recorded -- the kill-anywhere tests
             assert on these).  The zero-copy split: ``mmap_hits`` (run
             entries served as mmap-backed views, no deserialization) vs.
-            ``eager_decodes`` (full decode: legacy entries -- also
-            counted in ``legacy_entries`` -- big-endian hosts,
+            ``eager_decodes`` (full decode: big-endian hosts,
             unmappable files, or ``REPRO_NO_MMAP=1``).  Reads never
             raise for any of these; the counters are how the healing
             stops being silent.
@@ -212,7 +204,7 @@ class PackedTraceStore:
 
     @staticmethod
     def _digest(namespace: str, components: Tuple) -> str:
-        ident = repr((_STORE_SCHEMA, _FORMAT_TAG, namespace, components))
+        ident = repr((_STORE_SCHEMA, namespace, components))
         return hashlib.sha256(ident.encode()).hexdigest()[:20]
 
     def _path(self, kind: str, namespace: str,
@@ -337,39 +329,30 @@ class PackedTraceStore:
     def _decode_run_payload(
         self, payload, backing
     ) -> Tuple[PackedTrace, Dict[str, Any]]:
-        """Decode one verified run payload (v3 container or legacy).
+        """Decode one verified ``CORDRUN3`` run payload.
 
-        ``CORDRUN3`` containers with an mmap backing come back as
-        zero-copy traces (counted in ``mmap_hits``); everything else --
-        legacy pickled-dict entries, big-endian hosts, eager reads --
-        pays a full decode (counted in ``eager_decodes``).
+        With an mmap backing the trace comes back zero-copy (counted in
+        ``mmap_hits``); big-endian hosts and eager reads pay a full
+        decode (counted in ``eager_decodes``).  Any other payload raises
+        :class:`LogFormatError`.
         """
-        magic = bytes(payload[: len(_RUN_MAGIC)])
-        if magic == _RUN_MAGIC:
-            if len(payload) < len(_RUN_MAGIC) + _RUN_HEADER.size:
-                raise LogFormatError("run entry container header truncated")
-            extra_len, pad = _RUN_HEADER.unpack_from(
-                payload, len(_RUN_MAGIC)
+        if bytes(payload[: len(_RUN_MAGIC)]) != _RUN_MAGIC:
+            raise LogFormatError("not a CORDRUN3 run entry")
+        if len(payload) < len(_RUN_MAGIC) + _RUN_HEADER.size:
+            raise LogFormatError("run entry container header truncated")
+        extra_len, pad = _RUN_HEADER.unpack_from(payload, len(_RUN_MAGIC))
+        start = len(_RUN_MAGIC) + _RUN_HEADER.size
+        trace_start = start + extra_len + pad
+        if trace_start > len(payload):
+            raise LogFormatError(
+                "run entry extra section overruns the payload"
             )
-            start = len(_RUN_MAGIC) + _RUN_HEADER.size
-            trace_start = start + extra_len + pad
-            if trace_start > len(payload):
-                raise LogFormatError(
-                    "run entry extra section overruns the payload"
-                )
-            extra = pickle.loads(payload[start: start + extra_len])
-            trace_region = payload[trace_start:]
-            if backing is not None:
-                packed = view_packed_trace(trace_region, backing=backing)
-            else:
-                packed = decode_packed_trace(bytes(trace_region))
+        extra = pickle.loads(payload[start: start + extra_len])
+        trace_region = payload[trace_start:]
+        if backing is not None:
+            packed = view_packed_trace(trace_region, backing=backing)
         else:
-            # Legacy entry (pickled dict around older trace bytes):
-            # still decodes, eagerly, under the same digest key.
-            entry = pickle.loads(payload)
-            packed = decode_packed_trace(entry["trace"])
-            extra = entry["extra"]
-            self.stats["legacy_entries"] += 1
+            packed = decode_packed_trace(bytes(trace_region))
         if packed.zero_copy:
             self.stats["mmap_hits"] += 1
         else:
@@ -396,7 +379,7 @@ class PackedTraceStore:
             return None
         try:
             packed, extra = self._decode_run_payload(payload, backing)
-        except (LogFormatError, KeyError) as exc:
+        except LogFormatError as exc:
             # The frame checksum passed, yet the contents are not a
             # valid entry: the *writer* was broken.  Quarantine -- this
             # is corruption, just minted earlier.

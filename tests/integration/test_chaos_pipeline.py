@@ -116,19 +116,23 @@ class TestSweepUnderChaos:
         assert GUARD_LOG.count("kernel") == 1
 
     def test_torn_store_writes_heal(self, tmp_path, baseline_sweep):
-        # Sweep 1 records with two torn writes (the chaos fault halves
-        # the frame): in-memory results are unaffected.
+        # Sweep 1 writes with two torn writes (the chaos fault halves
+        # the frame): the sizing count, then the first recording.  Its
+        # analyze stage reads that recording back from the store, trips
+        # over it and re-records, so its results are unaffected.
         faults.arm("store_truncate:2")
         store = PackedTraceStore(tmp_path)
         assert _sweep_key(_sweep(trace_store=store)) == baseline_sweep
+        assert store.stats["quarantined"] == 1
 
-        # Sweep 2 over the same directory trips over the torn entries:
-        # each is detected, quarantined with a reason file, re-recorded
-        # -- and the results are still bit-identical.
+        # Sweep 2 over the same directory trips over the torn sizing
+        # count.  Each torn entry was detected, quarantined with a
+        # reason file, and recomputed -- and the results are still
+        # bit-identical.
         faults.arm("")
         healed = PackedTraceStore(tmp_path)
         assert _sweep_key(_sweep(trace_store=healed)) == baseline_sweep
-        assert healed.stats["quarantined"] == 2
+        assert healed.stats["quarantined"] == 1
         quarantined = sorted(
             p.name for p in healed.quarantine_dir.iterdir()
         )

@@ -30,7 +30,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.resilience.journal import WAL_SUFFIX, replay
+from repro.resilience.journal import WAL_SUFFIX, iter_records, replay
 
 _REPO = Path(__file__).resolve().parents[2]
 _SWEEP_ARGS = ["sweep", "--apps", "fft", "-n", "1", "--scale", "0.25"]
@@ -94,6 +94,12 @@ def _journal_paths(cache):
     return sorted(jdir.iterdir())
 
 
+def _position(clean, rtype, task):
+    """The 1-based journal position of the clean run's ``(type, task)``
+    record -- the value a positional fault needs to fire on it."""
+    return clean["records"].index((rtype, task)) + 1
+
+
 def _simulated_count(stderr):
     match = _RECORDING_RE.search(stderr)
     assert match, "no recording accounting on stderr:\n%s" % stderr
@@ -126,25 +132,35 @@ def clean(tmp_path_factory):
     assert len(journals) == 1 and journals[0].name.endswith(".done")
     state = replay(journals[0])
     assert state.finished
+    records = [
+        (record["type"], record.get("task"))
+        for record in iter_records(journals[0].read_bytes(), "clean")
+    ]
     return {
         "cache": cache,
         "stdout": result.stdout,
         "stderr": result.stderr,
         "tree": _tree_digest(cache),
         "n_records": state.n_records,
+        "records": records,
         "state": state,
     }
 
 
 class TestCleanReference:
     def test_journal_covers_full_lifecycle(self, clean):
-        state = clean["state"]
-        task = state.task("fft/run0")
-        assert task.scheduled and task.recorded and task.committed
-        # begin + (scheduled, recorded, committed) + per-config
-        # analyses (Ideal + the 8-point D sweep) + end.
-        assert len(task.analyzed) == 9
-        assert clean["n_records"] == 3 + 2 + 9
+        # One workload task around one run task, each journaled
+        # scheduled -> (recorded ->) committed, between begin and end.
+        assert clean["records"] == [
+            ("begin", None),
+            ("scheduled", "fft"),
+            ("scheduled", "fft/run0"),
+            ("recorded", "fft/run0"),
+            ("committed", "fft/run0"),
+            ("committed", "fft"),
+            ("end", None),
+        ]
+        assert clean["n_records"] == len(clean["records"])
 
     def test_cold_run_simulates(self, clean):
         assert _simulated_count(clean["stderr"]) >= 1
@@ -202,7 +218,8 @@ class TestPowerCut:
     def test_unflushed_tail_is_lost_but_run_resumes(
         self, clean, tmp_path
     ):
-        position = 6  # mid-analysis
+        # The run's commit, written once its outcome bundle is durable.
+        position = _position(clean, "committed", "fft/run0")
         cache = _warm_cache(clean["cache"], tmp_path / "cut")
         cut = _run_sweep(
             cache,
@@ -238,9 +255,13 @@ class TestPowerCut:
 
 class TestSigtermDrain:
     def test_injected_drain_exits_resumable(self, clean, tmp_path):
+        # Between recording and analysis: the analyze task is still
+        # queued when the drain request lands.
+        position = _position(clean, "recorded", "fft/run0")
         cache = _warm_cache(clean["cache"], tmp_path / "drain")
         drained = _run_sweep(
-            cache, extra_env={"REPRO_FAULTS": "sigterm_drain:6"}
+            cache,
+            extra_env={"REPRO_FAULTS": "sigterm_drain:%d" % position},
         )
         assert drained.returncode == _INTERRUPTED, drained.stderr
         assert "--resume" in drained.stderr
@@ -306,12 +327,14 @@ class TestNeverReRecords:
     def test_kill_after_recorded_skips_simulation_on_resume(
         self, clean, tmp_path
     ):
-        # Record 3 is "recorded fft/run0"; driver_kill fires after the
-        # flush, so the entry -- and the trace the store wrote just
-        # before it -- are durable.
+        # driver_kill fires after the flush of "recorded fft/run0", so
+        # the entry -- and the trace the store wrote just before it --
+        # are durable.
+        position = _position(clean, "recorded", "fft/run0")
         cache = tmp_path / "after"
         killed = _run_sweep(
-            cache, extra_env={"REPRO_FAULTS": "driver_kill:3"}
+            cache,
+            extra_env={"REPRO_FAULTS": "driver_kill:%d" % position},
         )
         assert killed.returncode == _DRIVER_KILL
         resumed = _run_sweep(cache)
@@ -322,12 +345,14 @@ class TestNeverReRecords:
     def test_kill_before_recorded_resimulates_identically(
         self, clean, tmp_path
     ):
-        # Killed while appending "scheduled": nothing was recorded, so
-        # the resume pays the simulation -- and still lands on the
-        # same bytes.
+        # Killed right after "scheduled fft/run0": nothing was
+        # recorded, so the resume pays the simulation -- and still
+        # lands on the same bytes.
+        position = _position(clean, "scheduled", "fft/run0")
         cache = tmp_path / "before"
         killed = _run_sweep(
-            cache, extra_env={"REPRO_FAULTS": "driver_kill:2"}
+            cache,
+            extra_env={"REPRO_FAULTS": "driver_kill:%d" % position},
         )
         assert killed.returncode == _DRIVER_KILL
         resumed = _run_sweep(cache)

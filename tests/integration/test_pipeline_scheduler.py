@@ -18,9 +18,16 @@ import os
 import pytest
 
 from repro.common.errors import InterruptedRunError
+from repro.cord import CordConfig, CordDetector
+from repro.detectors import IdealDetector
+from repro.detectors.registry import DetectorSpec
 from repro.experiments import pipeline
 from repro.experiments.runner import Suite, SuiteConfig
-from repro.injection.campaign import format_campaign_report
+from repro.injection.campaign import (
+    CampaignConfig,
+    format_campaign_report,
+    run_campaign,
+)
 from repro.resilience import faults
 from repro.resilience.guard import GUARD_LOG
 from repro.resilience.journal import WAL_SUFFIX, replay
@@ -28,7 +35,7 @@ from repro.resilience.procpool import ProcessPool
 from repro.service.executor import SERVICE_NAMESPACE, execute_job, result_key
 from repro.service.jobs import CampaignSpec
 from repro.trace.store import PackedTraceStore
-from repro.workloads import WorkloadParams
+from repro.workloads import WorkloadParams, get_workload
 
 _PARAMS = WorkloadParams(scale=0.25)
 
@@ -183,6 +190,37 @@ class TestOneDriver:
                 ) == reference, arm
         finally:
             pool.shutdown()
+
+    def test_analyze_stage_runs_the_config_detectors(self, tmp_path):
+        # The analyze payload carries the campaign's CampaignConfig: a
+        # custom detector suite is the one every run is analyzed with,
+        # exactly as the in-memory campaign loop analyzes it.
+        config = CampaignConfig(n_runs=3, detectors=[
+            DetectorSpec("Ideal", lambda n: IdealDetector(n)),
+            DetectorSpec("D=4", lambda n: CordDetector(CordConfig(d=4), n)),
+        ])
+        done = {}
+        interrupted = pipeline.drive(
+            [pipeline.Campaign("fft", _PARAMS, config)],
+            PackedTraceStore(tmp_path / "traces"),
+            pipeline.inline_stream(pipeline.run_stage_task),
+            on_campaign=done.__setitem__,
+        )
+        assert not interrupted
+        campaign = done["fft"]
+        assert campaign.detector_names == ["Ideal", "D=4"]
+        for run in campaign.runs:
+            assert list(run.flagged) == campaign.detector_names
+            assert list(run.counters) == campaign.detector_names
+        reference = run_campaign(
+            get_workload("fft").program_factory(_PARAMS), "fft", config
+        )
+        assert [
+            (run.flagged, run.problem, run.counters) for run in campaign.runs
+        ] == [
+            (run.flagged, run.problem, run.counters)
+            for run in reference.runs
+        ]
 
 
 class TestPipelineUnderChaos:

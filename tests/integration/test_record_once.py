@@ -8,10 +8,11 @@ that gave every configuration its own simulations.
 
 import pytest
 
+import repro.experiments.pipeline as pipeline_mod
 import repro.injection.campaign as campaign_mod
 from repro.cord import CordConfig, CordDetector, replay_trace, verify_replay
 from repro.detectors.registry import DetectorSpec
-from repro.experiments.runner import Suite, SuiteConfig, trace_namespace
+from repro.experiments.runner import Suite, SuiteConfig
 from repro.experiments.sensitivity import cache_sensitivity, d_sensitivity
 from repro.injection.campaign import (
     CampaignConfig,
@@ -29,6 +30,16 @@ _D_VALUES = (1, 8, 64)
 
 def _factory(workload="fft", params=_PARAMS):
     return get_workload(workload).program_factory(params)
+
+
+def _drive(store, config, workload="fft"):
+    """One store-backed campaign on the pipeline driver, in process."""
+    done = {}
+    pipeline_mod.run_campaigns(
+        [pipeline_mod.Campaign(workload, _PARAMS, config)],
+        store, done.__setitem__,
+    )
+    return done[workload]
 
 
 def _run_key(run):
@@ -58,20 +69,8 @@ class TestCampaignEquivalence:
     def test_store_does_not_change_results(self, tmp_path):
         config = CampaignConfig(n_runs=4, base_seed=11)
         bare = run_campaign(_factory(), "fft", config)
-        stored = run_campaign(
-            _factory(),
-            "fft",
-            config,
-            trace_store=PackedTraceStore(tmp_path),
-            trace_namespace=trace_namespace("fft", _PARAMS),
-        )
-        warm = run_campaign(
-            _factory(),
-            "fft",
-            config,
-            trace_store=PackedTraceStore(tmp_path),
-            trace_namespace=trace_namespace("fft", _PARAMS),
-        )
+        stored = _drive(PackedTraceStore(tmp_path), config)
+        warm = _drive(PackedTraceStore(tmp_path), config)
         assert [_run_key(r) for r in bare.runs] == [
             _run_key(r) for r in stored.runs
         ]
@@ -82,23 +81,16 @@ class TestCampaignEquivalence:
     def test_warm_store_skips_simulation(self, tmp_path, monkeypatch):
         config = CampaignConfig(n_runs=3, base_seed=11)
         store = PackedTraceStore(tmp_path)
-        namespace = trace_namespace("fft", _PARAMS)
-        cold = run_campaign(
-            _factory(), "fft", config,
-            trace_store=store, trace_namespace=namespace,
-        )
+        cold = _drive(store, config)
 
         def explode(*args, **kwargs):
             raise AssertionError("warm campaign re-simulated")
 
         monkeypatch.setattr(campaign_mod, "run_program", explode)
         monkeypatch.setattr(
-            campaign_mod, "count_sync_instances", explode
+            pipeline_mod, "count_sync_instances", explode
         )
-        warm = run_campaign(
-            _factory(), "fft", config,
-            trace_store=store, trace_namespace=namespace,
-        )
+        warm = _drive(store, config)
         assert [_run_key(r) for r in cold.runs] == [
             _run_key(r) for r in warm.runs
         ]
@@ -107,12 +99,8 @@ class TestCampaignEquivalence:
         # Different detector sets must hit the same recorded traces:
         # keys depend on the run identity, never on who analyzes it.
         store = PackedTraceStore(tmp_path)
-        namespace = trace_namespace("fft", _PARAMS)
         config_full = CampaignConfig(n_runs=3, base_seed=11)
-        run_campaign(
-            _factory(), "fft", config_full,
-            trace_store=store, trace_namespace=namespace,
-        )
+        _drive(store, config_full)
         n_files = len(list(tmp_path.iterdir()))
         config_cord = CampaignConfig(
             n_runs=3,
@@ -125,12 +113,10 @@ class TestCampaignEquivalence:
             ],
             check_soundness=False,
         )
-        subset = run_campaign(
-            _factory(), "fft", config_cord,
-            trace_store=store, trace_namespace=namespace,
-        )
+        subset = _drive(store, config_cord)
         assert len(list(tmp_path.iterdir())) == n_files  # all hits
         assert len(subset.runs) == 3
+        assert subset.detector_names == ["Cord"]
 
 
 class TestRecordedRun:
@@ -148,7 +134,7 @@ class TestRecordedRun:
     def test_store_persists_outcomes_without_a_task(self, tmp_path,
                                                     monkeypatch):
         # The outcome bundle is written whenever a store and a switch
-        # probability are given; the journal task only adds markers.
+        # probability are given; no journal is involved.
         store = PackedTraceStore(tmp_path)
         recorded = record_injected_once(_factory(), seed=5, target_index=0)
         kwargs = dict(

@@ -43,7 +43,6 @@ from repro.trace import (
     encode_packed_trace,
     encode_trace,
 )
-from repro.trace.serialize import _encode_trace_v1
 from repro.workloads import WorkloadParams, get_workload
 
 from tests.property.test_prop_serialize import events_strategy
@@ -120,15 +119,6 @@ def test_packed_and_object_encode_identically(raw_events):
         PackedTrace.from_events(events, [2**31] * 4, name="prop")
     )
     assert encode_trace(object_trace) == encode_trace(packed_trace)
-
-
-@given(events_strategy)
-def test_v1_decodes_to_same_content_as_v2(raw_events):
-    events = _build_events(raw_events)
-    trace = Trace(events, [2**31] * 4, name="prop")
-    from_v1 = decode_trace(_encode_trace_v1(trace))
-    from_v2 = decode_trace(encode_trace(trace))
-    assert from_v1.packed.columns_equal(from_v2.packed)
 
 
 # -- analysis ---------------------------------------------------------------

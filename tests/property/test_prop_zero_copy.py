@@ -33,7 +33,6 @@ from repro.trace import (
     PackedTraceStore,
     decode_packed_trace,
     encode_packed_trace,
-    encode_packed_trace_v2,
     view_packed_trace,
 )
 from repro.common.types import AccessClass, AccessMode
@@ -104,18 +103,6 @@ def test_v3_view_equals_eager_decode(raw_events, hung, seed):
     assert not eager.zero_copy
     _assert_traces_identical(view, eager)
     _assert_traces_identical(view, packed)
-
-
-@given(events_strategy)
-def test_v3_view_equals_v2_eager_decode(raw_events):
-    # The migration claim: the zero-copy view of the v3 encoding equals
-    # the eager decode of the *v2* encoding of the same trace.
-    packed = PackedTrace.from_events(
-        _build_events(raw_events), [2**31] * 4, name="prop", seed=3
-    )
-    from_v2 = decode_packed_trace(encode_packed_trace_v2(packed))
-    view = view_packed_trace(encode_packed_trace(packed))
-    _assert_traces_identical(view, from_v2)
 
 
 # -- analysis equivalence ----------------------------------------------------

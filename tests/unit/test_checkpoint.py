@@ -256,8 +256,6 @@ class TestJournal:
         task = ckpt.task("fft/run0")
         task.scheduled()
         task.recorded()
-        task.analyzed("D=4")
-        task.analyzed("D=16")
         task.committed()
         ckpt.close()
 
@@ -268,9 +266,31 @@ class TestJournal:
         assert not state.finished
         replayed = state.task("fft/run0")
         assert replayed.scheduled and replayed.recorded
-        assert replayed.analyzed == {"D=4", "D=16"}
         assert replayed.committed
+        assert state.n_records == 4
         assert "1 committed" in state.summary()
+
+    def test_old_analyzed_records_are_skipped(self, tmp_path):
+        # Journals written while runs logged one ``analyzed`` record per
+        # detector config still replay and resume: the unknown record
+        # type is skipped, the records around it still count.
+        ckpt = RunCheckpoint.open(tmp_path, identity=_ident())
+        task = ckpt.task("fft/run0")
+        task.scheduled()
+        task.recorded()
+        ckpt._append({
+            "type": "analyzed", "task": "fft/run0", "config": "D=4",
+        })
+        ckpt.interrupt()
+
+        resumed = RunCheckpoint.open(tmp_path, identity=_ident())
+        assert resumed.resumed and resumed.run_id == ckpt.run_id
+        assert resumed.state.n_records == 4
+        state = resumed.state.task("fft/run0")
+        assert state.scheduled and state.recorded and not state.committed
+        resumed.task("fft/run0").committed()
+        assert resumed.state.n_records == 5
+        resumed.close()
 
     def test_transitions_are_idempotent(self, tmp_path):
         ckpt = RunCheckpoint.open(tmp_path, identity=_ident())
@@ -298,7 +318,6 @@ class TestJournal:
         task = first.task("t")
         task.scheduled()
         task.recorded()
-        task.analyzed("D=4")
         first.interrupt()  # the drain path: flush, no end record
 
         second = RunCheckpoint.open(tmp_path, identity=_ident())
@@ -306,15 +325,14 @@ class TestJournal:
         assert second.run_id == first.run_id
         assert second.stats["resumed"] == 1
         state = second.state.task("t")
-        assert state.recorded and "D=4" in state.analyzed
+        assert state.recorded and not state.committed
         # Replayed transitions append nothing new.
         n_before = second.state.n_records
         resumed_task = second.task("t")
         resumed_task.scheduled()
         resumed_task.recorded()
-        resumed_task.analyzed("D=4")
         assert second.state.n_records == n_before
-        resumed_task.analyzed("D=16")  # fresh work still journals
+        resumed_task.committed()  # fresh work still journals
         assert second.state.n_records == n_before + 1
         second.close()
 

@@ -153,9 +153,10 @@ class TestSweepResume:
         clean_out = capsys.readouterr().out
 
         # Interrupt mid-sweep: a graceful-shutdown request injected at
-        # the fifth journal transition (inside the per-config analysis).
+        # the fourth journal transition ("recorded fft/run0"), while the
+        # run's analysis is still queued.
         faulted_dir = tmp_path / "faulted"
-        monkeypatch.setenv("REPRO_FAULTS", "sigterm_drain:5")
+        monkeypatch.setenv("REPRO_FAULTS", "sigterm_drain:4")
         faults.arm()
         assert main(
             self._ARGS + ["--cache", str(faulted_dir)]
@@ -184,11 +185,41 @@ class TestSweepResume:
         ) == 0
         assert capsys.readouterr().out == clean_out
 
+    def test_recording_accounting_counts_torn_entries(
+        self, tmp_path, capsys
+    ):
+        args = ["sweep", "--apps", "fft", "-n", "2", "--scale", "0.25",
+                "--cache", str(tmp_path)]
+
+        def recording_line():
+            return [
+                line for line in capsys.readouterr().err.splitlines()
+                if line.startswith("recording: ")
+            ]
+
+        assert main(args) == 0
+        assert recording_line() == [
+            "recording: 2 simulated, 0 replayed from store"
+        ]
+        assert main(args) == 0
+        assert recording_line() == [
+            "recording: 0 simulated, 2 replayed from store"
+        ]
+        # A torn recording still exists on disk, but the analyze stage
+        # quarantines it and records the run again: a simulation.
+        traces = sorted((tmp_path / "traces").glob("trace-*.pkl"))
+        assert len(traces) == 2
+        traces[0].write_bytes(traces[0].read_bytes()[:64])
+        assert main(args) == 0
+        assert recording_line() == [
+            "recording: 1 simulated, 1 replayed from store"
+        ]
+
     def test_resume_fresh_ignores_interrupted_run(
         self, tmp_path, monkeypatch, capsys
     ):
         cache = tmp_path / "cache"
-        monkeypatch.setenv("REPRO_FAULTS", "sigterm_drain:5")
+        monkeypatch.setenv("REPRO_FAULTS", "sigterm_drain:4")
         faults.arm()
         assert main(self._ARGS + ["--cache", str(cache)]) == 71
         capsys.readouterr()

@@ -342,31 +342,52 @@ class TestPackedTraceStore:
         # hands out aligned column sections.
         assert raw.index(trace) % 64 == 0
 
-    def test_legacy_pickled_entry_still_hits(self, tmp_path):
-        # Entries written before the CORDRUN3 container (a pickled dict
-        # around the trace bytes) must keep decoding under the same
-        # digest keys -- eagerly, counted as legacy.
-        from repro.trace.serialize import encode_packed_trace_v2
+    def test_non_container_entry_is_quarantined_miss(self, tmp_path):
+        # A healthy frame around anything but a CORDRUN3 container --
+        # here the pre-container pickled-dict layout, holding a valid
+        # v3 trace -- under a current key is a broken writer's output:
+        # a quarantined miss, never decoded.
         from repro.trace.store import frame_payload
         from repro.resilience.checkpoint import atomic_write_bytes
 
         store = PackedTraceStore(tmp_path)
         key = ("fft/params", (3, 1, 0.1))
-        legacy = pickle.dumps({
-            "trace": encode_packed_trace_v2(self._packed()),
+        dict_entry = pickle.dumps({
+            "trace": encode_packed_trace(self._packed()),
             "extra": {"injected": False},
         }, protocol=pickle.HIGHEST_PROTOCOL)
         atomic_write_bytes(
-            store._path("trace", *key), frame_payload(legacy)
+            store._path("trace", *key), frame_payload(dict_entry)
         )
-        hit = store.load_run(*key)
-        assert hit is not None
-        packed, extra = hit
-        assert packed.columns_equal(self._packed())
-        assert extra == {"injected": False}
-        assert store.stats["legacy_entries"] == 1
-        assert store.stats["eager_decodes"] == 1
-        assert store.stats["mmap_hits"] == 0
+        assert store.load_run(*key) is None
+        assert store.stats["quarantined"] == 1
+        assert store.stats["run_misses"] == 1
+        assert not store._path("trace", *key).exists()
+
+    def test_previous_schema_entries_miss_by_key(self, tmp_path):
+        # Entries keyed under an older store schema are never looked
+        # up: a load misses without reading (or quarantining) them.
+        import hashlib
+
+        from repro.trace.store import frame_payload
+
+        store = PackedTraceStore(tmp_path)
+        namespace, components = "fft/params", (3, 1, 0.1)
+        old_digest = hashlib.sha256(repr(
+            (2, "CORDTRC2", namespace, components)
+        ).encode()).hexdigest()[:20]
+        current = store._path("trace", namespace, components)
+        old = current.with_name(
+            current.name.replace(
+                store._digest(namespace, components), old_digest
+            )
+        )
+        assert old != current
+        old.write_bytes(frame_payload(b"an entry of an older layout"))
+        assert store.load_run(namespace, components) is None
+        assert store.stats["run_misses"] == 1
+        assert store.stats["quarantined"] == 0
+        assert old.exists()
 
     def test_mmap_hit_and_no_mmap_escape_hatch(self, tmp_path, monkeypatch):
         store = PackedTraceStore(tmp_path)

@@ -35,35 +35,21 @@ def _n_events(trace):
     return len(trace.packed)
 
 
-def test_engine_throughput(benchmark, bench_log):
+def test_engine_throughput(benchmark):
     program = get_workload("fmm").build(PARAMS)
-    result = benchmark(
-        bench_log.timed,
-        "components",
-        "engine",
-        run_program,
-        program,
-        1,
-        events=_n_events,
-    )
+    result = benchmark(run_program, program, 1)
     assert len(result.events) > 500
 
 
-def test_cord_detector_throughput(benchmark, trace, bench_log):
+def test_cord_detector_throughput(benchmark, trace):
     def detect():
         return CordDetector(CordConfig(), trace.n_threads).run(trace)
 
-    outcome = benchmark(
-        bench_log.timed,
-        "components",
-        "cord_object_path",
-        detect,
-        events=_n_events(trace),
-    )
+    outcome = benchmark(detect)
     assert outcome.raw_count == 0  # clean run
 
 
-def test_cord_detector_packed_throughput(benchmark, trace, bench_log):
+def test_cord_detector_packed_throughput(benchmark, trace):
     packed = trace.packed
 
     def detect():
@@ -71,47 +57,29 @@ def test_cord_detector_packed_throughput(benchmark, trace, bench_log):
             packed
         )
 
-    outcome = benchmark(
-        bench_log.timed,
-        "components",
-        "cord_packed_path",
-        detect,
-        events=len(packed),
-    )
+    outcome = benchmark(detect)
     assert outcome.raw_count == 0
 
 
-def test_ideal_detector_throughput(benchmark, trace, bench_log):
+def test_ideal_detector_throughput(benchmark, trace):
     def detect():
         return IdealDetector(trace.n_threads).run(trace)
 
-    outcome = benchmark(
-        bench_log.timed,
-        "components",
-        "ideal_object_path",
-        detect,
-        events=_n_events(trace),
-    )
+    outcome = benchmark(detect)
     assert outcome.raw_count == 0
 
 
-def test_ideal_detector_packed_throughput(benchmark, trace, bench_log):
+def test_ideal_detector_packed_throughput(benchmark, trace):
     packed = trace.packed
 
     def detect():
         return IdealDetector(trace.n_threads).run_packed(packed)
 
-    outcome = benchmark(
-        bench_log.timed,
-        "components",
-        "ideal_packed_path",
-        detect,
-        events=len(packed),
-    )
+    outcome = benchmark(detect)
     assert outcome.raw_count == 0
 
 
-def test_vector_detector_throughput(benchmark, trace, bench_log):
+def test_vector_detector_throughput(benchmark, trace):
     packed = trace.packed
 
     def detect():
@@ -119,70 +87,39 @@ def test_vector_detector_throughput(benchmark, trace, bench_log):
             trace.n_threads, CacheGeometry(32 * 1024)
         ).run_packed(packed)
 
-    outcome = benchmark(
-        bench_log.timed,
-        "components",
-        "vector_packed_path",
-        detect,
-        events=_n_events(trace),
-    )
+    outcome = benchmark(detect)
     assert outcome.raw_count == 0
 
 
-def test_timing_model_throughput(benchmark, trace, bench_log):
-    result = benchmark(
-        bench_log.timed,
-        "components",
-        "timing_model",
-        estimate_overhead,
-        trace,
-        events=_n_events(trace),
-    )
+def test_timing_model_throughput(benchmark, trace):
+    result = benchmark(estimate_overhead, trace)
     assert result.relative_time >= 1.0
 
 
-def test_log_codec_throughput(benchmark, trace, bench_log):
+def test_log_codec_throughput(benchmark, trace):
     outcome = CordDetector(CordConfig(), trace.n_threads).run(trace)
     encoded = outcome.log.encode()
 
     def roundtrip():
         return OrderLog.decode(encoded)
 
-    decoded = benchmark(
-        bench_log.timed, "components", "order_log_decode", roundtrip
-    )
+    decoded = benchmark(roundtrip)
     assert len(decoded) == len(outcome.log)
 
 
-def test_trace_codec_packed_throughput(benchmark, trace, bench_log):
+def test_trace_codec_packed_throughput(benchmark, trace):
     packed = trace.packed
 
     def roundtrip():
         return decode_packed_trace(encode_packed_trace(packed))
 
-    restored = benchmark(
-        bench_log.timed,
-        "components",
-        "trace_codec_roundtrip",
-        roundtrip,
-        events=len(packed),
-    )
+    restored = benchmark(roundtrip)
     assert restored.columns_equal(packed)
-    # The encode alone, actually timed (this entry used to report a
-    # wall_s of 0.0 because the encode ran outside any timer).
-    start = time.perf_counter()
     encoded = encode_packed_trace(packed)
-    elapsed = time.perf_counter() - start
-    bench_log.record(
-        "components",
-        "trace_codec_bytes_per_event",
-        elapsed,
-        events=len(packed),
-        extra={"bytes_per_event": round(len(encoded) / len(packed), 2)},
-    )
+    print("\ntrace codec: %.2f bytes/event" % (len(encoded) / len(packed)))
 
 
-def test_trace_codec_view_throughput(benchmark, trace, bench_log):
+def test_trace_codec_view_throughput(benchmark, trace):
     """Zero-copy view construction over a v3 blob: no column copies."""
     packed = trace.packed
     encoded = encode_packed_trace(packed)
@@ -190,35 +127,23 @@ def test_trace_codec_view_throughput(benchmark, trace, bench_log):
     def view():
         return view_packed_trace(encoded)
 
-    restored = benchmark(
-        bench_log.timed,
-        "components",
-        "trace_codec_view",
-        view,
-        events=len(packed),
-    )
+    restored = benchmark(view)
     assert restored.zero_copy
     assert restored.columns_equal(packed)
 
 
-def test_epoch_oracle_throughput(benchmark, trace, bench_log):
+def test_epoch_oracle_throughput(benchmark, trace):
     """FastTrack-style epochs vs the full vector oracle (same verdicts)."""
     from repro.detectors import EpochDetector
 
     def detect():
         return EpochDetector(trace.n_threads).run(trace)
 
-    outcome = benchmark(
-        bench_log.timed,
-        "components",
-        "epoch_object_path",
-        detect,
-        events=_n_events(trace),
-    )
+    outcome = benchmark(detect)
     assert outcome.raw_count == 0
 
 
-def test_analysis_kernel_timings(trace, bench_log):
+def test_analysis_kernel_timings(trace):
     """Per-kernel wall time of the plan builders (PR 3's pre-passes).
 
     Each product is built once per trace and shared by every sweep
@@ -226,8 +151,6 @@ def test_analysis_kernel_timings(trace, bench_log):
     builders are called directly -- bypassing the per-trace caches --
     to time the actual construction.
     """
-    import time as _time
-
     from repro.cord.coherence import build_coherence_plan
     from repro.trace.kernels import (
         build_segment_plan,
@@ -243,15 +166,10 @@ def test_analysis_kernel_timings(trace, bench_log):
     capacity = probe.snoop.caches[0]._capacity
 
     def timed(name, fn):
-        start = _time.perf_counter()
+        start = time.perf_counter()
         result = fn()
-        bench_log.record(
-            "components",
-            name,
-            _time.perf_counter() - start,
-            events=len(packed),
-            extra={"backend": kernel_backend()},
-        )
+        print("\n%s (%s): %.4fs" % (name, kernel_backend(),
+                                     time.perf_counter() - start))
         return result
 
     seg_plan = timed(

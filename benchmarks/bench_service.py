@@ -79,7 +79,7 @@ def service(tmp_path_factory):
     thread.join(timeout=60)
 
 
-def test_service_cold_job_latency(benchmark, bench_log, service):
+def test_service_cold_job_latency(benchmark, service):
     """End-to-end cold campaign through the server vs in-process."""
 
     def cold_job():
@@ -89,10 +89,7 @@ def test_service_cold_job_latency(benchmark, bench_log, service):
         assert final["state"] == "committed"
         return final
 
-    final = benchmark(
-        bench_log.timed, "components", "service_cold_job", cold_job,
-        events=SPEC["runs"],
-    )
+    final = benchmark(cold_job)
     # The service path must agree with the in-process campaign to the
     # byte -- the overhead being measured buys fault tolerance, not a
     # different answer.
@@ -107,7 +104,7 @@ def test_service_cold_job_latency(benchmark, bench_log, service):
     assert final["report"] == format_campaign_report(campaign)
 
 
-def test_service_warm_roundtrip_throughput(benchmark, bench_log, service):
+def test_service_warm_roundtrip_throughput(benchmark, service):
     """Warm submit->result round trips per second (gated)."""
     # Ensure the result document is durable before timing.
     first = service.submit("fft", **SPEC)
@@ -124,10 +121,7 @@ def test_service_warm_roundtrip_throughput(benchmark, bench_log, service):
         return WARM_ROUNDTRIPS
 
     start = time.perf_counter()
-    count = benchmark(
-        bench_log.timed, "components", "service_warm_roundtrip",
-        roundtrips, events=WARM_ROUNDTRIPS,
-    )
+    count = benchmark(roundtrips)
     elapsed = time.perf_counter() - start
     throughput = count / elapsed
     floor = _throughput_min()
@@ -139,8 +133,7 @@ def test_service_warm_roundtrip_throughput(benchmark, bench_log, service):
     )
 
 
-def test_service_distributed_throughput(benchmark, bench_log, service,
-                                        tmp_path):
+def test_service_distributed_throughput(benchmark, service, tmp_path):
     """Cold submit->result jobs per second through remote workers.
 
     The in-process server leases every stage task to ``DIST_WORKERS``
@@ -196,10 +189,7 @@ def test_service_distributed_throughput(benchmark, bench_log, service,
             return DIST_JOBS
 
         start = time.perf_counter()
-        count = benchmark(
-            bench_log.timed, "components", "service_distributed_job",
-            cold_jobs, events=DIST_JOBS * SPEC["runs"],
-        )
+        count = benchmark(cold_jobs)
         elapsed = time.perf_counter() - start
         throughput = count / elapsed
         floor = _floor(DIST_THROUGHPUT_MIN_ENV,

@@ -39,19 +39,19 @@ at small D: typically ``{1},{2},{4..}`` or ``{1},{2},{4},{8..}``), and
 narrows on aborts; configurations left out of a fused suffix simply take
 their normal per-configuration kernel pass.  Everything here is gated
 the same way as the kernel (numpy-backed plans available, cold detector,
-no window walker) plus ``REPRO_NO_FUSED=1`` as an escape hatch, and is
-pinned byte-identical by the kernel-equivalence suites.
+no window walker), and is pinned byte-identical by the
+kernel-equivalence suites.  A caller that wants the kernel tier alone
+passes ``compute_outcomes(allow_fused=False)``.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from repro.detectors.base import DataRace
 
-__all__ = ["Inconsistent", "fuse_cord_detectors", "fusion_enabled"]
+__all__ = ["Inconsistent", "fuse_cord_detectors"]
 
 
 class Inconsistent(Exception):
@@ -76,11 +76,6 @@ class _Diverged(Exception):
     group) for the life of the process.  Guard failures are rare, so
     the per-raise allocation is irrelevant.
     """
-
-
-def fusion_enabled() -> bool:
-    """Is the fused sweep pass allowed (``REPRO_NO_FUSED`` unset)?"""
-    return os.environ.get("REPRO_NO_FUSED", "") != "1"
 
 
 class _FusedResult:
@@ -155,8 +150,6 @@ def fuse_cord_detectors(detectors, packed) -> frozenset:
     from repro.resilience import faults
 
     fused: set = set()
-    if not fusion_enabled():
-        return frozenset()
     if faults.active() and faults.fire("fused_raise"):
         # Chaos harness: an unexpected crash in the fused tier.  The
         # degradation ladder (repro.resilience.guard) must catch it,

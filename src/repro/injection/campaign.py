@@ -600,7 +600,6 @@ def run_campaign(
     factory: ProgramFactory,
     workload_name: str,
     config: Optional[CampaignConfig] = None,
-    trace_namespace: Optional[str] = None,
 ) -> CampaignResult:
     """Run a full injection campaign for one workload, in memory.
 
@@ -608,9 +607,7 @@ def run_campaign(
     its packed trace is shared by every detector.  Because seeds and
     targets derive only from ``(base_seed, workload, run_index)``,
     results are bit-identical to per-config simulation (asserted by the
-    record-once test suite).  ``trace_namespace`` is accepted for
-    callers that name the program the way a trace store would, and
-    ignored: nothing here is stored.
+    record-once test suite).
 
     Journaled and store-backed campaigns (the Suite, the sweep, service
     jobs) run as stage tasks on :func:`repro.experiments.pipeline.drive`

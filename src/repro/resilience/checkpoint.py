@@ -41,7 +41,6 @@ import time
 from pathlib import Path
 from typing import Callable, List, Optional
 
-from repro.common.env import env_number
 from repro.common.errors import InterruptedRunError
 
 logger = logging.getLogger("repro.resilience.checkpoint")
@@ -189,15 +188,9 @@ def collect_tmp_litter(root: os.PathLike, max_age_s: float = 3600.0) -> int:
     return removed
 
 
-def default_quarantine_keep() -> int:
-    """Quarantined entries kept per directory (``REPRO_QUARANTINE_KEEP``, 32)."""
-    return env_number("REPRO_QUARANTINE_KEEP", 32, 0)
-
-
-def default_quarantine_max_age() -> float:
-    """Max quarantine age in seconds (``REPRO_QUARANTINE_MAX_AGE_S``, 7 days)."""
-    return env_number("REPRO_QUARANTINE_MAX_AGE_S", 7 * 24 * 3600.0, 0.0,
-                      float)
+#: Quarantined entries kept per directory, and their maximum age.
+QUARANTINE_KEEP = 32
+QUARANTINE_MAX_AGE_S = 7 * 24 * 3600.0
 
 
 def prune_quarantine(
@@ -217,9 +210,9 @@ def prune_quarantine(
     if not qdir.is_dir():
         return 0
     if keep is None:
-        keep = default_quarantine_keep()
+        keep = QUARANTINE_KEEP
     if max_age_s is None:
-        max_age_s = default_quarantine_max_age()
+        max_age_s = QUARANTINE_MAX_AGE_S
     entries = []
     for path in qdir.iterdir():
         if not path.is_file() or path.name.endswith(".reason.txt"):

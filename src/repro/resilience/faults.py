@@ -9,11 +9,14 @@ check, so production runs pay nothing.
 
 Faults are armed through the ``REPRO_FAULTS`` environment variable (or
 programmatically via :func:`arm`), as a comma-separated list of
-``name[:charges]`` entries::
+``name[:charges[:value]]`` entries::
 
-    REPRO_FAULTS="fused_raise:2,store_truncate"
+    REPRO_FAULTS="fused_raise:2,store_truncate,lease_stall:3:5"
 
-Each armed fault carries a *charge budget* (default 1).  In-process
+Each armed fault carries a *charge budget* (default 1).  The optional
+third field parameterizes the faults that take a value: the seconds a
+``worker_stall`` or ``lease_stall`` sleeps (default 30) and the
+requests a ``net_partition`` fails (default 8).  In-process
 faults (:func:`fire`) consume one charge per firing and go quiet when
 the budget is spent -- so a retry or a re-record after the injected
 failure succeeds, which is exactly the recovery the chaos tests assert.
@@ -29,7 +32,7 @@ Fault points wired into the pipeline:
 
 =================  =========================================================
 ``worker_kill``    a pool process exits hard (``os._exit``) before its task
-``worker_stall``   a pool process sleeps ``REPRO_FAULT_STALL_SECONDS``
+``worker_stall``   a pool process sleeps the spec's value in seconds
                    (default 30) before its task, tripping the deadline
 ``store_truncate`` :class:`~repro.trace.store.PackedTraceStore` writes only
                    half of an entry's frame (a torn write)
@@ -44,7 +47,7 @@ Fault points wired into the pipeline:
 ``svc_kill``       the campaign *server* exits hard (``os._exit``) right
                    after flushing a job-state WAL transition
 ``queue_full``     the service admission controller rejects the next
-                   submission as if ``REPRO_SVC_QUEUE_MAX`` were hit
+                   submission as if the server's ``queue_max`` were hit
 ``tenant_flood``   the service admission controller rejects the next
                    submission as if the tenant's quota were exhausted
 ``store_corrupt_mid_job``
@@ -54,15 +57,15 @@ Fault points wired into the pipeline:
 ``worker_vanish``  a remote ``cord-worker`` process exits hard
                    (``os._exit``) at a lease-lifecycle transition, as if
                    the host died mid-shard
-``lease_stall``    a remote worker freezes for
-                   ``REPRO_FAULT_STALL_SECONDS`` at a lease-lifecycle
-                   transition, overrunning its lease deadline so the
-                   server reassigns the shard (and the late completion
-                   must be deduped)
+``lease_stall``    a remote worker freezes for the spec's value in seconds
+                   (default 30) at a lease-lifecycle transition,
+                   overrunning its lease deadline so the server
+                   reassigns the shard (and the late completion must be
+                   deduped)
 ``net_partition``  the remote worker's link to the server drops: its
-                   next ``REPRO_FAULT_PARTITION_REQUESTS`` (default 8)
-                   requests fail as connection errors, then the
-                   partition heals
+                   next requests, as many as the spec's value (default
+                   8), fail as connection errors, then the partition
+                   heals
 ``replica_corrupt``
                    one store-replication payload is corrupted in flight;
                    the sha256 check on receipt must quarantine it and
@@ -78,7 +81,8 @@ remote-worker faults (``worker_vanish``, ``lease_stall``,
 ``net_partition``) are tick-gated on the worker's lease-lifecycle
 transitions and ``replica_corrupt`` on successive replication
 transfers, for the same reason: the multi-host matrix places one fault
-at every transition in turn.  The service admission faults
+at every transition in turn (``lease_stall:3:5`` stalls for 5 s at the
+third transition).  The service admission faults
 (``queue_full``, ``tenant_flood``, ``store_corrupt_mid_job``) are
 ordinary charge-budget faults.
 
@@ -89,12 +93,11 @@ cycle with them.
 
 from __future__ import annotations
 
+import math
 import os
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 _ENV = "REPRO_FAULTS"
-_STALL_ENV = "REPRO_FAULT_STALL_SECONDS"
-_PARTITION_ENV = "REPRO_FAULT_PARTITION_REQUESTS"
 
 #: Exit status a ``worker_kill`` child dies with (distinguishable from a
 #: crash in the campaign itself, which reports through the result pipe).
@@ -119,17 +122,21 @@ WORKER_VANISH_EXIT_CODE = 90
 #: variable after import).
 _armed: Optional[Dict[str, int]] = None
 
+#: Per-process fault values: name -> the third field of its spec entry.
+_values: Dict[str, float] = {}
+
 #: Per-process tick counters for :func:`tick`-gated faults.
 _ticks: Dict[str, int] = {}
 
 
-def _parse(spec: str) -> Dict[str, int]:
+def _parse(spec: str) -> Tuple[Dict[str, int], Dict[str, float]]:
+    """``(charges, values)`` of a ``name[:charges[:value]]`` list; a
+    malformed count means 1 and a malformed value the fault's default."""
     plan: Dict[str, int] = {}
+    values: Dict[str, float] = {}
     for item in spec.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, _, charges = item.partition(":")
+        name, _, rest = item.strip().partition(":")
+        charges, _, value = rest.partition(":")
         name = name.strip()
         if not name:
             continue
@@ -139,13 +146,19 @@ def _parse(spec: str) -> Dict[str, int]:
             count = 1
         if count > 0:
             plan[name] = count
-    return plan
+            try:
+                number = float(value)
+            except ValueError:
+                continue
+            if math.isfinite(number):
+                values[name] = number
+    return plan, values
 
 
 def _plan() -> Dict[str, int]:
-    global _armed
+    global _armed, _values
     if _armed is None:
-        _armed = _parse(os.environ.get(_ENV, ""))
+        _armed, _values = _parse(os.environ.get(_ENV, ""))
     return _armed
 
 
@@ -155,8 +168,10 @@ def arm(spec: Optional[str] = None) -> None:
     Tests call this after ``monkeypatch.setenv`` so the per-process
     charge budgets reset; ``arm("")`` disarms everything.
     """
-    global _armed
-    _armed = _parse(os.environ.get(_ENV, "") if spec is None else spec)
+    global _armed, _values
+    _armed, _values = _parse(
+        os.environ.get(_ENV, "") if spec is None else spec
+    )
     _ticks.clear()
 
 
@@ -217,27 +232,18 @@ def should_fire(name: str, attempt: int) -> bool:
     return attempt < plan.get(name, 0)
 
 
-def stall_seconds() -> float:
-    """How long a ``worker_stall`` fault sleeps (``REPRO_FAULT_STALL_SECONDS``)."""
-    raw = os.environ.get(_STALL_ENV, "").strip()
-    if raw:
-        try:
-            return max(0.0, float(raw))
-        except ValueError:
-            pass
-    return 30.0
+def stall_seconds(name: str) -> float:
+    """How long a ``worker_stall``/``lease_stall`` fault sleeps (its
+    spec's value, default 30)."""
+    _plan()
+    return max(0.0, _values.get(name, 30.0))
 
 
 def partition_requests() -> int:
-    """How many requests a ``net_partition`` window fails
-    (``REPRO_FAULT_PARTITION_REQUESTS``)."""
-    raw = os.environ.get(_PARTITION_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 8
+    """How many requests a ``net_partition`` window fails (its spec's
+    value, default 8)."""
+    _plan()
+    return max(1, int(_values.get("net_partition", 8)))
 
 
 def worker_entry(attempt: int) -> None:
@@ -254,4 +260,4 @@ def worker_entry(attempt: int) -> None:
     if should_fire("worker_stall", attempt):
         import time
 
-        time.sleep(stall_seconds())
+        time.sleep(stall_seconds("worker_stall"))

@@ -50,7 +50,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, IO, Iterator, Optional, Tuple
 
-from repro.common.env import env_number
 from repro.common.errors import StoreCorruptError
 from repro.resilience import checkpoint, faults
 from repro.trace.store import frame_payload, unframe_payload
@@ -67,9 +66,8 @@ DONE_SUFFIX = ".done"
 _RUN_ID_RE = re.compile(r"^(?P<ident>[0-9a-f]{8})-(?P<seq>\d{4})$")
 
 
-def default_journal_keep() -> int:
-    """Finished journals kept around (``REPRO_JOURNAL_KEEP``, default 8)."""
-    return env_number("REPRO_JOURNAL_KEEP", 8, 0)
+#: Finished journals kept around.
+JOURNAL_KEEP = 8
 
 
 def identity_digest(description) -> str:
@@ -395,7 +393,7 @@ class RunCheckpoint:
         if not jdir.is_dir():
             return 0
         if keep is None:
-            keep = default_journal_keep()
+            keep = JOURNAL_KEEP
         done = sorted(
             (p for p in jdir.iterdir() if p.name.endswith(DONE_SUFFIX)),
             key=lambda p: p.stat().st_mtime,

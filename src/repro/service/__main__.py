@@ -133,19 +133,22 @@ def _emit(response: dict) -> int:
 def _cmd_serve(args) -> int:
     from repro.service.server import CampaignServer
 
-    limits = ServiceLimits.from_env(
-        queue_max=args.queue_max,
-        tenant_max=args.tenant_max,
-        retry_after_s=args.retry_after,
-    )
+    def given(**flags):
+        """The flags set on the command line; the rest keep defaults."""
+        return {k: v for k, v in flags.items() if v is not None}
+
     server = CampaignServer(
         root=args.root,
         socket_path=args.socket,
         host=args.host,
         port=args.port,
-        limits=limits,
-        concurrency=args.concurrency,
+        limits=ServiceLimits(**given(
+            queue_max=args.queue_max,
+            tenant_max=args.tenant_max,
+            retry_after_s=args.retry_after,
+        )),
         default_deadline_s=args.deadline,
+        **given(concurrency=args.concurrency),
     )
     return asyncio.run(server.serve())
 

@@ -8,13 +8,15 @@ same verdict, and the chaos faults (``queue_full``, ``tenant_flood``)
 force each rejection branch without actually having to win a timing
 race against the executor.
 
-Knobs (environment, overridable per-server):
+Limits (:class:`ServiceLimits`, set by ``cord-serve serve`` flags):
 
-``REPRO_SVC_QUEUE_MAX``     total active (queued + running) jobs the
-                            server holds before rejecting (default 64)
-``REPRO_SVC_TENANT_MAX``    active jobs one tenant may hold (default 16)
-``REPRO_SVC_RETRY_AFTER_S`` the ``retry_after`` hint on rejections
-                            (default 1.0)
+``queue_max``     (``--queue-max``)   total active (queued + running)
+                                      jobs the server holds before
+                                      rejecting (default 64)
+``tenant_max``    (``--tenant-max``)  active jobs one tenant may hold
+                                      (default 16)
+``retry_after_s`` (``--retry-after``) the ``retry_after`` hint on
+                                      rejections (default 1.0)
 
 Fairness: :class:`FairQueue` is a round-robin over per-tenant FIFO
 queues -- one flooding tenant can fill *its* quota but never starve
@@ -28,50 +30,17 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from repro.common.env import env_number
 from repro.resilience import faults
 from repro.service import protocol
-
-QUEUE_MAX_ENV = "REPRO_SVC_QUEUE_MAX"
-TENANT_MAX_ENV = "REPRO_SVC_TENANT_MAX"
-RETRY_AFTER_ENV = "REPRO_SVC_RETRY_AFTER_S"
-
-_DEFAULT_QUEUE_MAX = 64
-_DEFAULT_TENANT_MAX = 16
-_DEFAULT_RETRY_AFTER = 1.0
 
 
 @dataclass(frozen=True)
 class ServiceLimits:
-    """The admission knobs, resolved once at server start."""
+    """The admission limits, fixed at server start."""
 
-    queue_max: int = _DEFAULT_QUEUE_MAX
-    tenant_max: int = _DEFAULT_TENANT_MAX
-    retry_after_s: float = _DEFAULT_RETRY_AFTER
-
-    @classmethod
-    def from_env(
-        cls,
-        queue_max: Optional[int] = None,
-        tenant_max: Optional[int] = None,
-        retry_after_s: Optional[float] = None,
-    ) -> "ServiceLimits":
-        return cls(
-            queue_max=(
-                queue_max if queue_max is not None
-                else env_number(QUEUE_MAX_ENV, _DEFAULT_QUEUE_MAX, 1)
-            ),
-            tenant_max=(
-                tenant_max if tenant_max is not None
-                else env_number(TENANT_MAX_ENV, _DEFAULT_TENANT_MAX, 1)
-            ),
-            retry_after_s=(
-                retry_after_s if retry_after_s is not None
-                else env_number(
-                    RETRY_AFTER_ENV, _DEFAULT_RETRY_AFTER, 0.0, float
-                )
-            ),
-        )
+    queue_max: int = 64
+    tenant_max: int = 16
+    retry_after_s: float = 1.0
 
 
 class AdmissionController:

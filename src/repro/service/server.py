@@ -49,7 +49,6 @@ from pathlib import Path
 from threading import Lock
 from typing import Dict, Optional, Set
 
-from repro.common.env import env_number
 from repro.common.errors import CordError
 from repro.experiments import pipeline
 from repro.resilience.checkpoint import INTERRUPTED_EXIT_CODE
@@ -87,22 +86,6 @@ from repro.trace.store import PackedTraceStore
 
 logger = logging.getLogger("repro.service.server")
 
-CONCURRENCY_ENV = "REPRO_SVC_CONCURRENCY"
-DEADLINE_ENV = "REPRO_SVC_DEADLINE_S"
-
-_DEFAULT_CONCURRENCY = 2
-
-
-def _env_optional_float(name: str) -> Optional[float]:
-    raw = os.environ.get(name, "").strip()
-    if raw:
-        try:
-            value = float(raw)
-            return value if value > 0 else None
-        except ValueError:
-            pass
-    return None
-
 
 class CampaignServer:
     """One campaign-service instance bound to a state root directory.
@@ -120,7 +103,7 @@ class CampaignServer:
         host: Optional[str] = None,
         port: int = 0,
         limits: Optional[ServiceLimits] = None,
-        concurrency: Optional[int] = None,
+        concurrency: int = 2,
         default_deadline_s: Optional[float] = None,
     ):
         self.root = Path(root)
@@ -130,15 +113,9 @@ class CampaignServer:
         )
         self.host = host
         self.port = port
-        self.limits = limits or ServiceLimits.from_env()
-        self.concurrency = concurrency or env_number(
-            CONCURRENCY_ENV, _DEFAULT_CONCURRENCY, 1
-        )
-        self.default_deadline_s = (
-            default_deadline_s
-            if default_deadline_s is not None
-            else _env_optional_float(DEADLINE_ENV)
-        )
+        self.limits = limits or ServiceLimits()
+        self.concurrency = concurrency
+        self.default_deadline_s = default_deadline_s
 
         self.registry = JobRegistry(self.root)
         #: Remote ``cord-worker`` pool; lease events land in the job WAL

@@ -54,7 +54,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.common.env import env_number
 
 HEARTBEAT_ENV = "REPRO_SVC_HEARTBEAT_S"
-MISS_ENV = "REPRO_SVC_HEARTBEAT_MISSES"
 LEASE_ENV = "REPRO_SVC_LEASE_S"
 
 _SAFE = re.compile(r"[^A-Za-z0-9_.-]+")
@@ -81,7 +80,9 @@ class RemoteTaskError(RuntimeError):
 
 
 class PoolLimits:
-    """Worker-pool knobs (all environment-overridable)."""
+    """Worker-pool limits; the heartbeat and lease periods read
+    ``REPRO_SVC_HEARTBEAT_S`` and ``REPRO_SVC_LEASE_S`` in
+    :meth:`from_env`."""
 
     def __init__(
         self,
@@ -97,7 +98,6 @@ class PoolLimits:
     def from_env(cls) -> "PoolLimits":
         return cls(
             heartbeat_s=env_number(HEARTBEAT_ENV, 2.0, 0.01, float),
-            miss_threshold=env_number(MISS_ENV, 5, 2),
             lease_s=env_number(LEASE_ENV, 120.0, 0.05, float),
         )
 

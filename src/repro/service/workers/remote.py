@@ -170,7 +170,7 @@ class WorkerAgent:
             os._exit(faults.WORKER_VANISH_EXIT_CODE)
         if stall:
             self._count("stalls")
-            time.sleep(faults.stall_seconds())
+            time.sleep(faults.stall_seconds("lease_stall"))
         if partition:
             with self._lock:
                 self._partition_left = faults.partition_requests()

@@ -25,7 +25,7 @@ from repro.trace.serialize import (
     encode_trace,
     view_packed_trace,
 )
-from repro.trace.store import PackedTraceStore, mmap_enabled
+from repro.trace.store import PackedTraceStore
 
 __all__ = [
     "ConflictSummary",
@@ -43,7 +43,6 @@ __all__ = [
     "decode_trace",
     "encode_packed_trace",
     "encode_trace",
-    "mmap_enabled",
     "summarize_conflicts",
     "view_packed_trace",
 ]

@@ -39,8 +39,8 @@ back as ``mmap``-backed :class:`~repro.trace.packed.PackedTrace` views:
 the frame checksum is verified over the mapped view (no copy), and the
 trace columns are ``memoryview`` casts straight into the page cache.
 Per-store counters split ``mmap_hits`` from ``eager_decodes`` (big-endian
-hosts, unmappable files, or ``REPRO_NO_MMAP=1``), so a warm sweep can
-assert it paid zero full deserializations.
+hosts or files ``mmap`` refuses), so a warm sweep can assert it paid
+zero full deserializations.
 """
 
 from __future__ import annotations
@@ -78,14 +78,6 @@ logger = logging.getLogger("repro.trace.store")
 #: 2 = checksummed framing; 3 = run entries are ``CORDRUN3`` containers
 #: only (pre-container pickled-dict entries miss by key).
 _STORE_SCHEMA = 3
-
-#: Escape hatch: disable mmap-backed reads (forces eager decode).
-NO_MMAP_ENV = "REPRO_NO_MMAP"
-
-
-def mmap_enabled() -> bool:
-    """Whether store reads may serve mmap-backed zero-copy traces."""
-    return not os.environ.get(NO_MMAP_ENV)
 
 _SAFE = re.compile(r"[^A-Za-z0-9._-]+")
 
@@ -186,8 +178,8 @@ class PackedTraceStore:
             disk vs. had to be re-recorded -- the kill-anywhere tests
             assert on these).  The zero-copy split: ``mmap_hits`` (run
             entries served as mmap-backed views, no deserialization) vs.
-            ``eager_decodes`` (full decode: big-endian hosts,
-            unmappable files, or ``REPRO_NO_MMAP=1``).  Reads never
+            ``eager_decodes`` (full decode: big-endian hosts or
+            files ``mmap`` refuses).  Reads never
             raise for any of these; the counters are how the healing
             stops being silent.
         fsync: whether writes fsync before their rename; ``None``
@@ -280,35 +272,33 @@ class PackedTraceStore:
         a Python ``bytes``.  Callers that keep column views over the
         payload must keep ``backing`` alive (``PackedTrace`` does, via
         its ``_backing`` slot).  Falls back to the eager
-        :meth:`_read_payload` when mmap is disabled or the file cannot
-        be mapped (e.g. an empty file, which ``mmap`` rejects -- the
-        eager path then quarantines it as a short frame).
+        :meth:`_read_payload` when the file cannot be mapped (e.g. an
+        empty file, which ``mmap`` rejects -- the eager path then
+        quarantines it as a short frame).
         """
-        if mmap_enabled():
-            try:
-                with open(path, "rb") as handle:
-                    mapped = mmap.mmap(
-                        handle.fileno(), 0, access=mmap.ACCESS_READ
-                    )
-            except FileNotFoundError:
-                return None, None
-            except (OSError, ValueError) as exc:
-                logger.debug(
-                    "cannot mmap store entry %s (%s); reading eagerly",
-                    path, exc,
+        try:
+            with open(path, "rb") as handle:
+                mapped = mmap.mmap(
+                    handle.fileno(), 0, access=mmap.ACCESS_READ
                 )
-            else:
-                view = memoryview(mapped)
-                try:
-                    payload = unframe_payload(view, what)
-                except StoreCorruptError as exc:
-                    # The in-flight traceback pins views over the map,
-                    # so teardown must tolerate outstanding exports.
-                    self._release(view, mapped)
-                    self._quarantine(path, exc)
-                    return None, None
-                return payload, mapped
-        return self._read_payload(path, what), None
+        except FileNotFoundError:
+            return None, None
+        except (OSError, ValueError) as exc:
+            logger.debug(
+                "cannot mmap store entry %s (%s); reading eagerly",
+                path, exc,
+            )
+            return self._read_payload(path, what), None
+        view = memoryview(mapped)
+        try:
+            payload = unframe_payload(view, what)
+        except StoreCorruptError as exc:
+            # The in-flight traceback pins views over the map, so
+            # teardown must tolerate outstanding exports.
+            self._release(view, mapped)
+            self._quarantine(path, exc)
+            return None, None
+        return payload, mapped
 
     @staticmethod
     def _release(payload, backing) -> None:
@@ -368,7 +358,7 @@ class PackedTraceStore:
         inside -- quarantines the entry and reports a miss, so the
         caller re-records instead of crashing or, worse, analyzing
         garbage.  Served zero-copy off an mmap when the entry is a
-        ``CORDRUN3`` container and :func:`mmap_enabled` allows it.
+        ``CORDRUN3`` container and the file can be mapped.
         """
         path = self._path("trace", namespace, components)
         payload, backing = self._map_payload(

@@ -12,6 +12,21 @@ from repro.workloads.base import WorkloadParams
 #: Tiny scale for workload-based tests (fast but structurally complete).
 TINY = WorkloadParams(scale=0.25, compute_grain=8)
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property suites skip themselves without it
+    pass
+else:
+    # Tier-1 draws the same examples on every run, and keeps no example
+    # database that could replay an earlier run's failure.
+    settings.register_profile("tier1", derandomize=True, database=None)
+    # CI's deep fuzz job draws fresh examples (``--hypothesis-profile
+    # fuzz-random``) and prints the blob that reproduces a failure.
+    settings.register_profile(
+        "fuzz-random", derandomize=False, database=None, print_blob=True
+    )
+    settings.load_profile("tier1")
+
 
 @pytest.fixture
 def tiny_params():

@@ -33,9 +33,8 @@ _SUITE_CONFIG = SuiteConfig(
 @pytest.fixture(autouse=True)
 def _fault_hygiene(monkeypatch):
     """Each test starts disarmed with a clean degradation log."""
-    for var in ("REPRO_FAULTS", "REPRO_FAULT_STALL_SECONDS",
-                "REPRO_TASK_TIMEOUT", "REPRO_MAX_RETRIES",
-                "REPRO_CROSS_CHECK", "REPRO_NO_FUSED"):
+    for var in ("REPRO_FAULTS", "REPRO_TASK_TIMEOUT", "REPRO_MAX_RETRIES",
+                "REPRO_CROSS_CHECK"):
         monkeypatch.delenv(var, raising=False)
     faults.reset()
     GUARD_LOG.clear()
@@ -107,9 +106,11 @@ class TestSweepUnderChaos:
 
     def test_kernel_path_fault_is_transparent(self, monkeypatch,
                                               baseline_sweep):
-        # Pin the entry tier to the kernel path so the fault point is
-        # actually reached, then blow up the first kernel pass.
-        monkeypatch.setenv("REPRO_NO_FUSED", "1")
+        # Pin the entry tier to the kernel path (no D group fuses) so
+        # the fault point is actually reached, then blow up the first
+        # kernel pass.
+        monkeypatch.setattr("repro.cord.fused.fuse_cord_detectors",
+                            lambda detectors, packed: frozenset())
         monkeypatch.setenv("REPRO_FAULTS", "kernel_raise:1")
         faults.arm()
         assert _sweep_key(_sweep()) == baseline_sweep
@@ -163,8 +164,7 @@ class TestSuiteFanOutUnderChaos:
 
     def test_hung_workers_are_reaped_and_retried(self, monkeypatch,
                                                  baseline_suite_digest):
-        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1")
-        monkeypatch.setenv("REPRO_FAULT_STALL_SECONDS", "10")
+        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1:10")
         monkeypatch.setenv("REPRO_TASK_TIMEOUT", "1.0")
         faults.arm()
         suite = Suite(_SUITE_CONFIG, jobs=2)

@@ -34,18 +34,17 @@ def _env(**extra):
         [SRC] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p]
     )
     env["REPRO_FSYNC"] = "0"
-    env["REPRO_SVC_RETRY_AFTER_S"] = str(RETRY_AFTER)
     env.pop("REPRO_FAULTS", None)
     env.update(extra)
     return env
 
 
 class _Server:
-    def __init__(self, root, **extra):
+    def __init__(self, root, flags=(), **extra):
         self.root = Path(root)
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro.service", "serve", "--root",
-             str(root)],
+             str(root), "--retry-after", str(RETRY_AFTER), *flags],
             env=_env(**extra),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
@@ -68,8 +67,8 @@ class _Server:
 def server_factory(tmp_path):
     servers = []
 
-    def start(subdir="root", **extra):
-        server = _Server(tmp_path / subdir, **extra)
+    def start(subdir="root", flags=(), **extra):
+        server = _Server(tmp_path / subdir, flags, **extra)
         servers.append(server)
         return server
 
@@ -99,8 +98,7 @@ def test_flood_backpressure_zero_dropped(server_factory):
     bound.
     """
     server = server_factory(
-        REPRO_SVC_QUEUE_MAX="2",
-        REPRO_SVC_CONCURRENCY="1",
+        flags=("--queue-max", "2", "--concurrency", "1"),
     )
     client = server.client
     rejections = []
@@ -155,9 +153,8 @@ def test_fault_forced_rejection_branches(server_factory):
 
 def test_tenant_quota_isolates_tenants(server_factory):
     server = server_factory(
-        REPRO_SVC_QUEUE_MAX="10",
-        REPRO_SVC_TENANT_MAX="1",
-        REPRO_SVC_CONCURRENCY="1",
+        flags=("--queue-max", "10", "--tenant-max", "1",
+               "--concurrency", "1"),
     )
     client = server.client
     a1 = client.submit("fft", runs=4, seed=21, scale=0.5, tenant="alice")
@@ -204,7 +201,7 @@ def test_cross_tenant_dedup_is_counted(server_factory):
 
 
 def test_cancel_queued_and_running(server_factory):
-    server = server_factory(REPRO_SVC_CONCURRENCY="1")
+    server = server_factory(flags=("--concurrency", "1"))
     client = server.client
     running = client.submit("fft", runs=8, seed=41, scale=1.0)
     queued = client.submit("fft", runs=8, seed=42, scale=1.0)
@@ -248,8 +245,7 @@ def test_drain_mid_flood_drops_nothing(server_factory, tmp_path):
     """Drain with a full queue: exit 71, restart completes every job."""
     server = server_factory(
         "flood-root",
-        REPRO_SVC_QUEUE_MAX="8",
-        REPRO_SVC_CONCURRENCY="1",
+        flags=("--queue-max", "8", "--concurrency", "1"),
     )
     client = server.client
     accepted = [

@@ -245,6 +245,11 @@ def test_held_lease_wakes_on_task_and_on_drain(tmp_path):
 TRANSITIONS = ["granted", "executed", "pushed", "completed"]
 
 
+#: The value field of the matrix faults that take one: a 5 s stall and
+#: a 4-request partition.
+_FAULT_VALUES = {"lease_stall": 5, "net_partition": 4}
+
+
 @pytest.mark.parametrize("tick", [1, 2, 3, 4],
                          ids=lambda t: TRANSITIONS[t - 1])
 @pytest.mark.parametrize("fault", [
@@ -258,13 +263,13 @@ def test_fault_matrix_byte_identity(tmp_path, warm, fault, tick):
     matter where the fault lands; the job must finish (reassignment or
     local fallback) with the byte-identical report.
     """
+    spec = "%s:%d" % (fault, tick)
+    if fault in _FAULT_VALUES:
+        spec += ":%d" % _FAULT_VALUES[fault]
     root = _prewarmed_root(tmp_path, warm)
     server = _start_server(root)
     worker = _start_worker(
-        root, tmp_path / "wk1", "armed",
-        REPRO_FAULTS="%s:%d" % (fault, tick),
-        REPRO_FAULT_STALL_SECONDS="5",
-        REPRO_FAULT_PARTITION_REQUESTS="4",
+        root, tmp_path / "wk1", "armed", REPRO_FAULTS=spec,
     )
     try:
         client = _client(root)
@@ -300,8 +305,8 @@ def test_lease_stall_is_expired_and_deduped(tmp_path, warm):
     server = _start_server(root)
     worker = _start_worker(
         root, tmp_path / "wk1", "staller",
-        REPRO_FAULTS="lease_stall:2",  # stall after executing its lease
-        REPRO_FAULT_STALL_SECONDS="5",
+        # Stall for 5 s after executing its lease.
+        REPRO_FAULTS="lease_stall:2:5",
     )
     try:
         client = _client(root)

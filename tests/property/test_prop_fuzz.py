@@ -169,3 +169,28 @@ def test_shrink_preserves_the_failing_invariant():
     assert any(
         d.invariant == "subset" for d in oracle(result.program)
     )
+
+
+#: A fuzz find: a flag set by two threads, with a lock word on the flag's
+#: line.  The lock write's upgrade folds the other thread's flag write
+#: into the global memory pair, and a sync write takes only ``+1`` from
+#: that pair, so CORD-D16 flags ``(1, 5)`` although Ideal does not.
+DISPLACED_SYNC_WRITE = FuzzProgram(
+    threads=(
+        (("read", 0), ("read", 0), ("read", 0), ("read", 0), ("read", 0),
+         ("lock", 0)),
+        (("read", 0), ("read", 0), ("lock", 0), ("set", 0), ("write", 0)),
+        (("set", 0), ("read", 0), ("set", 0)),
+    ),
+    n_words=6, n_mutexes=3, n_flags=3,
+)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 14: a sync write takes only +1 from the global "
+    "memory pair, so a displaced first sync write leaves a false race",
+)
+def test_displaced_sync_write_witness():
+    found = check_program(DISPLACED_SYNC_WRITE, 166)
+    assert not found, [str(d) for d in found]

@@ -15,7 +15,7 @@ on hypothesis-generated racy programs and on golden workloads:
   ``process_batch`` path (``run``);
 * **fused vs per-config** -- detectors the interval-fused sweep pass
   materializes equal the same configurations interpreted concretely,
-  and ``REPRO_NO_FUSED=1`` disables fusion entirely;
+  and nothing fuses without the numpy plans;
 * **16-bit clock wraparound** -- the equivalences hold for window-mode
   configurations whose clocks actually wrap the hardware width, and for
   unbounded clocks started beyond 2^16.
@@ -29,7 +29,7 @@ from hypothesis import given, settings
 
 from repro.cachesim.cache import CacheGeometry
 from repro.cord import CordConfig, CordDetector
-from repro.cord.fused import fuse_cord_detectors, fusion_enabled
+from repro.cord.fused import fuse_cord_detectors
 from repro.detectors import IdealDetector, LimitedVectorDetector
 from repro.detectors.epoch import EpochDetector
 from repro.engine import run_program
@@ -220,10 +220,8 @@ def test_fused_sweep_equivalent_golden():
         assert fused_sigs == _sweep_sigs_concrete(
             trace, program.n_threads
         )
-    # The property is vacuous if the ladder never fuses anything real
-    # (unless fusion is deliberately disabled via REPRO_NO_FUSED).
-    if fusion_enabled():
-        assert fused_any > 0, "no golden sweep produced a fused suffix"
+    # The property is vacuous if the ladder never fuses anything real.
+    assert fused_any > 0, "no golden sweep produced a fused suffix"
 
 
 def test_fused_respects_escape_hatches():
@@ -232,17 +230,7 @@ def test_fused_respects_escape_hatches():
     dets = [
         CordDetector(CordConfig(d=d), program.n_threads) for d in D_SWEEP
     ]
-    saved = os.environ.get("REPRO_NO_FUSED")
-    os.environ["REPRO_NO_FUSED"] = "1"
-    try:
-        assert not fusion_enabled()
-        assert fuse_cord_detectors(dets, trace.packed) == frozenset()
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_NO_FUSED", None)
-        else:
-            os.environ["REPRO_NO_FUSED"] = saved
-    # Fusion also requires the kernels (the fused pass interprets the
-    # same plans); under the no-numpy hatch nothing is fused either.
+    # Fusion requires the kernels (the fused pass interprets the same
+    # plans); under the no-numpy hatch nothing is fused.
     with scalar_fallback():
         assert fuse_cord_detectors(dets, trace.packed) == frozenset()

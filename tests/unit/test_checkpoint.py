@@ -20,7 +20,7 @@ import time
 import pytest
 
 from repro.common.errors import InterruptedRunError, StoreCorruptError
-from repro.resilience import faults
+from repro.resilience import checkpoint, faults, journal
 from repro.resilience.checkpoint import (
     GracefulShutdown,
     atomic_write_bytes,
@@ -47,9 +47,6 @@ from repro.resilience.journal import (
 @pytest.fixture(autouse=True)
 def _fault_hygiene(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_JOURNAL_KEEP", raising=False)
-    monkeypatch.delenv("REPRO_QUARANTINE_KEEP", raising=False)
-    monkeypatch.delenv("REPRO_QUARANTINE_MAX_AGE_S", raising=False)
     faults.reset()
     yield
     faults.reset()
@@ -169,9 +166,10 @@ class TestQuarantinePrune:
         assert prune_quarantine(tmp_path / "quarantine") == 0
 
     def test_env_defaults_respected(self, tmp_path, monkeypatch):
+        # Without arguments the module-level defaults apply.
         qdir = tmp_path / "quarantine"
         self._seed(qdir, 4)
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "1")
+        monkeypatch.setattr(checkpoint, "QUARANTINE_KEEP", 1)
         assert prune_quarantine(qdir) == 3
         assert len(self._entries(qdir)) == 1
 
@@ -454,7 +452,7 @@ class TestJournal:
 
     def test_finished_journals_pruned_at_startup(self, tmp_path,
                                                  monkeypatch):
-        monkeypatch.setenv("REPRO_JOURNAL_KEEP", "2")
+        monkeypatch.setattr(journal, "JOURNAL_KEEP", 2)
         for _ in range(4):
             ckpt = RunCheckpoint.open(
                 tmp_path, identity=_ident(), resume="fresh"

@@ -399,7 +399,11 @@ class TestPackedTraceStore:
             assert packed.zero_copy
             assert store.stats["mmap_hits"] == 1
             assert store.stats["eager_decodes"] == 0
-        monkeypatch.setenv("REPRO_NO_MMAP", "1")
+        # A file mmap refuses falls back to the eager read.
+        def refuse(*args, **kwargs):
+            raise OSError("mmap refused")
+
+        monkeypatch.setattr("repro.trace.store.mmap.mmap", refuse)
         eager = PackedTraceStore(tmp_path)
         packed2, _ = eager.load_run(*key)
         assert not packed2.zero_copy

@@ -44,7 +44,6 @@ from tests.conftest import build_counter_program
 def _fault_hygiene(monkeypatch):
     """Every test starts and ends with no faults armed."""
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_STALL_SECONDS", raising=False)
     monkeypatch.delenv("REPRO_TASK_TIMEOUT", raising=False)
     monkeypatch.delenv("REPRO_MAX_RETRIES", raising=False)
     faults.reset()
@@ -83,6 +82,19 @@ class TestFaults:
         assert faults.should_fire("a", 0) and not faults.should_fire("a", 1)
         assert faults.should_fire("b", 2)
         assert faults.should_fire("c", 0)  # malformed count -> 1
+
+    def test_spec_value_field(self):
+        faults.arm("lease_stall:2:5, net_partition:3:4, worker_stall:1:nan")
+        assert faults.stall_seconds("lease_stall") == 5.0
+        assert faults.partition_requests() == 4
+        # A malformed value keeps the default; the charge still arms.
+        assert faults.stall_seconds("worker_stall") == 30.0
+        assert faults.should_fire("worker_stall", 0)
+        faults.arm("net_partition:1:0")
+        assert faults.partition_requests() == 1
+        faults.arm("")
+        assert faults.stall_seconds("lease_stall") == 30.0
+        assert faults.partition_requests() == 8
 
     def test_default_charge_is_one(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULTS", "store_truncate")
@@ -125,8 +137,7 @@ class TestSupervisor:
             assert "died" in out.errors[0]
 
     def test_hung_worker_hits_deadline(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1")
-        monkeypatch.setenv("REPRO_FAULT_STALL_SECONDS", "30")
+        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1:30")
         faults.arm()
         results, report = Supervisor(2, timeout=1.0).run_stream(
             _square, [("a", 2), ("b", 3)]
@@ -172,8 +183,7 @@ class TestSupervisor:
         # Forked children inherit the parent's GracefulShutdown handler;
         # unless they reset it, terminate() only logs a drain request in
         # the child and each reap waits out its join before kill().
-        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1")
-        monkeypatch.setenv("REPRO_FAULT_STALL_SECONDS", "30")
+        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1:30")
         faults.arm()
         tasks = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
         # pytest captures log records in memory, so route the drain
@@ -259,14 +269,13 @@ class TestGuard:
     def test_kernel_failure_degrades_to_scalar(self, monkeypatch):
         packed = _packed_trace()
         baseline = compute_outcomes(_cord_specs(), 4, packed)
-        # Disable fusion so the kernel tier actually runs per config,
+        # Skip fusion so the kernel tier actually runs per config,
         # then blow up the first kernel pass.
-        monkeypatch.setenv("REPRO_NO_FUSED", "1")
         monkeypatch.setenv("REPRO_FAULTS", "kernel_raise:1")
         faults.arm()
         log = GuardLog()
         outcomes = compute_outcomes(_cord_specs(), 4, packed,
-                                    guard_log=log)
+                                    guard_log=log, allow_fused=False)
         assert log.count("kernel") == 1
         for name in baseline:
             assert outcomes[name].flagged == baseline[name].flagged

@@ -8,6 +8,7 @@ not need a live server process (the integration suites cover that).
 """
 
 import dataclasses
+import inspect
 import os
 import signal
 import threading
@@ -25,6 +26,7 @@ from repro.injection.campaign import (
 from repro.resilience import faults
 from repro.resilience.procpool import ProcessPool
 from repro.service import protocol
+from repro.service.__main__ import main as service_main
 from repro.service.admission import (
     AdmissionController,
     FairQueue,
@@ -126,18 +128,38 @@ def test_error_response_carries_retry_hint():
 # -- admission ----------------------------------------------------------------
 
 
-def test_limits_env_and_overrides(monkeypatch):
-    monkeypatch.setenv("REPRO_SVC_QUEUE_MAX", "5")
-    monkeypatch.setenv("REPRO_SVC_TENANT_MAX", "2")
-    monkeypatch.setenv("REPRO_SVC_RETRY_AFTER_S", "0.25")
-    limits = ServiceLimits.from_env()
-    assert (limits.queue_max, limits.tenant_max, limits.retry_after_s) == (
-        5, 2, 0.25,
+def test_serve_flags_override_constructor_defaults(monkeypatch):
+    from repro.service.server import CampaignServer
+
+    built = []
+
+    class _Server:
+        def __init__(self, **kwargs):
+            built.append(kwargs)
+
+        async def serve(self):
+            return 0
+
+    monkeypatch.setattr("repro.service.server.CampaignServer", _Server)
+    assert service_main(["serve", "--root", "r"]) == 0
+    assert service_main([
+        "serve", "--root", "r", "--queue-max", "9", "--retry-after",
+        "0.25", "--concurrency", "3", "--deadline", "60",
+    ]) == 0
+    defaults, flagged = built
+    assert defaults["limits"] == ServiceLimits()
+    assert (ServiceLimits().queue_max, ServiceLimits().tenant_max,
+            ServiceLimits().retry_after_s) == (64, 16, 1.0)
+    assert "concurrency" not in defaults
+    assert defaults["default_deadline_s"] is None
+    params = inspect.signature(CampaignServer).parameters
+    assert params["concurrency"].default == 2
+    # A flag sets its value; the unset ones keep the defaults.
+    assert flagged["limits"] == ServiceLimits(queue_max=9,
+                                              retry_after_s=0.25)
+    assert (flagged["concurrency"], flagged["default_deadline_s"]) == (
+        3, 60.0,
     )
-    # Explicit arguments beat the environment.
-    limits = ServiceLimits.from_env(queue_max=9)
-    assert limits.queue_max == 9
-    assert limits.tenant_max == 2
 
 
 def test_admission_decision_order():

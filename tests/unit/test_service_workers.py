@@ -197,14 +197,13 @@ def test_client_connect_retry_budget_is_bounded(tmp_path):
 
 def test_pool_limits_from_env(monkeypatch):
     monkeypatch.setenv("REPRO_SVC_HEARTBEAT_S", "0.5")
-    monkeypatch.setenv("REPRO_SVC_HEARTBEAT_MISSES", "7")
     monkeypatch.setenv("REPRO_SVC_LEASE_S", "9")
     limits = PoolLimits.from_env()
     assert (limits.heartbeat_s, limits.miss_threshold,
-            limits.lease_s) == (0.5, 7, 9.0)
+            limits.lease_s) == (0.5, 5, 9.0)
     # Floors hold against nonsense.
-    monkeypatch.setenv("REPRO_SVC_HEARTBEAT_MISSES", "0")
-    assert PoolLimits.from_env().miss_threshold == 2
+    monkeypatch.setenv("REPRO_SVC_LEASE_S", "0")
+    assert PoolLimits.from_env().lease_s == 0.05
 
 
 # -- liveness -----------------------------------------------------------------

@@ -27,7 +27,7 @@ from repro.experiments.runner import (
     default_cache_dir,
     default_jobs,
 )
-from repro.resilience import faults
+from repro.resilience import checkpoint, faults
 from repro.resilience.journal import WAL_SUFFIX, replay
 from repro.workloads import WorkloadParams
 
@@ -276,8 +276,7 @@ class TestCheckpointedSuite:
 
     @pytest.fixture(autouse=True)
     def _fault_hygiene(self, monkeypatch):
-        for var in ("REPRO_FAULTS", "REPRO_MAX_RETRIES",
-                    "REPRO_QUARANTINE_KEEP", "REPRO_JOURNAL_KEEP"):
+        for var in ("REPRO_FAULTS", "REPRO_MAX_RETRIES"):
             monkeypatch.delenv(var, raising=False)
         monkeypatch.setenv("REPRO_FSYNC", "0")  # test-speed writes
         faults.reset()
@@ -431,7 +430,7 @@ class TestCheckpointedSuite:
             path.write_bytes(b"damaged")
             (qdir / (path.name + ".reason.txt")).write_text("why\n")
             os.utime(path, (now - 100 + index, now - 100 + index))
-        monkeypatch.setenv("REPRO_QUARANTINE_KEEP", "2")
+        monkeypatch.setattr(checkpoint, "QUARANTINE_KEEP", 2)
         suite = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
         suite.campaigns()
         assert suite.warnings["quarantine_pruned"] == 3

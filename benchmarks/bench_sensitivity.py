@@ -28,6 +28,7 @@ import shutil
 import statistics
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,51 @@ def _alternating_medians(*arms):
         (statistics.median(times), result)
         for times, result in zip(seconds, results)
     ]
+
+
+def _per_config_d_sweep(workloads, d_values, runs_per_app, params,
+                        base_seed=2006):
+    """The D sweep on the legacy per-configuration protocol the
+    record-once gates measure against: every (workload, D point) gets
+    its own campaign -- own dry run, own simulations, per-event-object
+    detector passes -- and the same pooled rates as
+    :func:`d_sensitivity`."""
+    from repro.cord import CordConfig, CordDetector
+    from repro.detectors import IdealDetector
+    from repro.detectors.registry import DetectorSpec
+    from repro.experiments.sensitivity import SweepResult
+    from repro.injection.campaign import (
+        CampaignConfig,
+        run_campaign_per_config,
+    )
+    from repro.workloads.registry import get_workload
+
+    ideal = DetectorSpec("Ideal", lambda n: IdealDetector(n))
+    problems, races = Counter(), Counter()
+    for app in workloads:
+        factory = get_workload(app).program_factory(params)
+        for index, d in enumerate(d_values):
+            name = "D=%d" % d
+            campaign = run_campaign_per_config(factory, app, CampaignConfig(
+                n_runs=runs_per_app,
+                base_seed=base_seed,
+                detectors=[ideal, DetectorSpec(
+                    name, lambda n, d=d: CordDetector(CordConfig(d=d), n),
+                )],
+            ))
+            # Every campaign recomputes the same Ideal pass; count the
+            # denominators once.
+            for detector in [name] + (["Ideal"] if index == 0 else []):
+                problems[detector] += campaign.problems_detected(detector)
+                races[detector] += campaign.races_detected(detector)
+    names = ["D=%d" % d for d in d_values]
+    return SweepResult(
+        "D", list(d_values),
+        [problems[name] / problems["Ideal"] if problems["Ideal"] else 0.0
+         for name in names],
+        [races[name] / races["Ideal"] if races["Ideal"] else 0.0
+         for name in names],
+    )
 
 
 def test_d_sensitivity_curve(benchmark):
@@ -172,7 +218,7 @@ def test_record_once_speedup():
     )
     (shared_s, shared), (legacy_s, legacy) = _alternating_medians(
         lambda: _timed(d_sensitivity, **kwargs),
-        lambda: _timed(d_sensitivity, mode="per-config", **kwargs),
+        lambda: _timed(_per_config_d_sweep, **kwargs),
     )
 
     # Same sweep, same reports -- sharing recordings changes cost only.
@@ -222,7 +268,7 @@ def test_cold_sweep_speedup():
 
     (cold_s, cold), (legacy_s, legacy) = _alternating_medians(
         cold_arm,
-        lambda: _timed(d_sensitivity, mode="per-config", **kwargs),
+        lambda: _timed(_per_config_d_sweep, **kwargs),
     )
 
     assert cold.points == legacy.points
@@ -278,7 +324,7 @@ def test_warm_sweep_zero_copy():
         )
         (warm_s, warm), (legacy_s, legacy) = _alternating_medians(
             warm_arm,
-            lambda: _timed(d_sensitivity, mode="per-config", **kwargs),
+            lambda: _timed(_per_config_d_sweep, **kwargs),
         )
     finally:
         shutil.rmtree(root, ignore_errors=True)
@@ -347,13 +393,15 @@ def test_pipeline_speedup():
     fft or lu, so campaign-level pooling idles every worker behind the
     ocean campaign while run-level scheduling keeps them fed): serial
     and the run-level pipelined scheduler, each a ``Suite`` on a fresh
-    cache directory, and campaign-per-task pooling, defined here as
-    :meth:`Supervisor.run_stream` over one whole-campaign task per
-    workload.  Campaign digests must be equal across all three arms and
-    the serial and pipelined cache trees byte-identical -- the
-    scheduler changes *where* work runs, never what it computes -- and
-    the pipelined wall clock must beat campaign pooling by
-    ``CORD_PIPELINE_SPEEDUP_MIN`` (default 1.5).
+    cache directory, and campaign-per-task pooling, defined here as one
+    whole-campaign task per workload streamed onto a
+    :class:`~repro.resilience.procpool.ProcessPool` by
+    :func:`~repro.experiments.pipeline.inline_stream`, as the Suite
+    streams its stage tasks.  Campaign digests must be equal across
+    all three arms and the serial and pipelined cache trees
+    byte-identical -- the scheduler changes *where* work runs, never
+    what it computes -- and the pipelined wall clock must beat campaign
+    pooling by ``CORD_PIPELINE_SPEEDUP_MIN`` (default 1.5).
 
     The gate needs real parallel hardware: below 4 CPUs the pool arms
     mostly timeshare one core and the comparison measures scheduler
@@ -361,8 +409,9 @@ def test_pipeline_speedup():
     ``CORD_PIPELINE_BENCH_FORCE=1`` to run the byte-identity checks
     anyway, e.g. with ``CORD_PIPELINE_SPEEDUP_MIN=0``).
     """
+    from repro.experiments.pipeline import inline_stream
     from repro.experiments.runner import Suite, SuiteConfig
-    from repro.resilience.supervisor import Supervisor
+    from repro.resilience.procpool import ProcessPool
 
     cpus = os.cpu_count() or 1
     if cpus < 4 and not os.environ.get("CORD_PIPELINE_BENCH_FORCE"):
@@ -398,12 +447,19 @@ def test_pipeline_speedup():
 
     def run_campaign_pool():
         names = config.workload_names()
+        finished = {}
         start = time.perf_counter()
-        finished, _report = Supervisor(
-            jobs=min(jobs, len(names)), seed=config.base_seed,
-        ).run_stream(
-            _whole_campaign, [(name, (name, config)) for name in names],
+        pool = ProcessPool(
+            _whole_campaign, min(jobs, len(names)), seed=config.base_seed,
         )
+        pool.start()
+        try:
+            inline_stream(pool.run, width=pool.processes)(
+                [(name, (name, config)) for name in names],
+                lambda name, value, _submit: finished.update({name: value}),
+            )
+        finally:
+            pool.shutdown()
         wall = time.perf_counter() - start
         return wall, _campaign_digest(
             {name: finished[name] for name in names}

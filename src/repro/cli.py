@@ -134,37 +134,39 @@ def _cmd_figures(args) -> int:
 
 
 def _print_profile(suite) -> None:
-    """Render the last fan-out's per-stage timing breakdown."""
+    """Render the last run's per-stage timing breakdown."""
+    from collections import Counter
+
     from repro.common.texttable import format_table
 
-    report = suite.last_report
-    if report is None or not report.outcomes:
-        print("profile: no fan-out ran (all campaigns cache-served)")
+    if not suite.task_timings:
+        print("profile: no stage task ran (all campaigns cache-served)")
         return
-    totals = report.profile()
-    if totals:
-        print(format_table(
-            ["stage", "seconds"],
-            sorted(totals.items()),
-            title="Aggregate stage time (summed across tasks)",
-        ))
-        print()
-    rows = [
-        (
-            out.name, out.path, out.attempts,
-            out.timings.get("record_s", 0.0),
-            out.timings.get("store_io_s", 0.0),
-            out.timings.get("analyze_s", 0.0),
-            out.timings.get("task_s", 0.0),
-        )
-        for out in report.outcomes
-    ]
+    stages = ["record_s", "store_io_s", "analyze_s", "task_s"]
+    totals: Counter = Counter()
+    for _name, timings in suite.task_timings:
+        totals.update(timings)
     print(format_table(
-        ["task", "path", "tries", "record_s", "store_io_s",
-         "analyze_s", "task_s"],
-        rows,
+        ["stage", "seconds"],
+        sorted(totals.items()),
+        title="Aggregate stage time (summed across tasks)",
+    ))
+    print()
+    print(format_table(
+        ["task"] + stages,
+        [
+            [name] + [timings.get(stage, 0.0) for stage in stages]
+            for name, timings in suite.task_timings
+        ],
         title="Per-task stage timings",
     ))
+    counts = suite.pool_counts
+    if counts is None:
+        print("stage pool: none (jobs=1, every task ran in-process)")
+    else:
+        print("stage pool: " + " ".join(
+            "%s=%d" % item for item in counts.items()
+        ))
 
 
 def _cmd_characterize(args) -> int:

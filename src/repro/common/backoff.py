@@ -1,6 +1,6 @@
 """Capped exponential backoff with deterministic jitter.
 
-One delay schedule serves every retry loop: the supervisor's task
+One delay schedule serves every retry loop: the process pool's task
 retries, the service client's connect retries, and a worker's
 registration, lease and completion retries.
 """

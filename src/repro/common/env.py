@@ -21,17 +21,17 @@ it buys, and which CI step or test needs it.
     ``test_cli.py``, ``test_record_once.py`` and
     ``test_pipeline_scheduler.py``.
 ``REPRO_TASK_TIMEOUT``
-    *Set by* users and tests.  *Buys* the process pool's per-task
-    deadline (default 600 s); it is the only way to set it for
-    ``figures --jobs N``, ``cord-serve`` and ``cord-worker``.  *Needed
-    by* ``test_procpool.py``, ``test_resilience.py`` and
+    *Set by* users and tests.  *Buys* the per-task deadline (default
+    600 s) of :class:`~repro.resilience.procpool.ProcessPool`, its only
+    reader; it is the only way to set it for ``figures --jobs N``,
+    ``cord-serve`` and ``cord-worker``, which all run their stage tasks
+    through ``ProcessPool.run``.  *Needed by*
     ``test_chaos_pipeline.py``.
 ``REPRO_MAX_RETRIES``
     *Set by* users and tests.  *Buys* the pool's retries of a task whose
-    process died (default 2), for the same three commands.  *Needed by*
-    ``test_procpool.py``, ``test_resilience.py``,
-    ``test_chaos_pipeline.py``, ``test_suite_runner.py`` and
-    ``test_pipeline_scheduler.py``.
+    process died or hung (default 2) before it runs in-process, for the
+    same three commands; ``ProcessPool`` is its only reader too.
+    *Needed by* ``test_suite_runner.py``.
 ``REPRO_FSYNC``
     *Set by* CI's kill/resume, service and multi-host smokes, and most
     store-writing tests (``0``).  *Buys* skipping the fsync before each

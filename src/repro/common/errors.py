@@ -49,17 +49,21 @@ class PipelineError(CordError, RuntimeError):
     Base class of the resilience taxonomy: everything under it marks a
     fault in our own record/analyze machinery -- a dead worker, a
     corrupted cache entry, an accelerated path that had to be abandoned.
-    The simulated CORD hardware never raises these; the supervisor,
-    trace store, and degradation ladder do (see ``docs/resilience.md``).
+    The simulated CORD hardware never raises these; the trace store,
+    the journal and the degradation ladder do (see
+    ``docs/resilience.md``).  A stage task's own exception is re-raised
+    as itself, whether it ran in-process or on the process pool, so its
+    exit code does not depend on ``--jobs``.
     """
 
 
 class WorkerTimeoutError(PipelineError):
-    """A supervised campaign worker missed its deadline (or died).
+    """A pool process missed a task's deadline.
 
-    Raised (or recorded in a :class:`~repro.resilience.supervisor.RunReport`)
-    when a fan-out task exhausts its retry budget; a single timeout only
-    triggers a backoff-and-retry, never this error.
+    :meth:`~repro.resilience.procpool.ProcessPool.run` logs it as the
+    detail of the lost attempt; the task is retried on a replacement
+    process, and once its retries are spent it runs in-process, so the
+    pool never raises this error itself.
     """
 
     def __init__(self, task, attempts, message=None):
@@ -86,10 +90,11 @@ class InterruptedRunError(PipelineError):
     """A campaign or sweep was interrupted at a resumable point.
 
     Raised when a graceful-shutdown request (SIGTERM/SIGINT, or the
-    chaos ``sigterm_drain`` fault) drains the pipeline mid-run: workers
-    are reaped, the write-ahead journal is flushed, and every finished
-    unit of work is already durable, so re-running with ``--resume``
-    (or the same cache directory) completes the run bit-identically.
+    chaos ``sigterm_drain`` fault) drains the pipeline mid-run: the
+    tasks in flight finish, the write-ahead journal is flushed, and
+    every finished unit of work is already durable, so re-running with
+    ``--resume`` (or the same cache directory) completes the run
+    bit-identically.
     The CLI maps this to exit code 71 -- "interrupted, resumable".
     """
 

@@ -44,23 +44,25 @@ Stages (``payload["stage"]``):
     returns the per-run :class:`~repro.injection.campaign.RunResult`
     rows.
 
-Every stage is idempotent and keyed into the store, so supervisor
-retries, serial fallbacks, and resumed runs recompute nothing that is
+Every stage is idempotent and keyed into the store, so pool retries,
+in-process fallbacks, and resumed runs recompute nothing that is
 already durable -- and recompute *identically* when they must (the
 deterministic-seeding contract).  Per-stage wall times come back in the
-``"timings"`` entry (``record_s`` / ``analyze_s`` / ``store_io_s``) and
-are merged into the task's :class:`~repro.resilience.supervisor
-.TaskOutcome` for :meth:`RunReport.profile`.  Each stage opens its own
-store and returns that store's counters in a ``"store"`` entry, so a
-caller running stages in other processes can still total them.
+``"timings"`` entry (``record_s`` / ``analyze_s`` / ``store_io_s``),
+which the Suite keeps per task for ``figures --profile``.  Each stage
+opens its own store and returns that store's counters in a ``"store"``
+entry, so a caller running stages in other processes can still total
+them.
 """
 
 from __future__ import annotations
 
 import tempfile
+import threading
 import time
 from collections import deque
 from dataclasses import dataclass
+from queue import Empty, SimpleQueue
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import InterruptedRunError, SimulationError
@@ -79,6 +81,9 @@ from repro.resilience.journal import RunCheckpoint, TaskCheckpoint
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import get_workload
+
+#: Longest wait between two ``stop`` polls of a streaming run.
+STOP_POLL_S = 0.1
 
 #: Analysis batch size: how many recorded runs one analyze task covers.
 #: Small enough that recording stays ahead of analysis and a retried
@@ -147,7 +152,7 @@ def _run_stage(payload: Dict, store) -> Dict:
         started = time.monotonic()
         sizing_seed = payload["sizing_seed"]
         sizing_key = ("sync_instances", sizing_seed)
-        # Re-probe before simulating: on a supervisor retry (or a
+        # Re-probe before simulating: on a pool retry (or a
         # concurrent suite over the same store) the value may have
         # landed since this task was scheduled.
         instances = store.load_value(namespace, sizing_key)
@@ -254,24 +259,66 @@ def _noop(*_args) -> None:
 
 
 def inline_stream(
-    run_stage: Callable[[Dict], Dict],
+    run_task: Callable[[Dict, str], Dict],
     stop: Optional[Callable[[], bool]] = None,
+    width: int = 1,
 ) -> RunStream:
-    """A :data:`RunStream` that runs tasks one by one, first in first out.
+    """A :data:`RunStream` over ``width`` tasks at a time, first in first
+    out.
 
-    ``run_stage(payload)`` runs one task and blocks until it is done;
-    ``stop()`` is polled before every task, and a true answer ends the
-    stream as interrupted.
+    ``run_task(payload, name)`` (the signature of
+    :meth:`~repro.resilience.procpool.ProcessPool.run`) runs one task
+    and blocks until it is done: in this thread at ``width == 1``, else
+    on one of up to ``width`` threads.  ``on_result`` always runs here.
+
+    The drain rule: ``stop()`` is polled before each dispatch and at
+    least every :data:`STOP_POLL_S` while waiting; once true, nothing
+    new starts, the tasks in flight finish and their results are
+    delivered, and the stream returns interrupted if tasks were left.
+    The error rule: once a task (or ``on_result``) raises, nothing new
+    starts, the tasks in flight finish, and that first exception is
+    re-raised.
     """
     def run_stream(tasks, on_result) -> bool:
         queue = deque(tasks)
-        while queue:
-            if stop is not None and stop():
-                return True
-            name, payload = queue.popleft()
-            on_result(name, run_stage(payload),
-                      lambda *task: queue.append(task))
-        return False
+        settled: SimpleQueue = SimpleQueue()
+        running, stopped, failure = 0, False, None
+
+        def run(name: str, payload: Dict) -> None:
+            try:
+                settled.put((name, run_task(payload, name), None))
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                settled.put((name, None, exc))
+
+        while True:
+            while queue and running < width and not (stopped or failure):
+                stopped = stop is not None and stop()
+                if not stopped:
+                    running += 1
+                    task = queue.popleft()
+                    if width == 1:
+                        run(*task)
+                    else:
+                        threading.Thread(
+                            target=run, args=task, daemon=True
+                        ).start()
+            if not running:
+                break
+            try:
+                name, value, failed = settled.get(timeout=STOP_POLL_S)
+            except Empty:
+                stopped = stopped or (stop is not None and stop())
+                continue
+            running -= 1
+            if failure is None and failed is None:
+                try:
+                    on_result(name, value, lambda *task: queue.append(task))
+                except Exception as exc:  # noqa: BLE001 - re-raised below
+                    failed = exc
+            failure = failure or failed
+        if failure is not None:
+            raise failure
+        return bool(queue)
 
     return run_stream
 
@@ -531,7 +578,7 @@ def run_campaigns(
                 ckpt, run_stream, stop,
             )
     if run_stream is None:
-        def run_stage(payload: Dict) -> Dict:
+        def run_stage(payload: Dict, _name: str) -> Dict:
             value = run_stage_task(payload)
             store.stats.update(value["store"])
             return value

@@ -7,7 +7,7 @@ per-configuration columns are views over its injection runs.
 
 Campaigns are embarrassingly parallel -- every (workload, run) pair is
 an independent deterministic computation -- so :meth:`Suite.campaigns`
-fans missing campaigns out over supervised worker processes (``jobs``
+fans missing campaigns out over a pool of worker processes (``jobs``
 argument, or the ``REPRO_JOBS`` environment variable).  Results are
 bit-identical regardless of ``jobs``: each campaign derives its seeds
 from ``(base_seed, workload)`` alone, and the fan-out only changes
@@ -23,16 +23,16 @@ persists finished campaigns keyed by the full parameter tuple, so
 re-running a figure script after an interruption -- or a second script
 over the same configuration -- skips straight to the views.
 
-Resilience: the fan-out runs under the supervisor
-(:mod:`repro.resilience.supervisor`) -- per-task deadlines
-(``REPRO_TASK_TIMEOUT``), retries with backoff (``REPRO_MAX_RETRIES``),
-and an in-process serial fallback when the pool is poisoned -- and every
-cache entry is wrapped in the checksummed frame from
-:mod:`repro.trace.store`, so a torn or bit-flipped pickle is detected,
-quarantined under ``<cache>/quarantine/``, counted in
-:attr:`Suite.warnings`, and recomputed.  Results stay bit-identical no
-matter which path (first try, retry, or serial fallback) computed them;
-see ``docs/resilience.md``.
+Resilience: the fan-out runs on :mod:`repro.resilience.procpool` --
+per-task deadlines (``REPRO_TASK_TIMEOUT``), retries with backoff
+(``REPRO_MAX_RETRIES``), and an in-process fallback when retries run
+out or the pool is poisoned -- and every cache entry is wrapped in the
+checksummed frame from :mod:`repro.trace.store`, so a torn or
+bit-flipped pickle is detected, quarantined under
+``<cache>/quarantine/``, counted in :attr:`Suite.warnings`, and
+recomputed.  Results stay bit-identical no matter which path (first
+try, retry, or in-process fallback) computed them; see
+``docs/resilience.md``.
 
 Crash consistency: with a cache directory the suite is *checkpointed*
 (:mod:`repro.resilience.journal`): every campaign's lifecycle is logged
@@ -53,10 +53,11 @@ import hashlib
 import logging
 import os
 import pickle
+import time
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.env import env_number
 from repro.common.errors import InterruptedRunError, StoreCorruptError
@@ -71,7 +72,6 @@ from repro.resilience.checkpoint import (
     canonicalize,
 )
 from repro.resilience.journal import RunCheckpoint
-from repro.resilience.supervisor import RunReport, Supervisor, TaskOutcome
 from repro.trace.store import (
     PackedTraceStore,
     frame_payload,
@@ -155,9 +155,13 @@ class Suite:
         #: Cache-health counters (``corrupt``, ``io_errors``, ``stale``):
         #: every swallowed cache problem is counted here, never silent.
         self.warnings: Counter = Counter()
-        #: The supervisor's :class:`RunReport` from the most recent
-        #: pooled :meth:`campaigns` call (None when nothing fanned out).
-        self.last_report: Optional[RunReport] = None
+        #: ``(task name, stage seconds)`` of every stage task the most
+        #: recent run of missing campaigns ran, in completion order;
+        #: ``task_s`` is the whole task as its stream thread saw it.
+        self.task_timings: List[Tuple[str, Dict[str, float]]] = []
+        #: That run's pool counters (``pooled``, ``inline``,
+        #: ``replaced``, ``timeouts``); None when it ran in-process.
+        self.pool_counts: Optional[Dict[str, int]] = None
 
     @property
     def trace_store_dir(self) -> Optional[Path]:
@@ -277,7 +281,7 @@ class Suite:
 
         A cache miss runs through the same scheduler as
         :meth:`campaigns` -- with a cache directory journaled,
-        drain-able, and accounted in :attr:`last_report` -- so a
+        drain-able, and timed in :attr:`task_timings` -- so a
         single-workload script gets the identical crash-consistency
         story (and, with ``jobs > 1``, the run-level pipeline's
         intra-campaign parallelism).  Without a cache directory the
@@ -288,17 +292,17 @@ class Suite:
             if cached is not None:
                 self._campaigns[workload] = cached
             else:
-                self._run_pending([workload], [])
+                self._run_pending([workload])
         return self._campaigns[workload]
 
     def campaigns(self) -> Dict[str, CampaignResult]:
         """All campaigns (running any that have not run yet).
 
-        Missing campaigns run under the supervisor when ``jobs > 1``:
-        each task gets a deadline, dead or hung workers are detected and
-        retried with backoff, and a poisoned pool falls back to
-        in-process serial execution (``self.last_report`` holds the
-        per-task outcomes).  Disk cache hits never occupy a worker, and
+        Missing campaigns run on a process pool when ``jobs > 1``:
+        each task gets a deadline, dead or hung processes are replaced
+        and the task retried with backoff, and a task out of retries (or
+        a poisoned pool) runs in-process (:attr:`pool_counts` counts
+        each).  Disk cache hits never occupy a process, and
         results come back -- and land in the on-disk cache -- the same
         regardless of completion order, retries, or fallbacks, in
         canonical workload order, so two identical runs leave identical
@@ -318,16 +322,14 @@ class Suite:
             if name not in self._campaigns
         ]
         pending: List[str] = []
-        cache_hits: List[str] = []
         for name in missing:
             cached = self._cache_load(name)
             if cached is not None:
                 self._campaigns[name] = cached
-                cache_hits.append(name)
             else:
                 pending.append(name)
         if pending:
-            self._run_pending(pending, cache_hits)
+            self._run_pending(pending)
         # Canonical workload order, independent of which entries were
         # cache hits: figure tables iterate this dict, and their row
         # order must not depend on cache state.
@@ -378,9 +380,7 @@ class Suite:
         self.warnings.update(ckpt.stats)
         return ckpt
 
-    def _run_pending(
-        self, pending: List[str], cache_hits: List[str]
-    ) -> None:
+    def _run_pending(self, pending: List[str]) -> None:
         """Run the campaigns no cache could serve, on the run-level
         pipeline.
 
@@ -390,12 +390,12 @@ class Suite:
         """
         ckpt = self._open_checkpoint()
         if ckpt is None:
-            self._run_pipelined(pending, cache_hits)
+            self._run_pipelined(pending)
             return
         try:
             with GracefulShutdown() as shutdown:
                 self._run_pipelined(
-                    pending, cache_hits, ckpt, lambda: shutdown.requested
+                    pending, ckpt, lambda: shutdown.requested
                 )
             ckpt.finish()
         except InterruptedRunError:
@@ -407,7 +407,6 @@ class Suite:
     def _run_pipelined(
         self,
         pending: List[str],
-        cache_hits: List[str],
         ckpt: Optional[RunCheckpoint] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> None:
@@ -416,74 +415,69 @@ class Suite:
         :func:`repro.experiments.pipeline.run_campaigns` schedules the
         sizing, record and analyze tasks of every pending campaign, so
         recording overlaps analysis and the pool load-balances across
-        *runs* rather than campaigns.  At ``jobs == 1`` the tasks run
-        in this process; otherwise they share one
-        :meth:`~repro.resilience.supervisor.Supervisor.run_stream`
-        queue, whose report lands in :attr:`last_report`.
+        *runs* rather than campaigns.  At ``jobs == 1`` the tasks run in
+        this process; otherwise ``jobs`` stream threads each hand their
+        task to :meth:`~repro.resilience.procpool.ProcessPool.run` on a
+        pool of ``jobs`` processes, started for this call.  Every task's
+        stage timings land in :attr:`task_timings`, and the pool's
+        counters in :attr:`pool_counts`.
         """
         from repro.experiments import pipeline
 
         config = CampaignConfig(
             n_runs=self.config.runs_per_app, base_seed=self.config.base_seed
         )
-        supervisor = Supervisor(jobs=self.jobs, seed=self.config.base_seed)
+        self.task_timings, self.pool_counts = [], None
+        pool = None
+        if self.jobs > 1:
+            # Imported here, so an in-process run loads no pool code.
+            from repro.resilience.procpool import ProcessPool
 
-        def run_stream(tasks, on_result) -> bool:
-            def fold_timings(outcome, value, submit) -> None:
-                outcome.timings.update(value.get("timings", {}))
-                on_result(outcome.name, value, submit)
-
-            _results, report = supervisor.run_stream(
-                pipeline.run_stage_task, tasks,
-                on_result=fold_timings,
-                should_stop=should_stop,
+            pool = ProcessPool(
+                pipeline.run_stage_task, self.jobs,
+                seed=self.config.base_seed,
             )
-            self.last_report = self._account_tasks(report, cache_hits)
-            if report.degraded:
-                logger.warning("run-level fan-out: %s", report.summary())
-            return report.interrupted
+            try:
+                pool.start()
+            except OSError as exc:
+                logger.error("stage pool did not start (%s); tasks run "
+                             "in-process", exc)
 
-        pipeline.run_campaigns(
-            [
-                pipeline.Campaign(name, self.config.params, config)
-                for name in pending
-            ],
-            self.trace_store(),
-            self._commit,
-            ckpt,
-            run_stream if self.jobs > 1 else None,
-            should_stop,
-        )
+        def run_task(payload: Dict, name: str) -> Dict:
+            started = time.monotonic()
+            if pool is None:
+                value = pipeline.run_stage_task(payload)
+            else:
+                value = pool.run(payload, name)
+            self.task_timings.append((name, dict(
+                value["timings"], task_s=time.monotonic() - started,
+            )))
+            return value
+
+        try:
+            pipeline.run_campaigns(
+                [
+                    pipeline.Campaign(name, self.config.params, config)
+                    for name in pending
+                ],
+                self.trace_store(),
+                self._commit,
+                ckpt,
+                pipeline.inline_stream(run_task, should_stop, self.jobs),
+            )
+        finally:
+            if pool is not None:
+                health = pool.health()
+                self.pool_counts = {key: health[key] for key in (
+                    "pooled", "inline", "replaced", "timeouts",
+                )}
+                pool.shutdown()
 
     def _commit(self, name: str, result: CampaignResult) -> None:
         """Keep a finished campaign and write its cache entry, if any
         (canonicalized, so completion order changes no byte)."""
         self._campaigns[name] = result
         self._cache_store(name, result)
-
-    def _account_tasks(
-        self, report: RunReport, cache_hits: List[str]
-    ) -> RunReport:
-        """Cache-hit accounting for the task-level (pipelined) report.
-
-        The pool outcomes here are stage tasks, not workloads:
-        cache-served campaigns are prepended as zero-attempt ``"ok"``
-        rows with ``path="cache"`` (canonical workload order) ahead of
-        the stage rows, so every workload of the call is
-        visible in the report whether it was computed or replayed.
-        """
-        if not cache_hits:
-            return report
-        merged = RunReport(
-            pool_poisoned=report.pool_poisoned,
-            interrupted=report.interrupted,
-        )
-        merged.outcomes = [
-            TaskOutcome(name, status="ok", attempts=0, path="cache")
-            for name in self.config.workload_names()
-            if name in cache_hits
-        ] + report.outcomes
-        return merged
 
     # -- cross-app aggregates --------------------------------------------------
 

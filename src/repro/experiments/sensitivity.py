@@ -23,15 +23,10 @@ from repro.detectors.base import Detector
 from repro.detectors.ideal import IdealDetector
 from repro.detectors.registry import DetectorSpec
 from repro.experiments import pipeline
-from repro.injection.campaign import (
-    CampaignConfig,
-    CampaignResult,
-    run_campaign_per_config,
-)
+from repro.injection.campaign import CampaignConfig, CampaignResult
 from repro.resilience.checkpoint import run_interrupted
 from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
-from repro.workloads.registry import get_workload
 
 #: Default dense sweeps.
 D_VALUES = (1, 2, 4, 8, 16, 32, 64, 256)
@@ -90,93 +85,64 @@ def _run_sweep(
     runs_per_app: int,
     params: WorkloadParams,
     base_seed: int,
-    mode: str = "shared",
     trace_store: Optional[PackedTraceStore] = None,
     checkpoint=None,
 ) -> SweepResult:
-    """Pooled detection rates along one axis, in one of two modes.
+    """Pooled detection rates along one axis, recorded once.
 
-    ``"shared"`` (record-once / analyze-many, the default): one campaign
-    per application records each injected run exactly once and every
-    sweep point analyzes the shared packed trace.  The campaigns run as
-    stage tasks in this process
+    One campaign per application records each injected run exactly once
+    and every sweep point analyzes the shared packed trace.  The
+    campaigns run as stage tasks in this process
     (:func:`repro.experiments.pipeline.run_campaigns`), over
     ``trace_store`` (so recordings persist across sweeps) or else over
     a temporary store deleted on return.  Every stage's store counters
-    are added into ``trace_store.stats``.  ``"per-config"``: the
-    legacy protocol -- every sweep point gets its own campaign (own
-    dry-run, own simulations, per-event-object detector passes), the
-    cost model the record-once speedup is measured against.  Both modes
-    produce bit-identical results (seeds derive only from the base seed
-    and workload; the record-once suite asserts equality).
+    are added into ``trace_store.stats``.  The results are bit-identical
+    to giving every sweep point its own campaign
+    (:func:`~repro.injection.campaign.run_campaign_per_config`): seeds
+    derive only from the base seed and workload, and the record-once
+    suite asserts the equality.
 
     With a ``checkpoint`` (a
-    :class:`~repro.resilience.journal.RunCheckpoint`; shared mode with a
+    :class:`~repro.resilience.journal.RunCheckpoint`; with a
     ``trace_store`` only), every campaign and run is journaled through
     :func:`~repro.experiments.pipeline.journal_hooks` and its outcome
     bundle persisted, and a requested shutdown stops the stream and
     raises :class:`~repro.common.errors.InterruptedRunError`;
     re-running over the same store resumes bit-identically.
     """
-    if mode not in ("shared", "per-config"):
-        raise ValueError("unknown sweep mode %r" % mode)
     ideal_spec = DetectorSpec("Ideal", lambda n: IdealDetector(n))
+    config = CampaignConfig(
+        n_runs=runs_per_app,
+        base_seed=base_seed,
+        detectors=[ideal_spec] + specs,
+    )
+    done: Dict[str, CampaignResult] = {}
+    pipeline.run_campaigns(
+        [pipeline.Campaign(app, params, config) for app in workloads],
+        trace_store,
+        done.__setitem__,
+        checkpoint,
+        stop=run_interrupted if checkpoint is not None else None,
+    )
+    ideal_problems = sum(
+        campaign.problems_detected("Ideal") for campaign in done.values()
+    )
+    ideal_races = sum(
+        campaign.races_detected("Ideal") for campaign in done.values()
+    )
     result = SweepResult(parameter=parameter, points=list(labels))
-    problems: Dict[str, int] = {spec.name: 0 for spec in specs}
-    races: Dict[str, int] = {spec.name: 0 for spec in specs}
-    ideal_problems = 0
-    ideal_races = 0
-    if mode == "shared":
-        config = CampaignConfig(
-            n_runs=runs_per_app,
-            base_seed=base_seed,
-            detectors=[ideal_spec] + specs,
-        )
-        done: Dict[str, CampaignResult] = {}
-        pipeline.run_campaigns(
-            [pipeline.Campaign(app, params, config) for app in workloads],
-            trace_store,
-            done.__setitem__,
-            checkpoint,
-            stop=run_interrupted if checkpoint is not None else None,
-        )
-        for campaign in done.values():
-            ideal_problems += campaign.problems_detected("Ideal")
-            ideal_races += campaign.races_detected("Ideal")
-            for spec in specs:
-                problems[spec.name] += campaign.problems_detected(
-                    spec.name
-                )
-                races[spec.name] += campaign.races_detected(spec.name)
-    else:
-        for app in workloads:
-            factory = get_workload(app).program_factory(params)
-            for index, spec in enumerate(specs):
-                campaign = run_campaign_per_config(
-                    factory,
-                    app,
-                    CampaignConfig(
-                        n_runs=runs_per_app,
-                        base_seed=base_seed,
-                        detectors=[ideal_spec, spec],
-                    ),
-                )
-                if index == 0:
-                    # Every per-config campaign recomputes the same
-                    # Ideal pass; count the denominators once.
-                    ideal_problems += campaign.problems_detected("Ideal")
-                    ideal_races += campaign.races_detected("Ideal")
-                problems[spec.name] += campaign.problems_detected(
-                    spec.name
-                )
-                races[spec.name] += campaign.races_detected(spec.name)
     for spec in specs:
+        problems = sum(
+            campaign.problems_detected(spec.name)
+            for campaign in done.values()
+        )
+        races = sum(
+            campaign.races_detected(spec.name) for campaign in done.values()
+        )
         result.problem_rates.append(
-            problems[spec.name] / ideal_problems if ideal_problems else 0.0
+            problems / ideal_problems if ideal_problems else 0.0
         )
-        result.raw_rates.append(
-            races[spec.name] / ideal_races if ideal_races else 0.0
-        )
+        result.raw_rates.append(races / ideal_races if ideal_races else 0.0)
     return result
 
 
@@ -186,7 +152,6 @@ def d_sensitivity(
     runs_per_app: int = 8,
     params: Optional[WorkloadParams] = None,
     base_seed: int = 2006,
-    mode: str = "shared",
     trace_store: Optional[PackedTraceStore] = None,
     checkpoint=None,
 ) -> SweepResult:
@@ -202,7 +167,6 @@ def d_sensitivity(
         runs_per_app,
         params or WorkloadParams(),
         base_seed,
-        mode=mode,
         trace_store=trace_store,
         checkpoint=checkpoint,
     )
@@ -214,7 +178,6 @@ def cache_sensitivity(
     runs_per_app: int = 8,
     params: Optional[WorkloadParams] = None,
     base_seed: int = 2006,
-    mode: str = "shared",
     trace_store: Optional[PackedTraceStore] = None,
     checkpoint=None,
 ) -> SweepResult:
@@ -235,7 +198,6 @@ def cache_sensitivity(
         runs_per_app,
         params or WorkloadParams(),
         base_seed,
-        mode=mode,
         trace_store=trace_store,
         checkpoint=checkpoint,
     )

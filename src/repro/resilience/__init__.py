@@ -1,18 +1,18 @@
-"""Pipeline resilience: supervision, self-healing storage, degradation.
+"""Pipeline resilience: retried pool tasks, self-healing storage, degradation.
 
 The paper's promise is reliability of the record/detect pipeline itself
 -- no false positives, always a replayable log.  This package gives our
 *analysis* pipeline the same discipline: long campaigns survive dead or
-hung workers (:mod:`~repro.resilience.supervisor` over the pre-forked
-:mod:`~repro.resilience.procpool`), corrupted on-disk
-trace entries are detected, quarantined, and re-recorded
-(:mod:`repro.trace.store`), and any failure in an accelerated analysis
-path degrades to the next-slower byte-identical tier instead of taking
-the sweep down (:mod:`~repro.resilience.guard`).  Death of the *driver*
-process itself -- ``kill -9``, power loss, SIGTERM -- is survived too:
-every durable artifact goes through one atomic-write helper and every
-campaign's progress through a write-ahead journal, so an interrupted
-sweep resumes to bit-identical results
+hung workers (:mod:`~repro.resilience.procpool` kills, replaces and
+retries them), corrupted on-disk trace entries are detected,
+quarantined, and re-recorded (:mod:`repro.trace.store`), and any
+failure in an accelerated analysis path degrades to the next-slower
+byte-identical tier instead of taking the sweep down
+(:mod:`~repro.resilience.guard`).  Death of the *driver* process itself
+-- ``kill -9``, power loss, SIGTERM -- is survived too: every durable
+artifact goes through one atomic-write helper and every campaign's
+progress through a write-ahead journal, so an interrupted sweep resumes
+to bit-identical results
 (:mod:`~repro.resilience.checkpoint`, :mod:`~repro.resilience.journal`).
 The fault points that prove all of it live in
 :mod:`~repro.resilience.faults`.
@@ -42,22 +42,12 @@ from repro.resilience.guard import (
     guarded_outcomes,
     verify_ladder_equivalence,
 )
-from repro.resilience.supervisor import (
-    RunReport,
-    Supervisor,
-    TaskOutcome,
-    default_max_retries,
-    default_task_timeout,
-)
 
 __all__ = [
     "GUARD_LOG",
     "DegradationEvent",
     "GracefulShutdown",
     "GuardLog",
-    "RunReport",
-    "Supervisor",
-    "TaskOutcome",
     "atomic_write_bytes",
     "atomic_write_json",
     "atomic_write_text",
@@ -65,8 +55,6 @@ __all__ = [
     "collect_tmp_litter",
     "compute_outcomes",
     "cross_check_enabled",
-    "default_max_retries",
-    "default_task_timeout",
     "guarded_outcomes",
     "prune_quarantine",
     "request_shutdown",

@@ -259,16 +259,16 @@ class GracefulShutdown:
 
     Used as a context manager around a long campaign or sweep: the first
     signal sets a flag that :meth:`check` (called at every journal
-    transition and supervisor poll) converts into
-    :class:`InterruptedRunError` at the next safe point -- workers are
-    drained, the journal is flushed, the process exits resumable (71).
+    transition) converts into :class:`InterruptedRunError` at the next
+    safe point, and that the task stream polls -- the tasks in flight
+    finish, the journal is flushed, the process exits resumable (71).
     A *second* signal restores the previous handler's behavior, so an
     operator can still insist.
 
     Handler installation is best-effort: off the main thread (or with
     ``install=False``) the object still works as a plain flag that
-    :meth:`request` sets programmatically -- the supervisor drain tests
-    and the chaos ``sigterm_drain`` fault use exactly that.
+    :meth:`request` sets programmatically -- the chaos
+    ``sigterm_drain`` fault uses exactly that.
     """
 
     def __init__(self, install: bool = True):

@@ -1,6 +1,6 @@
 """Chaos-harness fault points.
 
-The resilience stack (supervisor, trace store, degradation ladder) is
+The resilience stack (process pool, trace store, degradation ladder) is
 only trustworthy if its failure paths actually run, so the pipeline
 carries a handful of *fault points* -- named sites where a test (or an
 operator hunting a heisenbug) can inject the failure the path exists to

@@ -1,8 +1,9 @@
 """One pre-forked process pool for every caller that computes elsewhere.
 
-The Suite's pools (through :class:`~repro.resilience.supervisor
-.Supervisor`), ``cord-serve``'s job threads and ``cord-worker``'s lease
-threads run their tasks here; ``docs/resilience.md`` §1 has the
+The Suite's stream threads (:func:`repro.experiments.pipeline
+.inline_stream` at ``--jobs N``), ``cord-serve``'s job threads and
+``cord-worker``'s lease threads run their tasks here, each through the
+blocking :meth:`ProcessPool.run`; ``docs/resilience.md`` §1 has the
 contract.  :meth:`ProcessPool.start` forks a *zygote* before the caller
 opens a socket or starts a thread, and the zygote forks every child,
 the first ones and each replacement, so all start from the same state.
@@ -13,6 +14,7 @@ of its own.
 
 from __future__ import annotations
 
+import logging
 import os
 import pickle
 import select
@@ -28,12 +30,11 @@ from contextlib import suppress
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.common.backoff import backoff_delay
+from repro.common.env import env_number
 from repro.common.errors import WorkerTimeoutError
 from repro.resilience import faults
-from repro.resilience.supervisor import (
-    default_max_retries,
-    default_task_timeout,
-)
+
+logger = logging.getLogger("repro.resilience.procpool")
 
 #: How often the zygote and every child check that their parent lives.
 PARENT_POLL_S = 0.1
@@ -46,16 +47,26 @@ _REQUEST = struct.Struct("!q")
 _REPLY = struct.Struct("!qq")
 
 
-class Child:
-    """A child as its owner sees it; ``task`` is the ``(name, payload,
-    attempt)`` of its latest dispatch."""
+def default_task_timeout() -> float:
+    """Per-attempt deadline in seconds (``REPRO_TASK_TIMEOUT``, default 600)."""
+    return env_number("REPRO_TASK_TIMEOUT", 600.0, 0.1, float)
 
-    __slots__ = ("pid", "sock", "task", "started", "deadline")
+
+def default_max_retries() -> int:
+    """Extra pool attempts per task (``REPRO_MAX_RETRIES``, default 2)."""
+    return env_number("REPRO_MAX_RETRIES", 2, 0)
+
+
+class Child:
+    """A child as its owner sees it; ``task`` is the ``(name, attempt)``
+    of its latest dispatch."""
+
+    __slots__ = ("pid", "sock", "task", "deadline")
 
     def __init__(self, pid: int, sock: socket.socket):
         self.pid, self.sock = pid, sock
-        self.task: Tuple[str, Any, int] = ("", None, 0)
-        self.started = self.deadline = 0.0
+        self.task: Tuple[str, int] = ("", 0)
+        self.deadline = 0.0
 
 
 class ProcessPool:
@@ -140,22 +151,31 @@ class ProcessPool:
             )
 
     def run(self, payload: Any, name: str = "task") -> Any:
-        """Run one task to its value (or its exception), blocking."""
+        """Run one task to its value (or its exception), blocking.
+
+        A lost attempt (the child died or missed its deadline) is logged
+        and retried on a replacement after a backoff keyed by ``name``;
+        once the retries are spent, or the pool is poisoned or stopped,
+        the task runs in this process.  The task's own exception is
+        re-raised and never retried.
+        """
         attempt = 0
         while True:
-            child = self.acquire(wait=True)
+            child = self._acquire()
             if child is None:
                 break
-            self.dispatch(child, name, payload, attempt)
-            settled: List[Tuple[Child, str, Any]] = []
-            while not settled:
-                settled = self.poll([child], None)
-            _child, status, value = settled[0]
+            self._dispatch(child, name, payload, attempt)
+            settled = None
+            while settled is None:
+                settled = self._poll(child)
+            status, value = settled
             if status == "ok":
                 return value
             if status == "error":
                 raise value[0]
-            delay = self.retry_delay(name, attempt)
+            logger.warning("task %s attempt %d lost: %s",
+                           name, attempt + 1, value)
+            delay = self._retry_delay(name, attempt)
             if delay is None:
                 break
             time.sleep(delay)
@@ -164,9 +184,9 @@ class ProcessPool:
             self.stats["inline"] += 1
         return self.fn(payload)
 
-    def acquire(self, wait: bool = False) -> Optional[Child]:
-        """An idle child; ``None`` if the pool is poisoned or stopped, or
-        -- unless ``wait`` -- every child is busy."""
+    def _acquire(self) -> Optional[Child]:
+        """An idle child, waiting for one; ``None`` if the pool is
+        poisoned or stopped."""
         with self._lock:
             while True:
                 self._replace_dead_idle()
@@ -174,64 +194,46 @@ class ProcessPool:
                     return None
                 if self._idle:
                     return self._idle.pop()
-                if not wait:
-                    return None
                 self._idle_ready.wait()
 
-    def dispatch(self, child: Child, name: str, payload: Any,
-                 attempt: int) -> None:
-        """Send a task to an acquired child; :meth:`poll` settles it."""
-        child.task = (name, payload, attempt)
-        child.started = time.monotonic()
-        child.deadline = child.started + self.timeout
+    def _dispatch(self, child: Child, name: str, payload: Any,
+                  attempt: int) -> None:
+        """Send a task to an acquired child; :meth:`_poll` settles it."""
+        child.task = (name, attempt)
+        child.deadline = time.monotonic() + self.timeout
         with suppress(OSError):  # a dead child settles as lost
             _send(child.sock, (attempt, payload))
 
-    def poll(
-        self, busy: List[Child], timeout: Optional[float]
-    ) -> List[Tuple[Child, str, Any]]:
-        """``(child, status, value)`` for the ``busy`` children settled
-        within ``timeout`` s (``None``: the next deadline): ``"ok"`` and
-        the value, ``"error"`` and ``(exception, detail)``, or ``"lost"``
-        and a detail line (the child died or missed its deadline, and
-        was killed and replaced)."""
-        if not busy:
-            time.sleep(timeout or 0.0)
-            return []
-        now = time.monotonic()
-        waits = [child.deadline - now for child in busy]
-        if timeout is not None:
-            waits.append(timeout)
-        ready = _readable(busy, max(0.0, min(waits)))
-        now = time.monotonic()
-        settled = []
-        for child in busy:
-            if child.pid not in ready and now < child.deadline:
-                continue
-            reply = _recv(child.sock) if child.pid in ready else None
-            with self._lock:
-                if reply is not None:
-                    if reply[0] == "ok":
-                        self.stats["pooled"] += 1
-                        self._losses = 0
-                    self._idle.append(child)
-                    self._idle_ready.notify()
-                    settled.append((child, reply[0], reply[1]))
-                elif child.pid in ready:
-                    settled.append((child, "lost", "worker died without a "
-                                    "result (exit code %r)"
-                                    % (self._replace(child),)))
-                else:
-                    self.stats["timeouts"] += 1
-                    self._replace(child)
-                    name, _payload, attempt = child.task
-                    settled.append((child, "lost", repr(WorkerTimeoutError(
-                        name, attempt + 1,
-                        "deadline of %.1fs exceeded" % self.timeout,
-                    ))))
-        return settled
+    def _poll(self, child: Child) -> Optional[Tuple[str, Any]]:
+        """``(status, value)`` once the busy ``child`` settles, ``None``
+        while it runs within its deadline: ``"ok"`` and the value,
+        ``"error"`` and ``(exception, detail)``, or ``"lost"`` and a
+        detail line (the child died or missed its deadline, and was
+        killed and replaced)."""
+        ready = _readable([child], max(0.0, child.deadline - time.monotonic()))
+        if not ready and time.monotonic() < child.deadline:
+            return None
+        reply = _recv(child.sock) if ready else None
+        with self._lock:
+            if reply is not None:
+                if reply[0] == "ok":
+                    self.stats["pooled"] += 1
+                    self._losses = 0
+                self._idle.append(child)
+                self._idle_ready.notify()
+                return reply
+            if ready:
+                detail = "worker died without a result (exit code %r)"
+                return "lost", detail % (self._replace(child),)
+            self.stats["timeouts"] += 1
+            self._replace(child)
+            name, attempt = child.task
+            return "lost", repr(WorkerTimeoutError(
+                name, attempt + 1,
+                "deadline of %.1fs exceeded" % self.timeout,
+            ))
 
-    def retry_delay(self, name: str, attempt: int) -> Optional[float]:
+    def _retry_delay(self, name: str, attempt: int) -> Optional[float]:
         """Backoff before retrying a lost ``attempt``; ``None`` when the
         task must run in-process instead."""
         if self.poisoned or attempt >= self.max_retries:

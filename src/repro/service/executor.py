@@ -178,7 +178,7 @@ def execute_job(
     remote_stats: Dict[str, int] = {}
     stage_store_stats: Dict[str, int] = {}
 
-    def run_local(payload: Dict) -> Dict:
+    def run_local(payload: Dict, _name: str = "") -> Dict:
         value = run_stage(payload)
         _merge_stats(stage_store_stats, value.get("store", {}))
         return value

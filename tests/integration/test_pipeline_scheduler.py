@@ -81,6 +81,13 @@ def _digest(suite):
     return out
 
 
+def _clean_pool(suite):
+    """The pool counters of a run whose every task ran on the pool,
+    first try."""
+    return dict(pooled=len(suite.task_timings), inline=0, replaced=0,
+                timeouts=0)
+
+
 def _campaign_caches(cache_dir):
     return {
         os.path.basename(path): open(path, "rb").read()
@@ -101,13 +108,13 @@ class TestSchedulerEquivalence:
         digests = {name: _digest(suite) for name, suite in arms.items()}
         assert digests["pipeline"] == digests["serial"]
         assert digests["uncached"] == digests["serial"]
-        uncached = arms["uncached"].last_report.outcomes
-        assert {out.path for out in uncached} == {"pool"}
         for arm in ("uncached", "pipeline"):
+            suite = arms[arm]
+            assert suite.pool_counts == _clean_pool(suite)
             assert any(
-                out.name.startswith("rec:")
-                for out in arms[arm].last_report.outcomes
+                name.startswith("rec:") for name, _ in suite.task_timings
             )
+        assert arms["serial"].pool_counts is None
         serial_caches = _campaign_caches(tmp_path / "s")
         assert serial_caches
         assert _campaign_caches(tmp_path / "p") == serial_caches
@@ -129,24 +136,20 @@ class TestSchedulerEquivalence:
         cold.campaigns()
         reference = _campaign_caches(cache)
 
-        # Fully warm: served without any fan-out at all.
+        # Fully warm: served without any stage task or pool at all.
         warm = Suite(_CONFIG, jobs=2, cache_dir=cache)
         warm.campaigns()
-        assert warm.last_report is None
+        assert warm.task_timings == [] and warm.pool_counts is None
 
         # Partially warm: the evicted campaign recomputes from the
-        # recorded traces (no record tasks), the cache hit shows up as
-        # its own report row, and the rewritten bytes are identical.
+        # recorded traces (analyze tasks only), the cache hit runs no
+        # task, and the rewritten bytes are identical.
         evicted = cold._cache_path("fft")
         evicted.unlink()
         partial = Suite(_CONFIG, jobs=2, cache_dir=cache)
         partial.campaigns()
-        paths = {out.path for out in partial.last_report.outcomes}
-        assert "cache" in paths
-        assert not any(
-            out.name.startswith("rec:")
-            for out in partial.last_report.outcomes
-        )
+        names = [name for name, _ in partial.task_timings]
+        assert names and all(name.startswith("an:fft#") for name in names)
         assert _campaign_caches(cache) == reference
 
 
@@ -203,7 +206,9 @@ class TestOneDriver:
         interrupted = pipeline.drive(
             [pipeline.Campaign("fft", _PARAMS, config)],
             PackedTraceStore(tmp_path / "traces"),
-            pipeline.inline_stream(pipeline.run_stage_task),
+            pipeline.inline_stream(
+                lambda payload, _name: pipeline.run_stage_task(payload)
+            ),
             on_campaign=done.__setitem__,
         )
         assert not interrupted
@@ -236,7 +241,7 @@ class TestPipelineUnderChaos:
         faulted_dir = tmp_path / "faulted"
         suite = Suite(_CONFIG, jobs=2, cache_dir=faulted_dir)
         assert _digest(suite) == clean
-        assert suite.last_report.degraded
+        assert suite.pool_counts["replaced"] == len(suite.task_timings)
         assert _campaign_caches(faulted_dir) == _campaign_caches(
             clean_dir
         )
@@ -256,11 +261,10 @@ class TestPipelineUnderChaos:
             suite.campaigns()
         run_id = excinfo.value.run_id
         assert run_id is not None
-        assert suite.last_report.interrupted
-        assert not any(
-            out.status == "failed"
-            for out in suite.last_report.outcomes
-        )
+        # The drain killed nothing: every task that started finished on
+        # the pool and was delivered.
+        assert suite.task_timings
+        assert suite.pool_counts == _clean_pool(suite)
         assert list(cache.rglob("*.tmp.*")) == []
 
         # The journal replays: workload rows scheduled, nothing lies

@@ -6,11 +6,10 @@ packed trace, and the reports are bit-identical to the legacy protocol
 that gave every configuration its own simulations.
 """
 
-import pytest
-
 import repro.experiments.pipeline as pipeline_mod
 import repro.injection.campaign as campaign_mod
 from repro.cord import CordConfig, CordDetector, replay_trace, verify_replay
+from repro.detectors import IdealDetector
 from repro.detectors.registry import DetectorSpec
 from repro.experiments.runner import Suite, SuiteConfig
 from repro.experiments.sensitivity import cache_sensitivity, d_sensitivity
@@ -177,41 +176,63 @@ class TestRecordedRun:
         assert verify_replay(loaded.packed.to_trace(), replayed).equivalent
 
 
+def _per_config_sweep(specs, runs_per_app, workload="fft"):
+    """``(problem_rates, raw_rates)`` of a sweep on the per-configuration
+    protocol: one :func:`run_campaign_per_config` campaign per sweep
+    point, each with its own simulations and its own Ideal pass."""
+    ideal = DetectorSpec("Ideal", lambda n: IdealDetector(n))
+    campaigns = [
+        run_campaign_per_config(_factory(workload), workload, CampaignConfig(
+            n_runs=runs_per_app, detectors=[ideal, spec],
+        ))
+        for spec in specs
+    ]
+    base_problems = campaigns[0].problems_detected("Ideal")
+    base_races = campaigns[0].races_detected("Ideal")
+    return (
+        [c.problems_detected(spec.name) / base_problems if base_problems
+         else 0.0 for c, spec in zip(campaigns, specs)],
+        [c.races_detected(spec.name) / base_races if base_races else 0.0
+         for c, spec in zip(campaigns, specs)],
+    )
+
+
+def _cord_spec(name, **config):
+    return DetectorSpec(
+        name, lambda n: CordDetector(CordConfig(**config), n)
+    )
+
+
 class TestSweepModes:
+    """The record-once sweeps equal the per-configuration protocol."""
+
     def test_d_sweep_modes_identical(self):
-        kwargs = dict(
+        shared = d_sensitivity(
             workloads=("fft",),
             d_values=_D_VALUES,
             runs_per_app=3,
             params=_PARAMS,
         )
-        shared = d_sensitivity(**kwargs)
-        legacy = d_sensitivity(mode="per-config", **kwargs)
-        assert shared.points == legacy.points
-        assert shared.problem_rates == legacy.problem_rates
-        assert shared.raw_rates == legacy.raw_rates
+        legacy = _per_config_sweep(
+            [_cord_spec("D=%d" % d, d=d) for d in _D_VALUES], 3
+        )
+        assert shared.points == list(_D_VALUES)
+        assert shared.problem_rates == legacy[0]
+        assert shared.raw_rates == legacy[1]
 
     def test_cache_sweep_modes_identical(self):
-        kwargs = dict(
+        shared = cache_sensitivity(
             workloads=("fft",),
             cache_sizes=(4096, None),
             runs_per_app=3,
             params=_PARAMS,
         )
-        shared = cache_sensitivity(**kwargs)
-        legacy = cache_sensitivity(mode="per-config", **kwargs)
-        assert shared.problem_rates == legacy.problem_rates
-        assert shared.raw_rates == legacy.raw_rates
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            d_sensitivity(
-                workloads=("fft",),
-                d_values=(1,),
-                runs_per_app=1,
-                params=_PARAMS,
-                mode="turbo",
-            )
+        legacy = _per_config_sweep(
+            [_cord_spec("4096B", cache_size=4096),
+             _cord_spec("inf", cache_size=None)], 3
+        )
+        assert shared.problem_rates == legacy[0]
+        assert shared.raw_rates == legacy[1]
 
     def test_sweep_with_store_matches_and_persists(self, tmp_path):
         kwargs = dict(

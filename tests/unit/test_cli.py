@@ -66,6 +66,40 @@ class TestCommands:
         assert "CORD-D16" in out
 
 
+class TestFiguresProfile:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_profile_prints_task_table_and_pool_line(
+        self, jobs, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+        assert main(
+            ["figures", "--quick", "--profile", "--jobs", str(jobs)]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "Aggregate stage time (summed across tasks)" in lines
+        title = lines.index("Per-task stage timings")
+        assert lines[title + 1].split() == [
+            "task", "record_s", "store_io_s", "analyze_s", "task_s",
+        ]
+        pool_line = lines[-1]
+        rows = [line.split() for line in lines[title + 3:-1]]
+        names = sorted(row[0] for row in rows)
+        assert {name.partition(":")[0] for name in names} == {
+            "size", "rec", "an",
+        }
+        assert len(set(names)) == len(names)
+        assert all(len(row) == 5 for row in rows)
+        if jobs == 1:
+            assert pool_line == (
+                "stage pool: none (jobs=1, every task ran in-process)"
+            )
+        else:
+            assert pool_line == (
+                "stage pool: pooled=%d inline=0 replaced=0 timeouts=0"
+                % len(rows)
+            )
+
+
 class TestExitCodes:
     """Each failure domain maps to a distinct, stable exit code."""
 

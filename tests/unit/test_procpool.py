@@ -1,13 +1,16 @@
-"""Unit tests for the pre-forked process pool.
+"""Unit tests for the pre-forked process pool and the stream over it.
 
-The Supervisor's behaviour on top of the pool is pinned by
-``TestSupervisor`` in ``test_resilience.py`` and the service's by the
-stage-pool tests in ``test_service.py``; these pin the pool itself:
-replacement, per-child deadlines, the zygote's fixed start state, and a
-shutdown that never hangs after a child was killed.
+The service's use of the pool is pinned by the stage-pool tests in
+``test_service.py``; these pin the pool itself -- replacement, retries,
+per-child deadlines, the in-process fallback, the zygote's fixed start
+state, and a shutdown that never hangs after a child was killed -- and
+the drain and error rules of :func:`~repro.experiments.pipeline
+.inline_stream` running its tasks on the pool, as the Suite does at
+``--jobs N``.
 """
 
 import json
+import logging
 import os
 import signal
 import sys
@@ -16,7 +19,9 @@ import time
 
 import pytest
 
+from repro.experiments.pipeline import inline_stream
 from repro.resilience import faults
+from repro.resilience.checkpoint import GracefulShutdown
 from repro.resilience.procpool import ProcessPool
 
 #: Set in the owner before a pool starts; its children must keep seeing
@@ -35,10 +40,12 @@ def _fault_hygiene(monkeypatch):
 
 
 def _task(payload):
-    """``("pid",)``, ``("env", name)``, ``("sleep", s)``,
-    ``("stall_once", marker)`` (stall in the first process to see
+    """``("pid",)``, ``("square", n)``, ``("env", name)``, ``("sleep",
+    s)``, ``("stall_once", marker)`` (stall in the first process to see
     ``marker`` absent) or ``("raise", message)``."""
     kind = payload[0]
+    if kind == "square":
+        return payload[1] * payload[1]
     if kind == "env":
         return os.environ.get(payload[1])
     if kind == "sleep":
@@ -180,21 +187,27 @@ def test_replacements_keep_the_start_environment(monkeypatch):
         pool.shutdown()
 
 
-def test_worker_kill_retries_on_a_replacement(monkeypatch):
+def test_worker_kill_retries_on_a_replacement(monkeypatch, caplog):
     # The fault hook runs in the child, keyed by the attempt number the
-    # task carries: the first attempt dies, the retry succeeds.
+    # task carries: the first attempt dies, is logged, and the retry
+    # succeeds.
     monkeypatch.setenv("REPRO_FAULTS", "worker_kill:1")
     faults.arm()
     pool = ProcessPool(_task, 2)
     pool.start()
     try:
         first = set(pool.pids)
-        pid = pool.run(("pid",))
+        with caplog.at_level(logging.WARNING, "repro.resilience.procpool"):
+            pid = pool.run(("pid",), "rec:fft/run0")
         assert pid not in first
         health = pool.health()
         assert (health["replaced"], health["pooled"]) == (1, 1)
     finally:
         pool.shutdown()
+    assert [record.getMessage() for record in caplog.records] == [
+        "task rec:fft/run0 attempt 1 lost: worker died without a result "
+        "(exit code %d)" % faults.KILL_EXIT_CODE
+    ]
 
 
 def test_repeated_losses_poison_the_pool(monkeypatch):
@@ -269,3 +282,125 @@ def test_shutdown_under_a_waiting_caller_runs_its_task_in_process():
     assert not caller.is_alive()
     assert result["pid"] == os.getpid()
     assert pool.health()["inline"] == 1
+
+
+# -- the stream over the pool ------------------------------------------------
+
+
+def _collect(results):
+    """An ``on_result`` that keeps every value and, for a first-round
+    task ``t``, submits the follow-up ``t+`` squaring its value."""
+    def on_result(name, value, submit):
+        results[name] = value
+        if not name.endswith("+"):
+            submit(name + "+", ("square", value))
+    return on_result
+
+
+def test_stream_width_two_matches_width_one():
+    tasks = [("t%d" % n, ("square", n)) for n in range(6)]
+    pool = ProcessPool(_task, 2)
+    pool.start()
+    try:
+        by_width = {}
+        for width in (1, 2):
+            results = by_width[width] = {}
+            assert not inline_stream(pool.run, width=width)(
+                tasks, _collect(results)
+            )
+        health = pool.health()
+    finally:
+        pool.shutdown()
+    assert by_width[2] == by_width[1]
+    assert by_width[1]["t3+"] == 81 and len(by_width[1]) == 12
+    assert (health["pooled"], health["inline"]) == (24, 0)
+
+
+def test_drain_delivers_in_flight_results():
+    # stop turns true while both first tasks are in flight: nothing new
+    # starts, both finish and are delivered, and the stream reports the
+    # two tasks it left as interrupted.
+    polls = []
+
+    def stop():
+        polls.append(None)
+        return len(polls) > 2
+
+    results = {}
+    pool = ProcessPool(_task, 2)
+    pool.start()
+    try:
+        interrupted = inline_stream(pool.run, stop, width=2)(
+            [(name, ("sleep", 0.5)) for name in "abcd"],
+            lambda name, value, _submit: results.update({name: value}),
+        )
+        health = pool.health()
+    finally:
+        pool.shutdown()
+    assert interrupted
+    assert sorted(results) == ["a", "b"]
+    assert set(results.values()) <= set(health["pids"])
+    assert health["pooled"] == 2
+
+
+def test_raising_task_stops_dispatch_and_reraises():
+    # The failing task's own exception comes back once its in-flight
+    # sibling has finished; no task starts after the failure.
+    started, finished = [], []
+    pool = ProcessPool(_task, 2)
+    pool.start()
+
+    def run_task(payload, name):
+        started.append(name)
+        try:
+            return pool.run(payload, name)
+        finally:
+            finished.append(name)
+
+    try:
+        with pytest.raises(KeyError, match="boom"):
+            inline_stream(run_task, width=2)(
+                [("bad", ("raise", "boom")), ("slow", ("sleep", 0.5)),
+                 ("late", ("pid",))],
+                lambda *_args: None,
+            )
+    finally:
+        pool.shutdown()
+    assert started == ["bad", "slow"]
+    assert sorted(finished) == ["bad", "slow"]
+
+
+def test_hung_workers_reaped_promptly_under_shutdown_handler(
+    monkeypatch, capfd
+):
+    # Forked children inherit the owner's GracefulShutdown handler; the
+    # zygote resets it, so a child killed at its deadline dies at once
+    # instead of logging a drain request, and the retries finish fast.
+    monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1:30")
+    faults.arm()
+    # pytest captures log records in memory, so route the drain
+    # handler's warning to the (fd-captured) stderr a child shares.
+    handler = logging.StreamHandler()
+    drain_logger = logging.getLogger("repro.resilience.checkpoint")
+    drain_logger.addHandler(handler)
+    results = {}
+    start = time.monotonic()
+    try:
+        with GracefulShutdown():
+            pool = ProcessPool(_task, 2, timeout=0.5)
+            pool.start()
+            try:
+                inline_stream(pool.run, width=2)(
+                    [(name, ("square", n)) for n, name in enumerate("abcd")],
+                    lambda name, value, _submit: results.update({name: value}),
+                )
+                health = pool.health()
+            finally:
+                pool.shutdown()
+    finally:
+        elapsed = time.monotonic() - start
+        drain_logger.removeHandler(handler)
+    assert results == {"a": 0, "b": 1, "c": 4, "d": 9}
+    assert (health["timeouts"], health["pooled"]) == (4, 4)
+    assert elapsed < 2.5
+    assert "received signal" not in capfd.readouterr().err

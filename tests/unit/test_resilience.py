@@ -1,4 +1,5 @@
-"""Unit tests for the resilience stack: faults, supervisor, guard, store.
+"""Unit tests for the resilience stack: faults, supervision, backoff,
+guard, store.
 
 The integration-level proof that the whole pipeline survives injected
 faults lives in ``tests/integration/test_chaos_pipeline.py``; these
@@ -8,7 +9,6 @@ tests pin the individual mechanisms.
 import logging
 import os
 import pickle
-import time
 
 import pytest
 
@@ -23,14 +23,14 @@ from repro.cord.detector import CordDetector
 from repro.detectors.base import Detector
 from repro.detectors.registry import DetectorSpec
 from repro.engine.executor import run_program
+from repro.experiments.pipeline import inline_stream
 from repro.resilience import faults
 from repro.resilience.guard import (
     GuardLog,
     compute_outcomes,
     verify_ladder_equivalence,
 )
-from repro.resilience.checkpoint import GracefulShutdown
-from repro.resilience.supervisor import Supervisor
+from repro.resilience.procpool import ProcessPool
 from repro.trace.store import (
     PackedTraceStore,
     frame_payload,
@@ -103,7 +103,7 @@ class TestFaults:
         assert not faults.fire("store_truncate")
 
 
-# -- supervisor ---------------------------------------------------------------
+# -- supervision ---------------------------------------------------------------
 
 
 def _square(payload):
@@ -117,101 +117,99 @@ def _boom(payload):
 _TASKS = [("a", 2), ("b", 3), ("c", 4)]
 
 
-class TestSupervisor:
-    def test_happy_path(self):
-        results, report = Supervisor(2).run_stream(_square, _TASKS)
-        assert results == {"a": 4, "b": 9, "c": 16}
-        assert report.ok and not report.degraded
-        assert [out.name for out in report.outcomes] == ["a", "b", "c"]
-        assert all(out.clean for out in report.outcomes)
+def _supervise(fn, tasks, caplog, started=None, **pool_options):
+    """Run ``tasks`` two at a time on a two-child pool; the results, the
+    pool's health and the pool's lost-attempt log lines.  ``started``
+    collects each task name as it is dispatched."""
+    results = {}
+    pool = ProcessPool(fn, 2, **pool_options)
+    pool.start()
 
-    def test_worker_kill_is_retried(self, monkeypatch):
+    def run_task(payload, name):
+        if started is not None:
+            started.append(name)
+        return pool.run(payload, name)
+
+    try:
+        with caplog.at_level(logging.WARNING, "repro.resilience.procpool"):
+            assert not inline_stream(run_task, width=2)(
+                tasks,
+                lambda name, value, _submit: results.update({name: value}),
+            )
+    finally:
+        health = pool.health()
+        pool.shutdown()
+    lost = sorted(record.getMessage() for record in caplog.records
+                  if record.name == "repro.resilience.procpool")
+    return results, health, lost
+
+
+class TestSupervisor:
+    """The process pool supervising a stream of tasks: a lost attempt is
+    retried on a replacement child, spent retries fall back in-process,
+    and a task's own exception is final."""
+
+    def test_worker_kill_is_retried(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_FAULTS", "worker_kill:1")
         faults.arm()
-        results, report = Supervisor(2).run_stream(_square, _TASKS)
+        results, health, lost = _supervise(_square, _TASKS, caplog)
         assert results == {"a": 4, "b": 9, "c": 16}
-        assert report.ok and report.degraded
-        for out in report.outcomes:
-            assert out.attempts == 2
-            assert out.path == "pool-retry"
-            assert "died" in out.errors[0]
+        assert (health["replaced"], health["pooled"]) == (3, 3)
+        assert (health["inline"], health["state"]) == (0, "forked")
+        assert [line.split(":")[0] for line in lost] == [
+            "task %s attempt 1 lost" % name for name in "abc"
+        ]
+        assert all("died" in line for line in lost)
 
-    def test_hung_worker_hits_deadline(self, monkeypatch):
+    def test_hung_worker_hits_deadline(self, monkeypatch, caplog):
         monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1:30")
         faults.arm()
-        results, report = Supervisor(2, timeout=1.0).run_stream(
-            _square, [("a", 2), ("b", 3)]
+        results, health, lost = _supervise(
+            _square, [("a", 2), ("b", 3)], caplog, timeout=1.0
         )
         assert results == {"a": 4, "b": 9}
-        assert report.ok and report.degraded
-        for out in report.outcomes:
-            assert "WorkerTimeoutError" in out.errors[0]
-            assert out.path == "pool-retry"
+        assert (health["timeouts"], health["replaced"]) == (2, 2)
+        assert (health["pooled"], health["inline"]) == (2, 0)
+        assert len(lost) == 2
+        assert all("WorkerTimeoutError" in line for line in lost)
 
-    def test_exhausted_retries_fall_back_to_serial(self, monkeypatch):
+    def test_exhausted_retries_fall_back_to_serial(self, monkeypatch,
+                                                   caplog):
         # Kill every pool attempt: the task must still complete, in
-        # process, on the serial rung.
+        # process, once its retries are spent.
         monkeypatch.setenv("REPRO_FAULTS", "worker_kill:99")
         faults.arm()
-        results, report = Supervisor(2, max_retries=1).run_stream(
-            _square, [("a", 5), ("b", 6)]
+        results, health, lost = _supervise(
+            _square, [("a", 5), ("b", 6)], caplog, max_retries=1
         )
         assert results == {"a": 25, "b": 36}
-        assert [out.name for out in report.outcomes] == ["a", "b"]
-        for out in report.outcomes:
-            assert out.ok and out.path == "serial"
-            assert out.attempts == 3  # two pool attempts + serial
-            assert len(out.errors) == 2
+        assert (health["inline"], health["pooled"]) == (2, 0)
+        assert health["replaced"] == 4  # two pool attempts per task
+        assert health["state"] == "forked"  # short of the poison limit
+        assert [line.split(":")[0] for line in lost] == [
+            "task %s attempt %d lost" % (name, attempt)
+            for name in "ab" for attempt in (1, 2)
+        ]
 
-    def test_task_exception_is_not_retried(self):
-        with pytest.raises(PipelineError) as excinfo:
-            Supervisor(2).run_stream(_boom, [("a", 1), ("b", 2)])
-        report = excinfo.value.report
-        assert not report.ok
-        assert all(out.status == "failed" for out in report.outcomes)
-        assert all(out.attempts == 1 for out in report.outcomes)
-        assert "ValueError" in report.outcomes[0].errors[0]
+    def test_task_exception_is_not_retried(self, caplog):
+        started = []
+        with pytest.raises(ValueError, match="deterministic task failure"):
+            _supervise(_boom, [("a", 1), ("b", 2)], caplog, started)
+        assert started == ["a", "b"]
+        assert not [record for record in caplog.records
+                    if record.name == "repro.resilience.procpool"]
 
-    def test_failure_report_lists_tasks(self):
-        with pytest.raises(PipelineError) as excinfo:
-            Supervisor(2).run_stream(_boom, [("only", 1)])
-        assert "only" in str(excinfo.value)
 
-    def test_hung_workers_reaped_promptly_under_shutdown_handler(
-        self, monkeypatch, capfd
-    ):
-        # Forked children inherit the parent's GracefulShutdown handler;
-        # unless they reset it, terminate() only logs a drain request in
-        # the child and each reap waits out its join before kill().
-        monkeypatch.setenv("REPRO_FAULTS", "worker_stall:1:30")
-        faults.arm()
-        tasks = [("a", 1), ("b", 2), ("c", 3), ("d", 4)]
-        # pytest captures log records in memory, so route the drain
-        # handler's warning to the (fd-captured) stderr a child shares.
-        handler = logging.StreamHandler()
-        drain_logger = logging.getLogger("repro.resilience.checkpoint")
-        drain_logger.addHandler(handler)
-        start = time.monotonic()
-        try:
-            with GracefulShutdown():
-                results, report = Supervisor(2, timeout=0.5).run_stream(
-                    _square, tasks
-                )
-        finally:
-            elapsed = time.monotonic() - start
-            drain_logger.removeHandler(handler)
-        assert results == {"a": 1, "b": 4, "c": 9, "d": 16}
-        assert all(out.path == "pool-retry" for out in report.outcomes)
-        assert elapsed < 2.5
-        assert "received signal" not in capfd.readouterr().err
+# -- backoff ------------------------------------------------------------------
 
-    def test_deterministic_backoff(self):
-        # Supervisor retries key the shared helper by task name and seed.
-        a = backoff_delay("fft", 1, seed=7)
-        b = backoff_delay("fft", 1, seed=7)
-        c = backoff_delay("fft", 1, seed=8)
-        assert a == b
-        assert a != c
+
+def test_deterministic_backoff():
+    # Pool retries key the shared helper by task name and seed.
+    a = backoff_delay("fft", 1, seed=7)
+    b = backoff_delay("fft", 1, seed=7)
+    c = backoff_delay("fft", 1, seed=8)
+    assert a == b
+    assert a != c
 
 
 # -- degradation ladder -------------------------------------------------------

@@ -111,7 +111,7 @@ class TestDiskCache:
         # the compute path and verify it is never reached.
         warm = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
 
-        def explode(pending, _cache_hits):
+        def explode(pending):
             raise AssertionError("cache miss recomputed %r" % (pending,))
 
         monkeypatch.setattr(warm, "_run_pending", explode)
@@ -214,7 +214,7 @@ class TestResilientFanOut:
         faulted_dir = tmp_path / "faulted"
         suite = Suite(_CONFIG, jobs=2, cache_dir=faulted_dir)
         assert _digest(suite) == clean
-        assert suite.last_report.degraded
+        assert suite.pool_counts["replaced"] == len(suite.task_timings)
         # The cache written under retry is byte-identical to the one a
         # fault-free run writes.
         assert self._cache_bytes(faulted_dir) == self._cache_bytes(
@@ -225,21 +225,20 @@ class TestResilientFanOut:
                                                    monkeypatch):
         baseline = _digest(Suite(_CONFIG, jobs=1))
 
-        # Kill every pool attempt with no retries: both tasks must land
-        # on the in-process serial rung.
+        # Kill every pool attempt with no retries: every task must run
+        # in-process.
         monkeypatch.setenv("REPRO_FAULTS", "worker_kill:99")
         monkeypatch.setenv("REPRO_MAX_RETRIES", "0")
         faults.arm()
         suite = Suite(_CONFIG, jobs=2, cache_dir=tmp_path)
         digest = _digest(suite)
         assert digest == baseline
-        report = suite.last_report
-        assert report.ok and report.degraded
-        # Under the run-level scheduler the outcomes are stage tasks
-        # (one per sizing/record/analyze step), not one per workload --
-        # but every one of them must have landed on the serial rung.
-        assert len(report.outcomes) >= 2
-        assert {out.path for out in report.outcomes} == {"serial"}
+        # Under the run-level scheduler the tasks are stages (one per
+        # sizing/record/analyze step), not one per workload -- but every
+        # one of them must have run in-process.
+        assert len(suite.task_timings) >= 2
+        assert suite.pool_counts["pooled"] == 0
+        assert suite.pool_counts["inline"] == len(suite.task_timings)
         # Results memoize and render in canonical workload order, not
         # completion or fallback order.
         assert list(suite.campaigns().keys()) == ["fft", "lu"]
@@ -248,7 +247,7 @@ class TestResilientFanOut:
         faults.arm("")
         warm = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
 
-        def explode(pending, _cache_hits):
+        def explode(pending):
             raise AssertionError("cache miss recomputed %r" % (pending,))
 
         monkeypatch.setattr(warm, "_run_pending", explode)
@@ -313,7 +312,8 @@ class TestCheckpointedSuite:
         single_dir = tmp_path / "single"
         suite = Suite(_CONFIG, jobs=2, cache_dir=single_dir)
         suite.campaign("fft")
-        assert suite.last_report is not None and suite.last_report.ok
+        assert suite.task_timings
+        assert suite.pool_counts["pooled"] == len(suite.task_timings)
         done = [
             p for p in (single_dir / "journal").iterdir()
             if p.name.endswith(".done")
@@ -343,16 +343,13 @@ class TestCheckpointedSuite:
         run_id = excinfo.value.run_id
         assert run_id is not None
 
-        # The drain accounted for every task and left no torn state:
-        # no temp files anywhere, and a replayable journal that shows
-        # how far the run got.
-        report = suite.last_report
-        assert report.interrupted
-        # Interrupted is its own status: not ok, but not failed either.
-        assert not any(out.status == "failed" for out in report.outcomes)
-        assert {out.status for out in report.outcomes} == {
-            "interrupted"
-        }
+        # The drain started no task after the request and left no torn
+        # state: no temp files anywhere, and a replayable journal that
+        # shows how far the run got.
+        assert suite.task_timings == []
+        assert suite.pool_counts == dict(
+            pooled=0, inline=0, replaced=0, timeouts=0
+        )
         assert list(cache.rglob("*.tmp.*")) == []
         wal = cache / "journal" / (run_id + WAL_SUFFIX)
         assert wal.exists()

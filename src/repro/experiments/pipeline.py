@@ -20,7 +20,10 @@ reach it through :func:`run_campaigns`, which picks the store and
 journals through :func:`journal_hooks`; the campaign service
 (:func:`repro.service.executor.execute_job`) calls it directly and
 keeps its job WAL in its own hooks.  So all three split and assemble
-work the same way wherever it runs.
+work the same way wherever it runs.  A finished campaign is committed
+through :func:`store_committed` and served back by
+:func:`load_committed`, one store entry keyed by :attr:`Campaign.key`
+that the Suite and the service share.
 
 Stages (``payload["stage"]``):
 
@@ -71,9 +74,11 @@ from repro.injection.campaign import (
     CampaignResult,
     RunResult,
     analyze_recorded,
+    campaign_key,
     campaign_run_keys,
     campaign_sizing_seed,
     record_injected_once,
+    sizing_key,
     trace_namespace,
 )
 from repro.injection.injector import count_sync_instances
@@ -151,16 +156,15 @@ def _run_stage(payload: Dict, store) -> Dict:
     if stage == "size":
         started = time.monotonic()
         sizing_seed = payload["sizing_seed"]
-        sizing_key = ("sync_instances", sizing_seed)
         # Re-probe before simulating: on a pool retry (or a
         # concurrent suite over the same store) the value may have
         # landed since this task was scheduled.
-        instances = store.load_value(namespace, sizing_key)
+        instances = store.load_value(namespace, sizing_key(sizing_seed))
         if instances is None:
             instances = count_sync_instances(
                 factory(sizing_seed), sizing_seed
             )
-            store.store_value(namespace, sizing_key, instances)
+            store.store_value(namespace, sizing_key(sizing_seed), instances)
         return {
             "instances": instances,
             "timings": {"record_s": time.monotonic() - started},
@@ -252,6 +256,32 @@ class Campaign:
     @property
     def namespace(self) -> str:
         return trace_namespace(self.workload, self.params)
+
+    @property
+    def key(self) -> Tuple:
+        """Store key of the committed result, under :attr:`namespace`."""
+        return campaign_key(self.config)
+
+
+def load_committed(
+    store: PackedTraceStore, campaign: Campaign
+) -> Optional[CampaignResult]:
+    """The campaign's committed result in ``store``, or None.
+
+    Missing, torn, stale and wrong-type entries are all misses, each
+    counted in ``store.stats`` (the damaged ones quarantined).
+    """
+    return store.load_value(
+        campaign.namespace, campaign.key, expect=CampaignResult
+    )
+
+
+def store_committed(
+    store: PackedTraceStore, campaign: Campaign, result: CampaignResult
+) -> None:
+    """Commit a finished campaign: the CLI's Suite and a service job
+    write the same bytes at the same key."""
+    store.store_value(campaign.namespace, campaign.key, result)
 
 
 def _noop(*_args) -> None:
@@ -480,7 +510,7 @@ def drive(
             campaign.workload, campaign.config.base_seed
         )
         instances = store.load_value(
-            campaign.namespace, ("sync_instances", sizing_seed)
+            campaign.namespace, sizing_key(sizing_seed)
         )
         if instances is not None:
             shard_campaign(campaign, instances,

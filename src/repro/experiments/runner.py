@@ -18,25 +18,23 @@ trace store and are scheduled by
 campaign service run too.  Without a cache directory that store is a
 temporary directory, deleted when the campaigns are done.
 
-An optional on-disk cache (``cache_dir`` argument, or ``REPRO_CACHE_DIR``)
-persists finished campaigns keyed by the full parameter tuple, so
-re-running a figure script after an interruption -- or a second script
-over the same configuration -- skips straight to the views.
+An optional cache directory (``cache_dir`` argument, or
+``REPRO_CACHE_DIR``) holds the suite's trace store, ``<cache>/traces``,
+where the stages meet and each finished campaign is committed under its
+:attr:`~repro.experiments.pipeline.Campaign.key` -- the entry a service
+job commits for the same campaign -- so a re-run skips straight to the
+views.
 
 Resilience: the fan-out runs on :mod:`repro.resilience.procpool` --
 per-task deadlines (``REPRO_TASK_TIMEOUT``), retries with backoff
-(``REPRO_MAX_RETRIES``), and an in-process fallback when retries run
-out or the pool is poisoned -- and every cache entry is wrapped in the
-checksummed frame from :mod:`repro.trace.store`, so a torn or
-bit-flipped pickle is detected, quarantined under
-``<cache>/quarantine/``, counted in :attr:`Suite.warnings`, and
-recomputed.  Results stay bit-identical no matter which path (first
-try, retry, or in-process fallback) computed them; see
+(``REPRO_MAX_RETRIES``), and an in-process fallback -- and a damaged
+committed campaign is quarantined (counted in ``Suite.store.stats``)
+and rebuilt from the durable stage outputs, bit-identically; see
 ``docs/resilience.md``.
 
 Crash consistency: with a cache directory the suite is *checkpointed*
 (:mod:`repro.resilience.journal`): every campaign's lifecycle is logged
-to a per-run write-ahead journal under ``<cache>/journal/``, all cache
+to a per-run write-ahead journal under ``<cache>/journal/``, all store
 writes are atomic (tmp -> fsync -> rename), SIGTERM/SIGINT drain the
 fan-out and raise :class:`~repro.common.errors.InterruptedRunError`
 (exit code 71 at the CLI -- "interrupted, resumable"), and a re-run over
@@ -49,10 +47,8 @@ one per injected run (:func:`repro.experiments.pipeline.journal_hooks`).
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
-import pickle
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -60,37 +56,20 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.common.env import env_number
-from repro.common.errors import InterruptedRunError, StoreCorruptError
+from repro.common.errors import InterruptedRunError
+from repro.experiments import pipeline
 from repro.injection.campaign import (
     CampaignConfig,
     CampaignResult,
     trace_namespace,  # re-exported: Suite callers key stores with it
 )
-from repro.resilience.checkpoint import (
-    GracefulShutdown,
-    atomic_write_bytes,
-    canonicalize,
-)
+from repro.resilience.checkpoint import GracefulShutdown
 from repro.resilience.journal import RunCheckpoint
-from repro.trace.store import (
-    PackedTraceStore,
-    frame_payload,
-    unframe_payload,
-)
+from repro.trace.store import PackedTraceStore
 from repro.workloads.base import WorkloadParams
 from repro.workloads.registry import all_workloads
 
 logger = logging.getLogger("repro.experiments.runner")
-
-#: Bump when CampaignResult's pickle layout changes incompatibly; stale
-#: cache entries then miss instead of unpickling garbage.  2 = entries
-#: carry the checksummed store frame.
-_CACHE_SCHEMA = 2
-
-#: Unpickle failures that mean version skew (stale code), not damage:
-#: the frame already vouched for the bytes.
-_STALE_ERRORS = (AttributeError, ImportError, TypeError, ValueError,
-                 pickle.UnpicklingError, EOFError, IndexError)
 
 
 def default_jobs() -> int:
@@ -110,11 +89,12 @@ class SuiteConfig:
 
     Attributes:
         runs_per_app: injection runs per application.  The paper uses
-            20-100 per app; the default here keeps the full 12-app suite
+            20-100 per app; the default here keeps the full 17-app suite
             in benchmark-friendly time while preserving the aggregate
             shapes (averages over all apps rest on 100+ runs).
         base_seed: master seed.
-        workloads: subset of application names (default: all twelve).
+        workloads: subset of application names (default: all 17, the
+            12 Splash-2 apps and the 5 server workloads).
         params: workload scaling parameters.
     """
 
@@ -136,8 +116,9 @@ class Suite:
         config: suite configuration.
         jobs: stage-task worker processes; ``None`` reads
             ``REPRO_JOBS`` (default 1 = in-process, no pool spawned).
-        cache_dir: directory for pickled campaign results; ``None`` reads
-            ``REPRO_CACHE_DIR`` (default: no on-disk cache).
+        cache_dir: directory for the trace store and the journal;
+            ``None`` reads ``REPRO_CACHE_DIR`` (default: no on-disk
+            cache).
     """
 
     def __init__(
@@ -151,9 +132,17 @@ class Suite:
         self.cache_dir = (
             Path(cache_dir) if cache_dir is not None else default_cache_dir()
         )
+        #: The trace store under ``<cache>/traces``, or None without a
+        #: cache dir.  Its ``stats`` count every committed-campaign
+        #: lookup's misses, quarantines and stale entries.
+        self.store: Optional[PackedTraceStore] = (
+            PackedTraceStore(self.cache_dir / "traces")
+            if self.cache_dir is not None else None
+        )
         self._campaigns: Dict[str, CampaignResult] = {}
-        #: Cache-health counters (``corrupt``, ``io_errors``, ``stale``):
-        #: every swallowed cache problem is counted here, never silent.
+        #: Startup housekeeping counts of the checkpoint
+        #: (``tmp_pruned``, ``journals_pruned``, ``quarantine_pruned``,
+        #: ``resumed``).
         self.warnings: Counter = Counter()
         #: ``(task name, stage seconds)`` of every stage task the most
         #: recent run of missing campaigns ran, in completion order;
@@ -163,136 +152,30 @@ class Suite:
         #: ``replaced``, ``timeouts``); None when it ran in-process.
         self.pool_counts: Optional[Dict[str, int]] = None
 
-    @property
-    def trace_store_dir(self) -> Optional[Path]:
-        """Recorded-trace store directory (under the campaign cache)."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / "traces"
-
-    def trace_store(self) -> Optional[PackedTraceStore]:
-        """The suite's recorded-trace store, or None (no cache dir)."""
-        root = self.trace_store_dir
-        return PackedTraceStore(root) if root is not None else None
-
-    # -- on-disk cache -------------------------------------------------------
-
-    def _cache_key(self, workload: str) -> str:
-        """Digest over everything that determines a campaign's result."""
-        ident = repr((
-            _CACHE_SCHEMA,
-            workload,
-            self.config.runs_per_app,
-            self.config.base_seed,
-            self.config.params,
-        ))
-        return hashlib.sha256(ident.encode()).hexdigest()[:16]
-
-    def _cache_path(self, workload: str) -> Optional[Path]:
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / (
-            "campaign-%s-%s.pkl" % (workload, self._cache_key(workload))
+    def _campaign_of(self, workload: str) -> pipeline.Campaign:
+        return pipeline.Campaign(
+            workload, self.config.params,
+            CampaignConfig(
+                n_runs=self.config.runs_per_app,
+                base_seed=self.config.base_seed,
+            ),
         )
-
-    def _quarantine(self, path: Path, exc: Exception) -> None:
-        """Move a corrupt cache entry to ``<cache>/quarantine/`` + reason."""
-        qdir = self.cache_dir / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            os.replace(path, qdir / path.name)
-            (qdir / (path.name + ".reason.txt")).write_text(
-                "quarantined campaign-cache entry\n"
-                "original path: %s\n"
-                "reason: %s: %s\n" % (path, type(exc).__name__, exc)
-            )
-        except OSError as move_exc:
-            logger.warning(
-                "could not quarantine corrupt cache entry %s: %s",
-                path, move_exc,
-            )
-        logger.warning(
-            "quarantined corrupt campaign-cache entry %s: %s", path, exc
-        )
-
-    def _cache_load(self, workload: str) -> Optional[CampaignResult]:
-        """A cached campaign, or None -- counting every swallowed reason.
-
-        Only the *expected* failure set is caught: unreadable files
-        (``OSError``), frame/checksum violations
-        (:class:`StoreCorruptError`, quarantined), and version-skewed
-        pickles (stale).  Anything else is a real bug and propagates.
-        """
-        path = self._cache_path(workload)
-        if path is None:
-            return None
-        try:
-            raw = path.read_bytes()
-        except FileNotFoundError:
-            return None
-        except OSError as exc:
-            self.warnings["io_errors"] += 1
-            logger.warning("unreadable cache entry %s: %s", path, exc)
-            return None
-        try:
-            result = pickle.loads(
-                unframe_payload(raw, "cache entry %s" % path.name)
-            )
-        except StoreCorruptError as exc:
-            self.warnings["corrupt"] += 1
-            self._quarantine(path, exc)
-            return None
-        except _STALE_ERRORS:
-            self.warnings["stale"] += 1
-            return None
-        if not isinstance(result, CampaignResult):
-            self.warnings["corrupt"] += 1
-            self._quarantine(
-                path,
-                StoreCorruptError(
-                    "cache entry holds %r, not a CampaignResult"
-                    % type(result).__name__
-                ),
-            )
-            return None
-        return result
-
-    def _cache_store(self, workload: str, result: CampaignResult) -> None:
-        path = self._cache_path(workload)
-        if path is None:
-            return
-        # Atomic (tmp -> fsync -> rename) so a concurrent reader or a
-        # killed writer never leaves a half-written pickle; the
-        # checksummed frame catches the remaining torn-write windows
-        # (power loss after the rename).  Canonicalized so a resumed
-        # run -- whose results are partly rebuilt from durable slices --
-        # writes bytes identical to an uninterrupted run's.
-        payload = frame_payload(
-            pickle.dumps(
-                canonicalize(result), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        )
-        atomic_write_bytes(path, payload)
 
     # -- campaign execution --------------------------------------------------
 
     def campaign(self, workload: str) -> CampaignResult:
         """The (cached) campaign for one application.
 
-        A cache miss runs through the same scheduler as
-        :meth:`campaigns` -- with a cache directory journaled,
-        drain-able, and timed in :attr:`task_timings` -- so a
-        single-workload script gets the identical crash-consistency
-        story (and, with ``jobs > 1``, the run-level pipeline's
-        intra-campaign parallelism).  Without a cache directory the
-        campaign runs unjournaled, over a temporary trace store.
+        A miss runs through the same scheduler as :meth:`campaigns` --
+        with a cache directory journaled, drain-able, and timed in
+        :attr:`task_timings` -- so a single-workload script gets the
+        identical crash-consistency story (and, with ``jobs > 1``, the
+        run-level pipeline's intra-campaign parallelism).  Without a
+        cache directory the campaign runs unjournaled, over a temporary
+        trace store.
         """
         if workload not in self._campaigns:
-            cached = self._cache_load(workload)
-            if cached is not None:
-                self._campaigns[workload] = cached
-            else:
-                self._run_pending([workload])
+            self._load_or_run([workload])
         return self._campaigns[workload]
 
     def campaigns(self) -> Dict[str, CampaignResult]:
@@ -302,8 +185,8 @@ class Suite:
         each task gets a deadline, dead or hung processes are replaced
         and the task retried with backoff, and a task out of retries (or
         a poisoned pool) runs in-process (:attr:`pool_counts` counts
-        each).  Disk cache hits never occupy a process, and
-        results come back -- and land in the on-disk cache -- the same
+        each).  Committed campaigns never occupy a process, and
+        results come back -- and are committed to the store -- the same
         regardless of completion order, retries, or fallbacks, in
         canonical workload order, so two identical runs leave identical
         state behind.
@@ -313,26 +196,17 @@ class Suite:
         ``sigterm_drain`` fault) drain the workers, commit every
         finished campaign, flush the journal, and raise
         :class:`InterruptedRunError` -- after which re-running over the
-        same cache directory resumes and produces bit-identical caches
+        same cache directory resumes and produces bit-identical stores
         and reports.
         """
-        missing = [
+        self._load_or_run([
             name
             for name in self.config.workload_names()
             if name not in self._campaigns
-        ]
-        pending: List[str] = []
-        for name in missing:
-            cached = self._cache_load(name)
-            if cached is not None:
-                self._campaigns[name] = cached
-            else:
-                pending.append(name)
-        if pending:
-            self._run_pending(pending)
-        # Canonical workload order, independent of which entries were
-        # cache hits: figure tables iterate this dict, and their row
-        # order must not depend on cache state.
+        ])
+        # Canonical workload order, independent of which campaigns were
+        # committed before: figure tables iterate this dict, and their
+        # row order must not depend on cache state.
         ordered = {
             name: self._campaigns[name]
             for name in self.config.workload_names()
@@ -343,13 +217,25 @@ class Suite:
                 ordered[name] = result
         return ordered
 
+    def _load_or_run(self, names: List[str]) -> None:
+        """Serve each campaign from its committed entry, if any, and run
+        the rest."""
+        for name in names if self.store is not None else []:
+            committed = pipeline.load_committed(
+                self.store, self._campaign_of(name)
+            )
+            if committed is not None:
+                self._campaigns[name] = committed
+        pending = [name for name in names if name not in self._campaigns]
+        if pending:
+            self._run_pending(pending)
+
     # -- checkpointed execution ------------------------------------------------
 
     def _identity(self) -> tuple:
         """Everything that pins this suite's results (journal identity)."""
         return (
             "suite",
-            _CACHE_SCHEMA,
             self.config.runs_per_app,
             self.config.base_seed,
             tuple(self.config.workload_names()),
@@ -361,28 +247,24 @@ class Suite:
 
         Opening also performs the startup housekeeping -- orphaned
         ``*.tmp.*`` collection, stale-journal pruning, and quarantine
-        GC for both the campaign cache and the trace store -- whose
-        counts land in :attr:`warnings` (``tmp_pruned``,
-        ``journals_pruned``, ``quarantine_pruned``, ``resumed``).
+        GC of the trace store -- whose counts land in :attr:`warnings`
+        (``tmp_pruned``, ``journals_pruned``, ``quarantine_pruned``,
+        ``resumed``).
         """
-        if self.cache_dir is None:
+        if self.store is None:
             return None
-        quarantine_dirs = [self.cache_dir / "quarantine"]
-        store_dir = self.trace_store_dir
-        if store_dir is not None:
-            quarantine_dirs.append(store_dir / "quarantine")
         ckpt = RunCheckpoint.open(
             self.cache_dir,
             identity=self._identity(),
             kind="suite",
-            quarantine_dirs=tuple(quarantine_dirs),
+            quarantine_dirs=(self.store.quarantine_dir,),
         )
         self.warnings.update(ckpt.stats)
         return ckpt
 
     def _run_pending(self, pending: List[str]) -> None:
-        """Run the campaigns no cache could serve, on the run-level
-        pipeline.
+        """Run the campaigns no committed entry could serve, on the
+        run-level pipeline.
 
         With a cache directory the run is journaled and drains on
         SIGTERM; without one the stages meet in a temporary trace store,
@@ -422,11 +304,6 @@ class Suite:
         stage timings land in :attr:`task_timings`, and the pool's
         counters in :attr:`pool_counts`.
         """
-        from repro.experiments import pipeline
-
-        config = CampaignConfig(
-            n_runs=self.config.runs_per_app, base_seed=self.config.base_seed
-        )
         self.task_timings, self.pool_counts = [], None
         pool = None
         if self.jobs > 1:
@@ -456,11 +333,8 @@ class Suite:
 
         try:
             pipeline.run_campaigns(
-                [
-                    pipeline.Campaign(name, self.config.params, config)
-                    for name in pending
-                ],
-                self.trace_store(),
+                [self._campaign_of(name) for name in pending],
+                self.store,
                 self._commit,
                 ckpt,
                 pipeline.inline_stream(run_task, should_stop, self.jobs),
@@ -474,10 +348,13 @@ class Suite:
                 pool.shutdown()
 
     def _commit(self, name: str, result: CampaignResult) -> None:
-        """Keep a finished campaign and write its cache entry, if any
+        """Keep a finished campaign and commit it to the store, if any
         (canonicalized, so completion order changes no byte)."""
         self._campaigns[name] = result
-        self._cache_store(name, result)
+        if self.store is not None:
+            pipeline.store_committed(
+                self.store, self._campaign_of(name), result
+            )
 
     # -- cross-app aggregates --------------------------------------------------
 

@@ -288,14 +288,39 @@ def detectors_digest(
 ) -> str:
     """Digest identifying a detector suite's analysis outputs.
 
-    Folded into the store keys of per-config outcome slices and
-    committed run results, so a different detector set (or soundness
-    setting) misses cleanly instead of resuming into foreign results.
+    Folded into the store keys of outcome bundles and committed
+    campaigns, so a different detector set (or soundness setting)
+    misses cleanly instead of resuming into foreign results.
     """
     ident = repr((
         tuple(spec.name for spec in detectors), bool(check_soundness),
     ))
     return hashlib.sha256(ident.encode()).hexdigest()[:12]
+
+
+# -- store keys: every value entry of a campaign, under its trace_namespace --
+
+
+def sizing_key(sizing_seed: int) -> Tuple:
+    """Store key of a workload's dynamic sync-instance count."""
+    return ("sync_instances", sizing_seed)
+
+
+def bundle_key(
+    seed: int, target: int, switch_probability: float, digest: str
+) -> Tuple:
+    """Store key of one run's outcome bundle (``digest``:
+    :func:`detectors_digest`)."""
+    return ("outcomes", seed, target, switch_probability, digest)
+
+
+def campaign_key(config: CampaignConfig) -> Tuple:
+    """Store key of a campaign's committed :class:`CampaignResult`."""
+    return (
+        "campaign", config.n_runs, config.base_seed,
+        config.switch_probability,
+        detectors_digest(config.detector_suite(), config.check_soundness),
+    )
 
 
 def analyze_recorded(
@@ -346,11 +371,11 @@ def analyze_recorded(
     persist = store is not None and switch_probability is not None
     slices: Dict[str, Dict] = {}
     if persist:
-        bundle_key = _bundle_key(
-            recorded, switch_probability,
+        key = bundle_key(
+            recorded.seed, recorded.target_index, switch_probability,
             detectors_digest(detectors, check_soundness),
         )
-        slices = _load_bundle_slices(store, namespace, bundle_key, detectors)
+        slices = _load_bundle_slices(store, namespace, key, detectors)
     missing = [spec for spec in detectors if spec.name not in slices]
     fresh: Dict[str, DetectionOutcome] = (
         guarded_outcomes(missing, recorded.n_threads, recorded.packed)
@@ -363,25 +388,16 @@ def analyze_recorded(
     # uninterrupted run's).  A run with nothing fresh rewrites nothing.
     if persist and fresh:
         store.store_value(
-            namespace, bundle_key,
+            namespace, key,
             _merged_bundle(detectors, slices, fresh, result),
         )
     return result
 
 
-def _bundle_key(
-    recorded: RecordedRun, switch_probability: float, digest: str
-) -> Tuple:
-    return (
-        "outcomes", recorded.seed, recorded.target_index,
-        switch_probability, digest,
-    )
-
-
 def _load_bundle_slices(
     store: PackedTraceStore,
     namespace: str,
-    bundle_key: Tuple,
+    key: Tuple,
     detectors: Sequence[DetectorSpec],
 ) -> Dict[str, Dict]:
     """The run's durable per-config slices already on disk.
@@ -390,7 +406,7 @@ def _load_bundle_slices(
     for a slice to hit.
     """
     slices: Dict[str, Dict] = {}
-    bundle = store.load_value(namespace, bundle_key)
+    bundle = store.load_value(namespace, key)
     if isinstance(bundle, dict):
         for spec in detectors:
             value = bundle.get(spec.name)

@@ -5,20 +5,23 @@ and the existing record-once / analyze-many machinery.  It hands the
 spec's campaign to the one stage-DAG driver,
 :func:`repro.experiments.pipeline.drive` -- the same driver the
 pipelined ``Suite`` runs, so sizing, sharding, batching and run
-assembly happen exactly as they do on the CLI -- and persists the
-finished result document into the store keyed by the spec's content
-digest.  What stays here is the job's durability: the hooks log the
-WAL phases (``sharded``, ``recording``, ``analyzing``), fire the
-``store_corrupt_mid_job`` chaos fault and stream ``on_run``.
+assembly happen exactly as they do on the CLI -- and commits the
+finished :class:`~repro.injection.campaign.CampaignResult` to the store
+through :func:`~repro.experiments.pipeline.store_committed`, the entry
+the CLI's Suite commits for the same campaign.  What stays here is the
+job's durability: the hooks log the WAL phases (``sharded``,
+``recording``, ``analyzing``), fire the ``store_corrupt_mid_job`` chaos
+fault and stream ``on_run``.
 
-The stage runner is a callable, ``run_stage(payload) -> value``.  Direct
-callers get the in-process runner by default.  The server passes
-:meth:`~repro.resilience.procpool.ProcessPool.run`: one blocking submit
-to its pre-forked stage processes, one per job slot, so concurrent jobs
-run their CPU-bound stages in parallel instead of sharing the server's
-GIL.  The pool kills a stage task at its deadline, replaces a process
-that died, and retries the task there before it falls back in-process.
-A job with no live remote worker runs its tasks one at a time through
+The stage runner is a callable, ``run_stage(payload, name) -> value``:
+the signature of :meth:`~repro.resilience.procpool.ProcessPool.run`,
+which the server passes -- one blocking submit to its pre-forked stage
+processes, one per job slot, so concurrent jobs run their CPU-bound
+stages in parallel instead of sharing the server's GIL.  The pool kills
+a stage task at its deadline, replaces a process that died, and retries
+the task (logged and backed off under its name) before it falls back
+in-process.  Direct callers get the in-process runner by default.  A
+job with no live remote worker runs its tasks one at a time through
 ``run_stage`` (:func:`~repro.experiments.pipeline.inline_stream`); with
 live workers the stage tasks go out over leases instead, and
 ``run_stage`` only serves the pool's zero-worker fallback.
@@ -26,9 +29,9 @@ live workers the stage tasks go out over leases instead, and
 Everything is store-keyed and idempotent, which is the whole recovery
 story: a job re-executed after a server crash skips every durable
 recording (``has_run``), reuses every durable outcome bundle, and -- if
-it got as far as committing -- serves the durable result document
-without touching a single trace.  Byte-identity with the serial CLI
-path follows because both feed the identical
+it got as far as committing -- serves the committed campaign without
+touching a single trace.  Byte-identity with the serial CLI path
+follows because both feed the identical
 ``(seed, target, switch_probability)`` schedule through the identical
 analysis ladder and render through the shared
 :func:`~repro.injection.campaign.format_campaign_report`.
@@ -56,33 +59,9 @@ from repro.injection.campaign import (
 from repro.resilience import faults
 from repro.trace.store import PackedTraceStore
 
-#: Store namespace of service-level artifacts (committed result docs).
-SERVICE_NAMESPACE = "service"
-
-#: Result-document layout version.
-RESULT_SCHEMA = 1
-
 
 class JobInterrupted(Exception):
     """The job's stop predicate tripped at a safe point (resumable)."""
-
-
-def result_key(spec) -> Tuple[str, str]:
-    """Store key of a spec's committed result document."""
-    return ("svc_result", spec.digest())
-
-
-def load_result(store: PackedTraceStore, spec) -> Optional[Dict]:
-    """The durable result document for ``spec``, or ``None``."""
-    doc = store.load_value(SERVICE_NAMESPACE, result_key(spec))
-    if (
-        isinstance(doc, dict)
-        and doc.get("schema") == RESULT_SCHEMA
-        and isinstance(doc.get("report"), str)
-        and isinstance(doc.get("campaign"), CampaignResult)
-    ):
-        return doc
-    return None
 
 
 def run_summary(run: RunResult) -> Dict:
@@ -99,17 +78,21 @@ def _noop(*_args, **_kwargs) -> None:
     return None
 
 
+def _run_inline(payload: Dict, _name: str) -> Dict:
+    return pipeline.run_stage_task(payload)
+
+
 def execute_job(
     spec,
     root,
     stop: Optional[Callable[[], bool]] = None,
-    run_stage: Callable[[Dict], Dict] = pipeline.run_stage_task,
+    run_stage: Callable[[Dict, str], Dict] = _run_inline,
     on_phase: Callable[..., None] = _noop,
     on_run: Callable[[RunResult], None] = _noop,
     pool=None,
     job_id: str = "",
 ) -> Dict:
-    """Run ``spec``'s campaign to a committed result document.
+    """Run ``spec``'s campaign to a committed campaign entry.
 
     ``on_phase(name, **info)`` fires at each lifecycle transition the
     caller should journal (``sharded`` -- with the run-key shard plan
@@ -118,8 +101,9 @@ def execute_job(
     completed run, in run-index order.  Both are invoked on the
     executing thread; callers own thread safety.
 
-    ``run_stage(payload)`` runs one local stage task and blocks until it
-    is done; the default runs it in-process.  A value's ``"store"``
+    ``run_stage(payload, name)`` runs one local stage task (``name`` is
+    its ``size:``/``rec:``/``an:`` task name) and blocks until it is
+    done; the default runs it in-process.  A value's ``"store"``
     counters (those of the store the stage opened) are added into
     ``stats["store"]``.
 
@@ -136,50 +120,43 @@ def execute_job(
     stop = stop or (lambda: False)
     root = Path(root)
     store = PackedTraceStore(root / "traces")
-    namespace = spec.trace_namespace()
-    config = spec.campaign_config()
+    campaign = spec.campaign()
+    config = campaign.config
     use_remote = pool is not None and pool.live_worker_count() > 0
 
-    cached = load_result(store, spec)
-    if cached is not None:
+    committed = pipeline.load_committed(store, campaign)
+    if committed is not None:
         # A bit-identical campaign already committed (this tenant's
-        # earlier job, another tenant's, or this job before the server
-        # was killed): serve the durable document -- zero simulation,
-        # zero analysis.
-        campaign = cached["campaign"]
+        # earlier job, another tenant's, a CLI run over this store, or
+        # this job before the server was killed): serve it -- zero
+        # simulation, zero analysis.
         keys = [
             (run.run_index, run.seed, run.target_index)
-            for run in campaign.runs
+            for run in committed.runs
         ]
         on_phase(
             "sharded",
-            instances=campaign.sync_instances,
+            instances=committed.sync_instances,
             keys=keys,
             durable=dict.fromkeys((k[0] for k in keys), True),
             switch_probability=config.switch_probability,
         )
         on_phase("recording")
         on_phase("analyzing")
-        for run in campaign.runs:
+        for run in committed.runs:
             _check_stop(stop)
             on_run(run)
-        return {
-            "report": cached["report"],
-            "campaign": campaign,
-            "stats": {
-                "result_hit": 1,
-                "simulated": 0,
-                "replayed": len(campaign.runs),
-                "store": store.snapshot(),
-            },
-        }
+        return _outcome(committed, {
+            "result_hit": 1, "simulated": 0,
+            "replayed": len(committed.runs), "store": store.snapshot(),
+        })
 
     _check_stop(stop)
     remote_stats: Dict[str, int] = {}
     stage_store_stats: Dict[str, int] = {}
 
-    def run_local(payload: Dict, _name: str = "") -> Dict:
-        value = run_stage(payload)
+    def run_local(payload: Dict, name: str) -> Dict:
+        value = run_stage(payload, name)
         _merge_stats(stage_store_stats, value.get("store", {}))
         return value
 
@@ -208,11 +185,12 @@ def execute_job(
         on_phase("recording")
 
     def on_analyzing(_workload) -> None:
-        _chaos_corrupt(store, namespace, keys, config.switch_probability)
+        _chaos_corrupt(store, campaign.namespace, keys,
+                       config.switch_probability)
         on_phase("analyzing")
 
     interrupted = pipeline.drive(
-        [pipeline.Campaign(spec.workload, spec.workload_params(), config)],
+        [campaign],
         store,
         run_remote if use_remote else pipeline.inline_stream(run_local, stop),
         on_sharded=on_sharded,
@@ -222,12 +200,8 @@ def execute_job(
     )
     if interrupted:
         raise JobInterrupted("job stop requested")
-    campaign = done[spec.workload]
-    report = format_campaign_report(campaign)
-    store.store_value(
-        SERVICE_NAMESPACE, result_key(spec),
-        {"schema": RESULT_SCHEMA, "report": report, "campaign": campaign},
-    )
+    result = done[spec.workload]
+    pipeline.store_committed(store, campaign, result)
     _merge_stats(stage_store_stats, store.snapshot())
     stats_out = {
         "result_hit": 0,
@@ -237,10 +211,14 @@ def execute_job(
     }
     if use_remote:
         stats_out["remote"] = remote_stats
+    return _outcome(result, stats_out)
+
+
+def _outcome(campaign: CampaignResult, stats: Dict) -> Dict:
     return {
-        "report": report,
+        "report": format_campaign_report(campaign),
         "campaign": campaign,
-        "stats": stats_out,
+        "stats": stats,
     }
 
 
@@ -272,8 +250,8 @@ def _chaos_corrupt(
     if not (faults.active() and faults.fire("store_corrupt_mid_job")):
         return
     for _run_index, seed, target in keys:
-        path = store.run_entry_path(
-            namespace, (seed, target, switch_probability)
+        path = store.entry_path(
+            "trace", namespace, (seed, target, switch_probability)
         )
         if path.exists():
             data = path.read_bytes()

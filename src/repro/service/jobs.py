@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.injection.campaign import CampaignConfig, trace_namespace
+from repro.injection.campaign import CampaignConfig
 from repro.resilience import faults
 from repro.resilience.journal import Journal, _encode_record, _iter_records
 from repro.workloads.base import WorkloadParams
@@ -76,7 +76,7 @@ class CampaignSpec:
     switch_probability: float = 0.1
 
     def digest(self) -> str:
-        """Content address of this spec (keys the durable result doc)."""
+        """Content address of this spec (job ids, result dedup)."""
         ident = repr((
             self.workload, self.runs, self.seed, self.scale,
             self.switch_probability,
@@ -93,8 +93,15 @@ class CampaignSpec:
             switch_probability=self.switch_probability,
         )
 
-    def trace_namespace(self) -> str:
-        return trace_namespace(self.workload, self.workload_params())
+    def campaign(self):
+        """The :class:`~repro.experiments.pipeline.Campaign` (and so the
+        committed-entry key) of this spec."""
+        # Imported here, so a client loads no experiment code.
+        from repro.experiments.pipeline import Campaign
+
+        return Campaign(
+            self.workload, self.workload_params(), self.campaign_config()
+        )
 
     def to_wire(self) -> Dict:
         return {

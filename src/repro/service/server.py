@@ -51,6 +51,7 @@ from typing import Dict, Optional, Set
 
 from repro.common.errors import CordError
 from repro.experiments import pipeline
+from repro.injection.campaign import CampaignResult, format_campaign_report
 from repro.resilience.checkpoint import INTERRUPTED_EXIT_CODE
 from repro.resilience.procpool import ProcessPool
 from repro.service import jobs as jobmod
@@ -63,7 +64,6 @@ from repro.service.admission import (
 from repro.service.executor import (
     JobInterrupted,
     execute_job,
-    load_result,
     run_summary,
 )
 from repro.service.jobs import (
@@ -237,11 +237,13 @@ class CampaignServer:
             job.done_event = asyncio.Event()
             self.jobs[job_id] = job
             if job.state == COMMITTED:
-                doc = load_result(store, job.spec)
-                if doc is not None:
-                    self._adopt_committed(job, doc)
+                campaign = pipeline.load_committed(
+                    store, job.spec.campaign()
+                )
+                if campaign is not None:
+                    self._adopt_committed(job, campaign)
                     continue
-                # Committed per the WAL but the result document is
+                # Committed per the WAL but the committed campaign is
                 # gone (damaged store): demote to resumable -- the
                 # keyed artifacts rebuild it deterministically.
                 job.state = ANALYZING
@@ -257,10 +259,9 @@ class CampaignServer:
                 job_id, job.tenant, job.state,
             )
 
-    def _adopt_committed(self, job: Job, doc: Dict) -> None:
-        """Hydrate a committed job from its durable result document."""
-        campaign = doc["campaign"]
-        job.report = doc["report"]
+    def _adopt_committed(self, job: Job, campaign: CampaignResult) -> None:
+        """Hydrate a committed job from its committed campaign."""
+        job.report = format_campaign_report(campaign)
         job.sync_instances = campaign.sync_instances
         job.runs_done = len(campaign.runs)
         job.run_events = [
@@ -402,9 +403,9 @@ class CampaignServer:
                     key: int(value) for key, value in sorted(remote.items())
                 }
             job.state = COMMITTED
-            # Result document first (store = source of truth), then the
-            # WAL commit -- a kill between the two replays as
-            # "analyzing" and re-commits from the durable document.
+            # Committed campaign first (store = source of truth), then
+            # the WAL commit -- a kill between the two replays as
+            # "analyzing" and re-serves the committed campaign.
             self.registry.log_state(job.job_id, COMMITTED)
         finally:
             if deadline_handle is not None:
@@ -447,7 +448,7 @@ class CampaignServer:
     # -- cross-tenant dedup accounting ---------------------------------------
 
     def _note_dedup(self, job, keys, durable, switch_probability) -> None:
-        namespace = job.spec.trace_namespace()
+        namespace = job.spec.campaign().namespace
         hits = 0
         with self._owner_lock:
             for run_index, seed, target in keys:

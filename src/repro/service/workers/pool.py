@@ -466,7 +466,7 @@ class WorkerPool:
         self,
         job_id: str,
         tasks: List[Tuple[str, Any]],
-        run_local: Callable[[Any], Any],
+        run_local: Callable[[Any, str], Any],
         on_result: Optional[Callable[..., None]] = None,
         should_stop: Optional[Callable[[], bool]] = None,
     ) -> Tuple[Dict[str, Any], Dict[str, int], bool]:
@@ -543,7 +543,7 @@ class WorkerPool:
         payload = run.tasks[task]
         self._cond.release()
         try:
-            value = run_local(payload)
+            value = run_local(payload, task)
         finally:
             self._cond.acquire()
         if task in run.done:

@@ -50,7 +50,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.common.backoff import backoff_delay
 from repro.experiments import pipeline
-from repro.injection.campaign import detectors_digest
+from repro.injection.campaign import (
+    bundle_key,
+    detectors_digest,
+    sizing_key,
+)
 from repro.resilience import faults
 from repro.resilience.procpool import ProcessPool
 from repro.service import protocol
@@ -351,7 +355,7 @@ class WorkerAgent:
             self._send_fail(lease_id, epoch, "corrupt payload: %s" % exc)
             return
         try:
-            value, re_recorded = self._execute(payload)
+            value, re_recorded = self._execute(payload, grant["task"])
         except ServiceUnavailable as exc:
             self._send_fail(lease_id, epoch, "replication lost: %s" % exc)
             return
@@ -367,8 +371,9 @@ class WorkerAgent:
         self._send_complete(lease_id, epoch, value, key)
         self._chaos("completed")
 
-    def _execute(self, payload: Dict[str, Any]) -> Tuple[Any, List[Tuple]]:
-        """Run one stage task against the local store.
+    def _execute(self, payload: Dict[str, Any],
+                 task: str) -> Tuple[Any, List[Tuple]]:
+        """Run stage task ``task`` against the local store.
 
         For analyze stages, first pull every run entry the batch needs
         from the server store (the shard may have been recorded on any
@@ -400,7 +405,7 @@ class WorkerAgent:
                     self._count("pull_misses")
                     re_recorded.append(components)
         value = self.stage_pool.run(
-            dict(payload, store_dir=str(self.store.root))
+            dict(payload, store_dir=str(self.store.root)), task
         )
         with self._lock:
             for key, count in value.pop("store", {}).items():
@@ -423,9 +428,7 @@ class WorkerAgent:
         namespace = payload["namespace"]
         entries: List[Tuple[str, Tuple]] = []
         if stage == "size":
-            entries.append(
-                ("value", ("sync_instances", payload["sizing_seed"]))
-            )
+            entries.append(("value", sizing_key(payload["sizing_seed"])))
         elif stage == "record":
             entries.append((
                 "trace",
@@ -442,8 +445,8 @@ class WorkerAgent:
             for _run_index, seed, target in payload["runs"]:
                 entries.append((
                     "value",
-                    ("outcomes", seed, target,
-                     config.switch_probability, digest),
+                    bundle_key(seed, target, config.switch_probability,
+                               digest),
                 ))
         for kind, components in entries:
             try:

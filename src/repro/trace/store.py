@@ -410,23 +410,16 @@ class PackedTraceStore:
         """
         return self._path("trace", namespace, components).exists()
 
-    def run_entry_path(self, namespace: str, components: Tuple) -> Path:
-        """The on-disk path a run entry lives at (existence not implied).
-
-        Exposed for the chaos harness (the ``store_corrupt_mid_job``
-        fault truncates a real durable entry in place) and for tests
-        that assert on the cache layout; ordinary readers go through
-        :meth:`load_run`.
-        """
-        return self._path("trace", namespace, components)
-
     def entry_path(self, kind: str, namespace: str,
                    components: Tuple) -> Path:
-        """The on-disk path for any entry ``kind`` (``trace``/``value``).
+        """The on-disk path for any entry ``kind`` (``trace``/``value``),
+        existence not implied.
 
         The store-replication protocol ships whole framed entry files
         between hosts; because paths are a pure function of the key, the
-        receiver lands the bytes at the identical relative path.
+        receiver lands the bytes at the identical relative path.  The
+        chaos harness and the tests find entries by it too; ordinary
+        readers go through :meth:`load_run` and :meth:`load_value`.
         """
         return self._path(kind, namespace, components)
 
@@ -467,17 +460,31 @@ class PackedTraceStore:
 
     # -- bare value entries ------------------------------------------------------
 
-    def load_value(self, namespace: str, components: Tuple):
-        """A cached picklable value for this key, or None."""
+    def load_value(self, namespace: str, components: Tuple,
+                   expect: type = object):
+        """A cached picklable value for this key, or None.
+
+        A value that is not an ``expect`` instance passed its checksum
+        but was minted by a broken writer: it is quarantined like a
+        torn frame, and the read is a miss.
+        """
         path = self._path("value", namespace, components)
-        payload = self._read_payload(path, "value entry %s" % path.name)
+        what = "value entry %s" % path.name
+        payload = self._read_payload(path, what)
         if payload is None:
             return None
         try:
-            return pickle.loads(payload)
+            value = pickle.loads(payload)
         except _STALE_ERRORS:
             self.stats["stale"] += 1
             return None
+        if not isinstance(value, expect):
+            self._quarantine(path, StoreCorruptError(
+                "%s holds %r, not a %s"
+                % (what, type(value).__name__, expect.__name__)
+            ))
+            return None
+        return value
 
     def store_value(self, namespace: str, components: Tuple,
                     value) -> None:

@@ -6,14 +6,11 @@ The tentpole contract of the run-level scheduler
 :func:`~repro.service.executor.execute_job`): campaigns decompose into
 sizing / record / analyze tasks streamed through one queue, and
 *everything observable stays byte-identical to the serial path* --
-results, campaign caches, journals, store entries -- no matter which
+results, committed campaigns, journals, store entries -- no matter which
 scheduler or caller ran, which workers died, or where a drain request
 landed.  A fault in an accelerated analysis tier inside a worker costs
 only a degradation, never a wrong byte.
 """
-
-import glob
-import os
 
 import pytest
 
@@ -32,7 +29,7 @@ from repro.resilience import faults
 from repro.resilience.guard import GUARD_LOG
 from repro.resilience.journal import WAL_SUFFIX, replay
 from repro.resilience.procpool import ProcessPool
-from repro.service.executor import SERVICE_NAMESPACE, execute_job, result_key
+from repro.service.executor import execute_job
 from repro.service.jobs import CampaignSpec
 from repro.trace.store import PackedTraceStore
 from repro.workloads import WorkloadParams, get_workload
@@ -88,11 +85,18 @@ def _clean_pool(suite):
                 timeouts=0)
 
 
-def _campaign_caches(cache_dir):
-    return {
-        os.path.basename(path): open(path, "rb").read()
-        for path in glob.glob(str(cache_dir / "campaign-*.pkl"))
-    }
+def _committed(cache_dir):
+    """The committed-campaign entries under ``cache_dir``, by name."""
+    suite = Suite(_CONFIG, cache_dir=cache_dir)
+    entries = {}
+    for name in _CONFIG.workloads:
+        campaign = suite._campaign_of(name)
+        path = suite.store.entry_path(
+            "value", campaign.namespace, campaign.key
+        )
+        if path.exists():
+            entries[name] = path.read_bytes()
+    return entries
 
 
 class TestSchedulerEquivalence:
@@ -115,9 +119,9 @@ class TestSchedulerEquivalence:
                 name.startswith("rec:") for name, _ in suite.task_timings
             )
         assert arms["serial"].pool_counts is None
-        serial_caches = _campaign_caches(tmp_path / "s")
-        assert serial_caches
-        assert _campaign_caches(tmp_path / "p") == serial_caches
+        serial_entries = _committed(tmp_path / "s")
+        assert sorted(serial_entries) == ["fft", "ocean"]
+        assert _committed(tmp_path / "p") == serial_entries
 
     def test_batch_size_does_not_change_bytes(self, tmp_path,
                                               monkeypatch):
@@ -126,7 +130,7 @@ class TestSchedulerEquivalence:
         monkeypatch.setattr(pipeline, "BATCH_RUNS", 1)
         one_by_one = Suite(_CONFIG, jobs=2, cache_dir=tmp_path / "b")
         one_by_one.campaigns()
-        assert _campaign_caches(tmp_path / "b") == _campaign_caches(
+        assert _committed(tmp_path / "b") == _committed(
             tmp_path / "a"
         )
 
@@ -134,7 +138,7 @@ class TestSchedulerEquivalence:
         cache = tmp_path / "warm"
         cold = Suite(_CONFIG, jobs=2, cache_dir=cache)
         cold.campaigns()
-        reference = _campaign_caches(cache)
+        reference = _committed(cache)
 
         # Fully warm: served without any stage task or pool at all.
         warm = Suite(_CONFIG, jobs=2, cache_dir=cache)
@@ -142,22 +146,22 @@ class TestSchedulerEquivalence:
         assert warm.task_timings == [] and warm.pool_counts is None
 
         # Partially warm: the evicted campaign recomputes from the
-        # recorded traces (analyze tasks only), the cache hit runs no
-        # task, and the rewritten bytes are identical.
-        evicted = cold._cache_path("fft")
-        evicted.unlink()
+        # recorded traces (analyze tasks only), the committed one runs
+        # no task, and the rewritten bytes are identical.
+        fft = cold._campaign_of("fft")
+        cold.store.entry_path("value", fft.namespace, fft.key).unlink()
         partial = Suite(_CONFIG, jobs=2, cache_dir=cache)
         partial.campaigns()
         names = [name for name, _ in partial.task_timings]
         assert names and all(name.startswith("an:fft#") for name in names)
-        assert _campaign_caches(cache) == reference
+        assert _committed(cache) == reference
 
 
-def _store_entries(traces, skip=()):
+def _store_entries(traces):
     return {
-        path.name: path.read_bytes()
-        for path in traces.iterdir()
-        if path.is_file() and path.name not in skip
+        str(path.relative_to(traces)): path.read_bytes()
+        for path in traces.rglob("*")
+        if path.is_file()
     }
 
 
@@ -179,18 +183,19 @@ class TestOneDriver:
         pool = ProcessPool(pipeline.run_stage_task, 2)
         pool.start()
         try:
-            arms = {"inline": pipeline.run_stage_task, "pooled": pool.run}
+            arms = {
+                "inline": lambda payload, _name: pipeline.run_stage_task(
+                    payload
+                ),
+                "pooled": pool.run,
+            }
             for arm, run_stage in arms.items():
                 root = tmp_path / arm
                 outcome = execute_job(spec, root, run_stage=run_stage)
                 assert outcome["report"] == expected, arm
-                result_doc = PackedTraceStore(root / "traces").entry_path(
-                    "value", SERVICE_NAMESPACE, result_key(spec)
-                )
-                assert result_doc.exists()
-                assert _store_entries(
-                    root / "traces", skip=(result_doc.name,)
-                ) == reference, arm
+                # The committed campaign is one entry, the same bytes
+                # at the same key on both paths.
+                assert _store_entries(root / "traces") == reference, arm
         finally:
             pool.shutdown()
 
@@ -242,7 +247,7 @@ class TestPipelineUnderChaos:
         suite = Suite(_CONFIG, jobs=2, cache_dir=faulted_dir)
         assert _digest(suite) == clean
         assert suite.pool_counts["replaced"] == len(suite.task_timings)
-        assert _campaign_caches(faulted_dir) == _campaign_caches(
+        assert _committed(faulted_dir) == _committed(
             clean_dir
         )
 
@@ -280,7 +285,7 @@ class TestPipelineUnderChaos:
         resumed = Suite(_CONFIG, jobs=2, cache_dir=cache)
         assert _digest(resumed) == baseline
         assert resumed.warnings["resumed"] == 1
-        assert _campaign_caches(cache) == _campaign_caches(clean_dir)
+        assert _committed(cache) == _committed(clean_dir)
         assert replay(cache / "journal" / (run_id + ".done")).finished
 
     def test_every_drain_point_resumes(self, tmp_path, monkeypatch):
@@ -288,7 +293,7 @@ class TestPipelineUnderChaos:
         # wherever SIGTERM lands, the resume completes byte-identically.
         clean_dir = tmp_path / "clean"
         Suite(_CONFIG, jobs=2, cache_dir=clean_dir).campaigns()
-        clean = _campaign_caches(clean_dir)
+        clean = _committed(clean_dir)
         for tick in (1, 4, 9):
             cache = tmp_path / ("drain%d" % tick)
             monkeypatch.setenv(
@@ -302,7 +307,7 @@ class TestPipelineUnderChaos:
             resumed = Suite(_CONFIG, jobs=2, cache_dir=cache)
             resumed.campaigns()
             assert resumed.warnings["resumed"] == 1
-            assert _campaign_caches(cache) == clean
+            assert _committed(cache) == clean
 
 
 class TestFusedFault:
@@ -315,6 +320,6 @@ class TestFusedFault:
         faults.arm()
         faulted_dir = tmp_path / "faulted"
         Suite(_CONFIG, jobs=2, cache_dir=faulted_dir).campaigns()
-        assert _campaign_caches(faulted_dir) == _campaign_caches(
+        assert _committed(faulted_dir) == _committed(
             clean_dir
         )

@@ -260,8 +260,8 @@ class TestSuiteIntegration:
         )
         suite = Suite(config, jobs=1, cache_dir=tmp_path)
         suite.campaigns()
-        store_dir = suite.trace_store_dir
-        assert store_dir is not None and store_dir.is_dir()
+        store_dir = suite.store.root
+        assert store_dir == tmp_path / "traces" and store_dir.is_dir()
         assert any(p.name.startswith("trace-") for p in store_dir.iterdir())
 
     def test_suite_without_cache_has_no_store(self, monkeypatch):
@@ -269,4 +269,4 @@ class TestSuiteIntegration:
         suite = Suite(
             SuiteConfig(workloads=("fft",)), jobs=1, cache_dir=None
         )
-        assert suite.trace_store() is None
+        assert suite.store is None

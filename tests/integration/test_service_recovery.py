@@ -10,9 +10,9 @@ fresh server's first job in turn (see the tick map below), lets the
 real subprocess die with exit code 89, restarts it on the same root,
 and checks the contract end to end.  Roots are pre-warmed with the
 campaign's *recordings only* (``trace-*`` store files, never the
-``value-*`` analysis/result documents), so "no re-recording" is
-assertable as ``simulated == 0`` while sizing, analysis, and the
-result commit still genuinely re-execute.
+``value-*`` outcome bundles and committed campaigns), so "no
+re-recording" is assertable as ``simulated == 0`` while sizing,
+analysis, and the commit still genuinely re-execute.
 
 WAL ticks of a fresh server's first job::
 
@@ -21,7 +21,7 @@ WAL ticks of a fresh server's first job::
     3  sharded
     4  recording
     5  analyzing
-    6  committed          (after the result document is durable)
+    6  committed          (after the committed campaign is durable)
 """
 
 import os
@@ -44,6 +44,7 @@ from repro.resilience.faults import SVC_KILL_EXIT_CODE
 from repro.service.client import ServiceClient, ServiceUnavailable
 from repro.service.executor import execute_job
 from repro.service.jobs import CampaignSpec
+from repro.trace.store import PackedTraceStore
 from repro.workloads.registry import get_workload
 
 SPEC = CampaignSpec(workload="fft", runs=4, seed=13, scale=0.5)
@@ -221,6 +222,56 @@ def test_store_corruption_mid_job_self_heals(tmp_path, warm):
         # Exactly the torn entry was re-recorded; the rest replayed.
         store_stats = final["stats"].get("store", {})
         assert store_stats.get("quarantined", 0) >= 1
+        client.drain()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait(timeout=10)
+
+
+def test_corrupt_committed_campaign_is_demoted_and_rebuilt(tmp_path, warm):
+    """A restart whose WAL says ``committed`` but whose committed
+    campaign is damaged quarantines the entry, resumes the job, rebuilds
+    the campaign from the durable recordings and outcome bundles (no
+    simulation) and commits the byte-identical entry and report."""
+    root = tmp_path / "root"
+    client = _client(root)
+    proc = _start(root)
+    try:
+        client.wait_ready()
+        job_id = client.submit(
+            SPEC.workload, runs=SPEC.runs, seed=SPEC.seed, scale=SPEC.scale,
+        )["job"]
+        assert client.result(job_id, timeout_s=120)["state"] == "committed"
+        client.drain()
+        assert proc.wait(timeout=30) == 0
+
+        campaign = SPEC.campaign()
+        entry = PackedTraceStore(root / "traces").entry_path(
+            "value", campaign.namespace, campaign.key
+        )
+        committed = entry.read_bytes()
+        flipped = bytearray(committed)
+        flipped[-1] ^= 0xFF
+        entry.write_bytes(bytes(flipped))
+
+        proc = _start(root)
+        health = client.wait_ready()
+        assert health["stats"]["resumed"] == 1
+        quarantine = root / "traces" / "quarantine"
+        assert (quarantine / entry.name).read_bytes() == bytes(flipped)
+        assert (quarantine / (entry.name + ".reason.txt")).exists()
+
+        final = client.result(job_id, timeout_s=120)
+        assert final["ok"] is True
+        assert final["state"] == "committed"
+        assert final["report"] == warm["report"]
+        assert final["stats"]["simulated"] == 0
+        assert final["stats"]["replayed"] == SPEC.runs
+        assert client.status(job_id)["resumed"] is True
+        assert entry.read_bytes() == committed
+
         client.drain()
         assert proc.wait(timeout=30) == 0
     finally:

@@ -32,11 +32,7 @@ from repro.service.admission import (
     FairQueue,
     ServiceLimits,
 )
-from repro.service.executor import (
-    JobInterrupted,
-    execute_job,
-    load_result,
-)
+from repro.service.executor import JobInterrupted, execute_job
 from repro.service.jobs import (
     ACCEPTED,
     ANALYZING,
@@ -246,7 +242,7 @@ def test_spec_namespace_matches_suite_namespace():
     # The whole cross-path dedup story rests on this equality: the
     # service must hit the recordings the sweeps/CLI made and vice versa.
     spec = CampaignSpec(workload="ocean", scale=0.7)
-    assert spec.trace_namespace() == trace_namespace(
+    assert spec.campaign().namespace == trace_namespace(
         "ocean", WorkloadParams(scale=0.7)
     )
 
@@ -446,7 +442,11 @@ def test_execute_job_is_byte_identical_to_cli(tmp_path, monkeypatch):
     assert outcome["stats"]["simulated"] == SPEC.runs
     assert outcome["stats"]["result_hit"] == 0
 
-    # Second execution: served from the durable result document.
+    # Second execution: served from the committed campaign.
+    store = PackedTraceStore(tmp_path / "traces")
+    assert pipeline.load_committed(store, SPEC.campaign()) == outcome[
+        "campaign"
+    ]
     hit = execute_job(SPEC, tmp_path)
     assert hit["report"] == outcome["report"]
     assert hit["stats"] == {
@@ -463,10 +463,14 @@ def stage_pool():
     pool.shutdown()
 
 
+def _run_inline(payload, _name):
+    return pipeline.run_stage_task(payload)
+
+
 def _stage_runner(procs, request):
     """``run_stage`` for a job: in-process (1) or a 2-process pool (2)."""
     if procs == 1:
-        return pipeline.run_stage_task
+        return _run_inline
     return request.getfixturevalue("stage_pool").run
 
 
@@ -479,14 +483,38 @@ def _alive(pid):
 
 
 def test_execute_job_pooled_matches_inline(tmp_path, monkeypatch,
-                                           stage_pool):
+                                           stage_pool, caplog):
     monkeypatch.setenv("REPRO_FSYNC", "0")
-    outcome = execute_job(SPEC, tmp_path, run_stage=stage_pool.run)
+    outcome = execute_job(SPEC, tmp_path / "clean",
+                          run_stage=stage_pool.run)
     assert outcome["report"] == _cli_report(SPEC)
     assert outcome["stats"]["result_hit"] == 0
     health = stage_pool.health()
     assert health["pooled"] > 0
     assert health["inline"] == health["replaced"] == 0
+
+    # Every first attempt dies: each lost attempt is logged under its
+    # own stage task's name, and the report does not move.
+    monkeypatch.setenv("REPRO_FAULTS", "worker_kill:1")
+    faults.arm()
+    killing = ProcessPool(pipeline.run_stage_task, 2)
+    killing.start()
+    try:
+        with caplog.at_level("WARNING", logger="repro.resilience.procpool"):
+            outcome = execute_job(SPEC, tmp_path / "killed",
+                                  run_stage=killing.run)
+        health = killing.health()
+    finally:
+        killing.shutdown()
+    assert outcome["report"] == _cli_report(SPEC)
+    lost = [record.getMessage() for record in caplog.records
+            if record.levelname == "WARNING"]
+    assert len(lost) == health["replaced"] > 0
+    names = {message.split()[1] for message in lost}
+    assert len(names) == len(lost)
+    assert {name.partition(":")[0] for name in names} == {
+        "size", "rec", "an",
+    }
 
 
 @pytest.mark.parametrize("procs", [1, 2])
@@ -525,11 +553,11 @@ def test_stage_pool_child_killed_mid_job_is_replaced(
     victim = stage_pool.pids[0]
     killed = []
 
-    def run_stage(payload):
+    def run_stage(payload, name):
         if payload["stage"] == "record" and not killed:
             killed.append(victim)
             os.kill(victim, signal.SIGKILL)
-        return stage_pool.run(payload)
+        return stage_pool.run(payload, name)
 
     outcome = execute_job(SPEC, tmp_path, run_stage=run_stage)
     assert outcome["report"] == _cli_report(SPEC)
@@ -549,7 +577,7 @@ def test_stage_pool_reruns_a_task_whose_process_died(tmp_path,
     monkeypatch.setenv("REPRO_FSYNC", "0")
     payload = pipeline.size_payload(
         SPEC.workload, SPEC.workload_params(), str(tmp_path / "traces"),
-        SPEC.trace_namespace(), 7,
+        SPEC.campaign().namespace, 7,
     )
     pool = ProcessPool(pipeline.run_stage_task, 1)
     pool.start()
@@ -604,7 +632,7 @@ def test_execute_job_stop_raises_and_commits_nothing(tmp_path,
     with pytest.raises(JobInterrupted):
         execute_job(SPEC, tmp_path, stop=lambda: True)
     store = PackedTraceStore(tmp_path / "traces")
-    assert load_result(store, SPEC) is None
+    assert pipeline.load_committed(store, SPEC.campaign()) is None
 
 
 def test_execute_job_stop_mid_job_resumes_byte_identical(tmp_path,
@@ -614,7 +642,7 @@ def test_execute_job_stop_mid_job_resumes_byte_identical(tmp_path,
     monkeypatch.setenv("REPRO_FSYNC", "0")
     stages = []
 
-    def run_stage(payload):
+    def run_stage(payload, _name):
         stages.append(payload["stage"])
         return pipeline.run_stage_task(payload)
 
@@ -623,7 +651,7 @@ def test_execute_job_stop_mid_job_resumes_byte_identical(tmp_path,
                     stop=lambda: len(stages) >= 2)
     assert stages == ["size", "record"]
     store = PackedTraceStore(tmp_path / "traces")
-    assert load_result(store, SPEC) is None
+    assert pipeline.load_committed(store, SPEC.campaign()) is None
     outcome = execute_job(SPEC, tmp_path)
     assert outcome["report"] == _cli_report(SPEC)
     assert outcome["stats"]["simulated"] == SPEC.runs - 1

@@ -18,6 +18,12 @@ import time
 import pytest
 
 from repro.common.backoff import BACKOFF_CAP_S, backoff_delay
+from repro.experiments import pipeline
+from repro.injection.campaign import (
+    CampaignConfig,
+    campaign_run_keys,
+    campaign_sizing_seed,
+)
 from repro.resilience import faults
 from repro.service import protocol
 from repro.service.client import ServiceClient, ServiceUnavailable
@@ -31,6 +37,7 @@ from repro.service.workers import (
 )
 from repro.service.workers.remote import WorkerAgent
 from repro.trace.store import PackedTraceStore, frame_payload
+from repro.workloads.base import WorkloadParams
 
 
 @pytest.fixture(autouse=True)
@@ -68,7 +75,7 @@ def _run_tasks_bg(pool, job_id, tasks, run_local=None, **kwargs):
         try:
             out["result"] = pool.run_tasks(
                 job_id, tasks,
-                run_local or (lambda payload: ("local", payload)),
+                run_local or (lambda payload, _name: ("local", payload)),
                 **kwargs,
             )
         except BaseException as exc:  # noqa: BLE001 - surfaced to the test
@@ -287,10 +294,11 @@ def test_zero_workers_falls_back_to_local_execution():
     pool = _pool(Clock())
     tasks = [("t%d" % n, n) for n in range(3)]
     values, stats, interrupted = pool.run_tasks(
-        "job-1", tasks, lambda payload: payload * 10
+        "job-1", tasks, lambda payload, name: "%s=%d" % (name, payload * 10)
     )
     assert not interrupted
-    assert values == {"t0": 0, "t1": 10, "t2": 20}
+    # The local runner gets each task's own name.
+    assert values == {"t0": "t0=0", "t1": "t1=10", "t2": "t2=20"}
     assert stats["local_completions"] == 3
 
 
@@ -303,7 +311,7 @@ def test_all_workers_dying_mid_job_falls_back_to_local():
     # finish the job on the executor thread.
     clock.advance(100.0)
     values, stats, _ = pool.run_tasks(
-        "job-1", [("t0", 1)], lambda payload: payload + 1
+        "job-1", [("t0", 1)], lambda payload, _name: payload + 1
     )
     assert values == {"t0": 2}
     assert stats["local_completions"] == 1
@@ -441,7 +449,7 @@ def test_on_result_can_submit_follow_up_tasks():
             submit("t1", value + 1)
 
     values, _stats, _ = pool.run_tasks(
-        "job-1", [("t0", 1)], lambda payload: payload * 2,
+        "job-1", [("t0", 1)], lambda payload, _name: payload * 2,
         on_result=on_result,
     )
     assert values == {"t0": 2, "t1": 6}
@@ -497,7 +505,8 @@ def test_unknown_worker_seen_by_two_lease_loops_registers_once(tmp_path):
 
 
 class _CountingStagePool:
-    def run(self, payload):
+    def run(self, payload, name):
+        assert name == "size:ns"
         return {"instances": 1, "store": {"value_writes": 1}}
 
     def health(self):
@@ -526,7 +535,8 @@ def test_lease_loops_lose_no_counter_update(tmp_path):
                 return {"ok": True, "idle": True, "draining": True}
             left[0] -= 1
             lease = "ls%06d" % left[0]
-        return {"ok": True, "lease": lease, "epoch": 1, "payload": payload}
+        return {"ok": True, "lease": lease, "epoch": 1, "task": "size:ns",
+                "payload": payload}
 
     agent._call = call
     interval = sys.getswitchinterval()
@@ -628,7 +638,7 @@ def test_wake_fires_on_enqueue_and_submit():
 
     # Zero workers: everything runs on this thread, so the order of
     # wakes against grants is exact.
-    pool.run_tasks("job-1", [("t0", 1)], lambda payload: payload,
+    pool.run_tasks("job-1", [("t0", 1)], lambda payload, _name: payload,
                    on_result=on_result)
     assert timeline == [
         "wake",  # the initial enqueue
@@ -751,20 +761,15 @@ def test_install_entry_verifies_quarantines_and_dedups(tmp_path):
     assert replicate.read_entry(store, "value", "ns", ("k", 2)) is None
 
 
-def test_pull_and_push_entry_between_stores(tmp_path):
-    server = PackedTraceStore(tmp_path / "server")
-    worker = PackedTraceStore(tmp_path / "worker")
-    raw = frame_payload(b"replicated payload")
-    components = ("sync_instances", 13)
-    replicate.install_entry(server, "value", "ns", components, raw)
-
+def _loopback(server, pushed=None):
+    """A transport serving pulls and pushes from the ``server`` store;
+    every pushed ``(kind, namespace, components)`` lands in ``pushed``."""
     def call(message):
-        # A loopback transport: serve pulls/pushes from `server`.
+        kind = replicate.ENTRY_KINDS[message["kind"]]
+        components = replicate.components_from_wire(message["components"])
         if message["op"] == "repl_pull":
             found = replicate.read_entry(
-                server, replicate.ENTRY_KINDS[message["kind"]],
-                message["namespace"],
-                replicate.components_from_wire(message["components"]),
+                server, kind, message["namespace"], components,
             )
             if found is None:
                 return {"ok": False, "error": "not_found"}
@@ -774,11 +779,22 @@ def test_pull_and_push_entry_between_stores(tmp_path):
         assert message["op"] == "repl_push"
         raw_in = replicate.decode_blob(message, "push")
         replicate.install_entry(
-            server, replicate.ENTRY_KINDS[message["kind"]],
-            message["namespace"],
-            replicate.components_from_wire(message["components"]), raw_in,
+            server, kind, message["namespace"], components, raw_in,
         )
+        if pushed is not None:
+            pushed.append((kind, message["namespace"], components))
         return {"ok": True, "stored": True}
+
+    return call
+
+
+def test_pull_and_push_entry_between_stores(tmp_path):
+    server = PackedTraceStore(tmp_path / "server")
+    worker = PackedTraceStore(tmp_path / "worker")
+    raw = frame_payload(b"replicated payload")
+    components = ("sync_instances", 13)
+    replicate.install_entry(server, "value", "ns", components, raw)
+    call = _loopback(server)
 
     # Pull: lands byte-identically, then short-circuits on re-pull.
     assert replicate.pull_entry(call, worker, "value", "ns", components)
@@ -795,6 +811,55 @@ def test_pull_and_push_entry_between_stores(tmp_path):
     assert replicate.read_entry(server, "value", "ns", ("made", 2)) == raw2
     # Pushing an entry we do not have fails cleanly.
     assert not replicate.push_entry(call, worker, "value", "ns", ("no", 3))
+
+
+class _InlineStagePool:
+    """A stage pool that runs each task in this process."""
+
+    def run(self, payload, _name):
+        return pipeline.run_stage_task(payload)
+
+
+def test_push_artifacts_sends_every_entry_a_stage_wrote(tmp_path):
+    # The server store is empty, so the analyze stage re-records its
+    # runs on the worker before it writes their outcome bundles: the
+    # pushes must name exactly the entries the stages wrote, each of
+    # which exists on the worker.
+    server = PackedTraceStore(tmp_path / "server")
+    pushed = []
+    agent = WorkerAgent(tmp_path / "wk", socket_path=tmp_path / "no.sock")
+    agent.stage_pool = _InlineStagePool()
+    agent._call = _loopback(server, pushed)
+    campaign = pipeline.Campaign(
+        "fft", WorkloadParams(scale=0.25), CampaignConfig(n_runs=2)
+    )
+    namespace = campaign.namespace
+    size = pipeline.size_payload(
+        "fft", campaign.params, "", namespace,
+        campaign_sizing_seed("fft", campaign.config.base_seed),
+    )
+    value, re_recorded = agent._execute(size, "size:fft")
+    agent._push_artifacts(size, re_recorded)
+    keys = campaign_run_keys("fft", campaign.config, value["instances"])
+    analyze = pipeline.analyze_payload(
+        "fft", campaign.params, "", namespace, keys, campaign.config, True,
+    )
+    _value, re_recorded = agent._execute(analyze, "an:fft#1")
+    assert len(re_recorded) == len(keys)
+    agent._push_artifacts(analyze, re_recorded)
+
+    assert agent.stats["push_failures"] == 0
+    sent = {
+        agent.store.entry_path(kind, ns, components)
+        for kind, ns, components in pushed
+    }
+    assert len(sent) == len(pushed) == 1 + 2 * len(keys)
+    assert all(path.exists() for path in sent)
+    written = {
+        path for path in agent.store.root.iterdir() if path.is_file()
+    }
+    assert {p for p in written if p.name.startswith("value-")} <= sent
+    assert sent == written
 
 
 def test_pull_entry_retries_through_corrupt_transfer(tmp_path):

@@ -1,4 +1,4 @@
-"""Unit tests for the experiment suite's fan-out and result cache.
+"""Unit tests for the experiment suite's fan-out and committed campaigns.
 
 The contract under test: ``jobs`` and ``cache_dir`` change *where* and
 *whether* a campaign computes, never *what* it computes -- results are
@@ -38,6 +38,23 @@ _CONFIG = SuiteConfig(
     workloads=("fft", "lu"),
     params=WorkloadParams(scale=0.25),
 )
+
+
+def _entry(suite, workload):
+    """The path of ``workload``'s committed-campaign store entry."""
+    campaign = suite._campaign_of(workload)
+    return suite.store.entry_path("value", campaign.namespace, campaign.key)
+
+
+def _store_bytes(cache_dir):
+    """Every entry of a cache dir's trace store, quarantine aside."""
+    traces = cache_dir / "traces"
+    return {
+        str(path.relative_to(traces)): path.read_bytes()
+        for path in traces.rglob("*")
+        if path.is_file()
+        and "quarantine" not in path.relative_to(traces).parts
+    }
 
 
 def _digest(suite):
@@ -100,12 +117,13 @@ class TestDiskCache:
     def test_cold_then_warm(self, tmp_path, monkeypatch):
         cold = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
         baseline = _digest(cold)
-        files = sorted(p.name for p in tmp_path.iterdir() if p.is_file())
-        assert len(files) == 2
-        assert all(name.startswith("campaign-") for name in files)
-        # Recorded traces live in their own subdirectory of the cache.
-        assert (tmp_path / "traces").is_dir()
-        assert any((tmp_path / "traces").iterdir())
+        # The cache dir holds the trace store and the journal, nothing
+        # else; each finished campaign is one committed store entry.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "journal", "traces",
+        ]
+        for name in _CONFIG.workloads:
+            assert _entry(cold, name).exists()
 
         # A warm suite must load results instead of recomputing: poison
         # the compute path and verify it is never reached.
@@ -116,6 +134,7 @@ class TestDiskCache:
 
         monkeypatch.setattr(warm, "_run_pending", explode)
         assert _digest(warm) == baseline
+        assert warm.store.stats["quarantined"] == 0
 
     def test_key_tracks_config(self, tmp_path):
         a = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
@@ -128,27 +147,37 @@ class TestDiskCache:
             jobs=1,
             cache_dir=tmp_path,
         )
-        assert a._cache_path("fft") != b._cache_path("fft")
+        assert _entry(a, "fft") != _entry(b, "fft")
+        # a's committed campaign does not serve b's configuration.
+        assert len(a.campaign("fft").runs) == 2
+        assert len(b.campaign("fft").runs) == 3
 
     def test_corrupt_entry_recomputes(self, tmp_path):
+        baseline = _digest(Suite(_CONFIG, jobs=1))
         suite = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
-        path = suite._cache_path("fft")
+        path = _entry(suite, "fft")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"not a pickle")
-        assert _digest(suite)  # recomputes rather than raising
+        assert _digest(suite) == baseline  # recomputes rather than raising
+        assert suite.store.stats["quarantined"] == 1
 
     def test_wrong_payload_type_recomputes(self, tmp_path):
         suite = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
-        path = suite._cache_path("fft")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("wb") as fh:
-            pickle.dump({"not": "a CampaignResult"}, fh)
-        assert suite._cache_load("fft") is None
+        campaign = suite._campaign_of("fft")
+        suite.store.store_value(
+            campaign.namespace, campaign.key, {"not": "a CampaignResult"}
+        )
+        assert pipeline.load_committed(suite.store, campaign) is None
+        assert suite.store.stats["quarantined"] == 1
+        assert not _entry(suite, "fft").exists()
+        assert suite.campaign("fft").runs
+        assert pipeline.load_committed(suite.store, campaign) is not None
 
     def test_no_cache_dir_writes_nothing(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
         monkeypatch.chdir(tmp_path)
         suite = Suite(_CONFIG, jobs=1)
+        assert suite.store is None
         suite.campaign("fft")
         assert list(tmp_path.iterdir()) == []
 
@@ -197,13 +226,6 @@ class TestResilientFanOut:
         yield
         faults.reset()
 
-    def _cache_bytes(self, cache_dir):
-        return {
-            p.name: p.read_bytes()
-            for p in cache_dir.iterdir()
-            if p.is_file()
-        }
-
     def test_retried_run_leaves_identical_state(self, tmp_path,
                                                 monkeypatch):
         clean_dir = tmp_path / "clean"
@@ -215,9 +237,9 @@ class TestResilientFanOut:
         suite = Suite(_CONFIG, jobs=2, cache_dir=faulted_dir)
         assert _digest(suite) == clean
         assert suite.pool_counts["replaced"] == len(suite.task_timings)
-        # The cache written under retry is byte-identical to the one a
-        # fault-free run writes.
-        assert self._cache_bytes(faulted_dir) == self._cache_bytes(
+        # The store written under retry is byte-identical to the one a
+        # fault-free run writes, committed campaigns included.
+        assert _store_bytes(faulted_dir) == _store_bytes(
             clean_dir
         )
 
@@ -257,14 +279,16 @@ class TestResilientFanOut:
         self, tmp_path
     ):
         suite = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
-        path = suite._cache_path("fft")
+        path = _entry(suite, "fft")
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_bytes(b"not a framed pickle")
         assert _digest(suite)  # recomputes
-        assert suite.warnings["corrupt"] == 1
-        qdir = tmp_path / "quarantine"
+        assert suite.store.stats["quarantined"] == 1
+        qdir = tmp_path / "traces" / "quarantine"
         assert (qdir / path.name).exists()
         assert (qdir / (path.name + ".reason.txt")).exists()
+        # The recomputed campaign is committed again.
+        assert path.exists()
 
 
 class TestCheckpointedSuite:
@@ -281,13 +305,6 @@ class TestCheckpointedSuite:
         faults.reset()
         yield
         faults.reset()
-
-    def _cache_bytes(self, cache_dir):
-        return {
-            p.name: p.read_bytes()
-            for p in cache_dir.iterdir()
-            if p.is_file()
-        }
 
     def test_clean_checkpointed_run_seals_journal(self, tmp_path):
         suite = Suite(_CONFIG, jobs=2, cache_dir=tmp_path)
@@ -320,9 +337,9 @@ class TestCheckpointedSuite:
         ]
         assert len(done) == 1
         assert replay(done[0]).task("fft").committed
-        fft_name = suite._cache_path("fft").name
-        assert (single_dir / fft_name).read_bytes() == (
-            full_dir / fft_name
+        fft_name = _entry(suite, "fft").name
+        assert (single_dir / "traces" / fft_name).read_bytes() == (
+            full_dir / "traces" / fft_name
         ).read_bytes()
 
     def test_drain_interrupts_resumably_without_litter(
@@ -357,14 +374,14 @@ class TestCheckpointedSuite:
         assert state.task("fft").scheduled
         assert not state.task("fft").committed
 
-        # Resume: disarm, rerun over the same cache.  Results and cache
+        # Resume: disarm, rerun over the same cache.  Results and store
         # bytes match the uninterrupted run's, and the resume is
         # surfaced in the warnings counters.
         faults.arm("")
         resumed = Suite(_CONFIG, jobs=2, cache_dir=cache)
         assert _digest(resumed) == baseline
         assert resumed.warnings["resumed"] == 1
-        assert self._cache_bytes(cache) == self._cache_bytes(clean_dir)
+        assert _store_bytes(cache) == _store_bytes(clean_dir)
         done = cache / "journal" / (run_id + ".done")
         assert done.exists()
         assert replay(done).finished
@@ -410,7 +427,7 @@ class TestCheckpointedSuite:
     def test_startup_collects_tmp_litter(self, tmp_path):
         proc = subprocess.Popen([sys.executable, "-c", ""])
         proc.wait()
-        litter = tmp_path / ("campaign-x.pkl.tmp.%d" % proc.pid)
+        litter = tmp_path / "traces" / ("value-x.pkl.tmp.%d" % proc.pid)
         litter.parent.mkdir(parents=True, exist_ok=True)
         litter.write_bytes(b"half a write")
         suite = Suite(_CONFIG, jobs=1, cache_dir=tmp_path)
@@ -419,11 +436,11 @@ class TestCheckpointedSuite:
         assert suite.warnings["tmp_pruned"] == 1
 
     def test_startup_prunes_quarantine(self, tmp_path, monkeypatch):
-        qdir = tmp_path / "quarantine"
+        qdir = tmp_path / "traces" / "quarantine"
         qdir.mkdir(parents=True)
         now = time.time()
         for index in range(5):
-            path = qdir / ("campaign-old-%d.pkl" % index)
+            path = qdir / ("value-old-%d.pkl" % index)
             path.write_bytes(b"damaged")
             (qdir / (path.name + ".reason.txt")).write_text("why\n")
             os.utime(path, (now - 100 + index, now - 100 + index))
